@@ -331,7 +331,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(json.dumps({"error": "infeasible", "stage": exc.stage,
                           "message": str(exc)}), file=sys.stdout)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(json.dumps({"error": "invalid", "message": str(exc)}),
               file=sys.stdout)
         return EXIT_ERROR

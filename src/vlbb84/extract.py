@@ -4,6 +4,13 @@ The final key is the product T @ x over GF(2), where T is the m-by-l
 Toeplitz matrix whose anti-ordered first column is seed[0..m-1] and whose
 first row is seed[m-1..l+m-2] (T[i, j] = seed[m-1-i+j]). The product is
 computed as a polynomial convolution so T is never materialized.
+
+The convolution of seed (l+m-1 bits) with the reversed input (l bits) is
+taken as a circular product of S >= l+m-1 points by real FFT. Of the
+2l+m-2 linear lags only l-1 .. l+m-2 are read, and lag k picks up the
+wrapped term k+S only if k+S <= 2l+m-3; for k >= l-1 that needs
+S <= l+m-2, so none of the lags read wraps. S is the smallest
+2^a * 3^b * 5^c at or above l+m-1, a length the FFT handles fast.
 """
 
 from __future__ import annotations
@@ -11,13 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .link_model import SecurityParams
 from .numerics import binary_entropy, output_length_fixed_point
-
-# Below this work estimate, exact integer convolution is as fast as FFT.
-_DIRECT_CONV_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,20 @@ def secure_length(l: int, p_hat: float, sec: SecurityParams) -> tuple[float, int
     return k, output_length_fixed_point(k, sec.eps_max)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, for n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # Smallest power-of-two multiple of p35 that reaches n.
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def toeplitz_extract(input_bits: np.ndarray, seed_bits: np.ndarray,
                      m: int) -> np.ndarray:
     """Hash l input bits down to m bits with the seeded Toeplitz family."""
@@ -55,15 +72,13 @@ def toeplitz_extract(input_bits: np.ndarray, seed_bits: np.ndarray,
             f"seed must have l + m - 1 = {l + m - 1} bits, got {len(seed)}")
     # output[i] = XOR_j seed[m-1-i+j] * x[j]: a correlation, i.e. the
     # convolution of seed with the reversed input at lags l-1 .. l+m-2.
-    if l * m <= _DIRECT_CONV_LIMIT:
-        conv = np.convolve(seed.astype(np.int64), x[::-1].astype(np.int64))
-    else:
-        conv = fftconvolve(seed.astype(np.float64), x[::-1].astype(np.float64))
-        rounded = np.rint(conv)
-        if np.max(np.abs(conv - rounded)) > 0.25:
-            raise ArithmeticError("FFT convolution lost integer precision")
-        conv = rounded.astype(np.int64)
-    return (conv[l - 1:l + m - 1][::-1] % 2).astype(np.uint8)
+    size = _fft_length(l + m - 1)
+    conv = np.fft.irfft(np.fft.rfft(seed, size) * np.fft.rfft(x[::-1], size),
+                        size)[l - 1:l + m - 1]
+    rounded = np.rint(conv)
+    if np.max(np.abs(conv - rounded)) > 0.25:
+        raise ArithmeticError("FFT convolution lost integer precision")
+    return (rounded[::-1].astype(np.int64) % 2).astype(np.uint8)
 
 
 def extract_key(input_bits: np.ndarray, p_hat: float, sec: SecurityParams,

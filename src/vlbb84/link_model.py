@@ -19,6 +19,15 @@ SPEED_OF_LIGHT_KM_S = 299792.458
 DEFAULT_FIBER_SPEED_KM_S = (2.0 / 3.0) * SPEED_OF_LIGHT_KM_S
 
 
+def _require_finite(params) -> None:
+    """Reject NaN and infinite fields: NaN fails every comparison silently
+    and inf passes one-sided bounds, so the range checks miss both."""
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if not math.isfinite(v):
+            raise ValueError(f"{f.name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Device and channel constants, SI units (seconds, km, 1/s, dB/km).
@@ -44,6 +53,7 @@ class LinkParams:
     d: float = 0.0                # link distance, km
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("eta_e", "eta_d", "std"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -82,6 +92,7 @@ class SecurityParams:
     beta: float = 20.0        # accuracy relaxation decay
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0.0 < self.Q_t < 0.5:
             raise ValueError(f"Q_t must be in (0, 1/2), got {self.Q_t}")
         if self.f_max < 1.0:

@@ -11,7 +11,6 @@ is cached and not re-counted.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass
@@ -42,14 +41,12 @@ def leakage_upper_bound(l: int, p_hat: float, sec: SecurityParams) -> float:
 
 
 def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
-            seed: int, transcript_path=None) -> ReconcileResult:
+            seed: int) -> ReconcileResult:
     """Reconcile key_b against key_a, assuming error rate around q_ref.
 
     Both keys are local to the simulation harness, so verification is a
     direct comparison and costs no leakage. q_ref = 0 is floored at 1/l so
-    the first-pass block size stays finite. transcript_path, when given,
-    receives a CSV dump of the top-level parity exchanges (pass,
-    block_index, parity_A, parity_B) for debugging.
+    the first-pass block size stays finite.
     """
     n = len(key_a)
     if len(key_b) != n:
@@ -116,7 +113,6 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
                 if odd[pj][bj]:
                     mark_odd(pj, bj)
 
-    transcript: list[tuple[int, int, int, int]] = []
     for pi in range(CASCADE_PASSES):
         size = k1 * (2 ** pi)
         order = np.arange(n) if pi == 0 else rng.permutation(n)
@@ -127,22 +123,12 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
         for bi, (s, e) in enumerate(ranges):
             inv[order[s:e]] = bi
         pos_to_block.append(inv)
-        odd.append([])
-        for bi, (s, e) in enumerate(ranges):
-            pa, pb = alice_parity(pi, s, e), bob_parity(pi, s, e)
-            odd[pi].append(pa != pb)
-            if transcript_path is not None:
-                transcript.append((pi + 1, bi, pa, pb))
+        odd.append([alice_parity(pi, s, e) != bob_parity(pi, s, e)
+                    for s, e in ranges])
         for bi, is_odd in enumerate(odd[pi]):
             if is_odd:
                 mark_odd(pi, bi)
         drain_odd_blocks()
-
-    if transcript_path is not None:
-        with open(transcript_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pass", "block_index", "parity_A", "parity_B"])
-            writer.writerows(transcript)
 
     q_floor = max(q_ref, 1.0 / n)
     f_realized = leak / (n * binary_entropy(q_floor))

@@ -36,12 +36,40 @@ class TestLinkInfo:
         doc = json.loads(out)
         assert doc["P_loss"] == pytest.approx(1 - 0.12 * 10 ** -2, abs=1e-12)
 
+    def test_infinite_distance_is_error(self, capsys):
+        code, out = run_cli(capsys, "link-info", "--distance", "inf")
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "invalid"
+
+    def test_nan_security_param_is_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"security": {"f_max": NaN}}')
+        code, out = run_cli(capsys, "link-info", "--config", str(cfg))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "invalid"
+
     def test_bad_config_is_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"link": {"typo_field": 1}}))
         code, out = run_cli(capsys, "link-info", "--config", str(cfg))
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "invalid"
+
+
+# Far beyond float range: sizing it overflows instead of planning.
+HUGE_MF = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("plan", "--distance", "30", "--mf", HUGE_MF),
+    ("run", "--distance", "30", "--mf", HUGE_MF),
+    ("plan", "--distance", "nan", "--mf", "1000"),
+    ("run", "--distance", "nan", "--n", "100"),
+])
+def test_unusable_numbers_are_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert json.loads(out)["error"] == "invalid"
 
 
 class TestPlanCommand:

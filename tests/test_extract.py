@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from vlbb84.extract import extract_key, secure_length, toeplitz_extract
+import vlbb84
+from vlbb84.extract import (_fft_length, extract_key, secure_length,
+                            toeplitz_extract)
 from vlbb84.link_model import SecurityParams
 from vlbb84.numerics import output_length_fixed_point
 
@@ -83,16 +90,32 @@ class TestToeplitzExtract:
             rhs = toeplitz_extract(x, seed, m) ^ toeplitz_extract(y, seed, m)
             assert np.array_equal(lhs, rhs)
 
-    def test_fft_path_matches_direct(self):
-        # l*m above the direct-convolution limit exercises the FFT branch.
+    @pytest.mark.parametrize("l, m", [
+        (2048, 2047),   # l*m just below 2^22, the former branch cutoff
+        (2049, 2049),   # l*m just above 2^22; l+m-1 = 2^12 + 1
+        (2049, 2048),   # l+m-1 = 2^12
+        (2000, 1601),   # l+m-1 = 3600 = 2^4 * 3^2 * 5^2
+        (3000, 2500),
+    ])
+    def test_large_inputs_match_dense_oracle(self, l, m):
         rng = np.random.default_rng(3)
-        l, m = 3000, 2500
         x = rng.integers(0, 2, l, dtype=np.uint8)
         seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
-        fft_out = toeplitz_extract(x, seed, m)
-        conv = np.convolve(seed.astype(np.int64), x[::-1].astype(np.int64))
-        direct = (conv[l - 1:l + m - 1][::-1] % 2).astype(np.uint8)
-        assert np.array_equal(fft_out, direct)
+        assert np.array_equal(toeplitz_extract(x, seed, m),
+                              dense_toeplitz(x, seed, m))
+
+    def test_fft_length_is_smallest_5_smooth(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        for n in range(1, 2001):
+            size = n
+            while not smooth(size):
+                size += 1
+            assert _fft_length(n) == size
 
     def test_output_bit_balance(self):
         # 2-universality smoke test: over many random seeds each output
@@ -114,6 +137,17 @@ class TestToeplitzExtract:
             toeplitz_extract(x, np.ones(10, dtype=np.uint8), 4)
         with pytest.raises(ValueError):
             toeplitz_extract(x, np.ones(40, dtype=np.uint8), 17)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency.
+    src = Path(vlbb84.__file__).resolve().parents[1]
+    code = ("import sys, vlbb84.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 class TestExtractKey:

@@ -64,17 +64,6 @@ class TestCascadeBasics:
         cascade(a, b, 0.04, seed=10)
         assert np.array_equal(b, b_orig)
 
-    def test_transcript_dump(self, tmp_path):
-        import csv as csv_mod
-        a, b = keys_with_exact_errors(256, 5, seed=21)
-        path = tmp_path / "parities.csv"
-        res = cascade(a, b, 0.05, seed=22, transcript_path=path)
-        rows = list(csv_mod.DictReader(path.open()))
-        assert len(rows) == top_level_parity_count(256, 0.05)
-        assert {r["pass"] for r in rows} == {"1", "2", "3", "4"}
-        mismatches = sum(r["parity_A"] != r["parity_B"] for r in rows)
-        assert res.verified and mismatches > 0
-
     def test_errors(self):
         a, b = keys_with_exact_errors(8, 0, seed=11)
         with pytest.raises(ValueError):
