@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .link_model import (LinkParams, SecurityParams, channel_at,
-                         effective_flip, limit_distance)
+                         limit_distance)
 from .planner import (DEFAULT_FRACTION, STRATEGY_KINDS, InfeasibleError,
-                      Strategy, a0, expected_output, kbr_stats, plan,
+                      expected_output, fixed_n_strategy, kbr_stats, plan,
                       success_probability)
 from .protocol import derive_seed, run_protocol
 
@@ -104,8 +103,8 @@ def cmd_run(args) -> int:
     if args.n is not None:
         if p_extra is None:
             p_extra = 0.0
-        strategy = _fixed_n_strategy(args.strategy, args.g, args.distance,
-                                     args.n, p_extra, link, sec)
+        strategy = fixed_n_strategy(channel_at(link, args.distance),
+                                    args.strategy, args.n, p_extra, sec, args.g)
         n_pulses = args.n
     else:
         the_plan = plan(args.distance, args.mf, args.strategy, link, sec,
@@ -118,25 +117,6 @@ def cmd_run(args) -> int:
                                          include_wall_time=args.timings),
                      indent=2))
     return EXIT_OK
-
-
-def _fixed_n_strategy(kind: str, g: float, d: float, n_pulses: int,
-                      p_extra: float, link: LinkParams,
-                      sec: SecurityParams) -> Strategy:
-    """Resolve a strategy for fixed-N mode.
-
-    The fraction rule needs only g; count and sqrt resolve their constant
-    from the accuracy floor A_0 at the planned effective flip, evaluated
-    at this N.
-    """
-    if kind == "fraction":
-        return Strategy("fraction", g)
-    channel = channel_at(link, d)
-    p_hat = effective_flip(channel.P_flip, p_extra)
-    a0_bits = a0(p_hat, sec)
-    if kind == "count":
-        return Strategy("count", a0_bits)
-    return Strategy("sqrt", a0_bits / math.sqrt(n_pulses * channel.p))
 
 
 def _sim_point(link: LinkParams, sec: SecurityParams, d: float, kind: str,
@@ -156,11 +136,13 @@ def _sim_point(link: LinkParams, sec: SecurityParams, d: float, kind: str,
         else:
             n_pulses = spec.n_pulses
             p_extra = spec.p_extra if spec.p_extra is not None else 0.0
-            strategy = _fixed_n_strategy(kind, spec.g, d, n_pulses, p_extra,
-                                         link, sec)
-            m_pred, _ = expected_output(n_pulses, d, strategy, p_extra, link, sec)
-            p_succ = success_probability(d, n_pulses, strategy, p_extra, link, sec)
-            kbr_pred, _ = kbr_stats(n_pulses, d, strategy, p_extra, link, sec)
+            strategy = fixed_n_strategy(channel, kind, n_pulses, p_extra, sec,
+                                        spec.g)
+            m_pred, std_m = expected_output(channel, n_pulses, strategy,
+                                            p_extra, sec)
+            p_succ = success_probability(channel, n_pulses, strategy, p_extra,
+                                         sec)
+            kbr_pred, _ = kbr_stats(n_pulses, p_succ, m_pred, std_m)
     except InfeasibleError as exc:
         row.update({"status": f"infeasible:{exc.stage}"})
         return row
@@ -260,8 +242,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a malformed command line as ValueError, so main() reports it
+    as a JSON error with exit 1 instead of usage text with exit 2 (the
+    infeasible code). Subparsers are created with the same class."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="vlbb84",
         description="Variable-length BB84: link analysis, sizing, simulation.")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -324,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InfeasibleError as exc:
         print(json.dumps({"error": "infeasible", "stage": exc.stage,

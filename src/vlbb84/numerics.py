@@ -61,37 +61,17 @@ def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12,
 def output_length_fixed_point(k: float, eps_max: float = 0.01) -> int:
     """Largest integer m with m <= k - 6 - 4*log2(m / eps_max); 0 if none.
 
-    This is the saturation point of the extraction budget. Whenever the
-    floored form m = floor(k - 6 - 4*log2(m/eps_max)) has an integer
-    solution it is unique and equals this maximum (the map is
-    nonincreasing in m). The floor can instead induce a 2-cycle around
-    the real fixed point; the smaller cycle element is then the answer
-    (conservative side). Implemented as fixed-point iteration from
-    m0 = max(1, floor(k)) with cycle detection, followed by an exact
-    verification walk against the defining inequality.
+    This is the saturation point of the extraction budget. The budget
+    minus m strictly decreases in m, so the admissible m form a prefix of
+    [1, floor(k)] and bisection finds its end.
     """
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
-
-    def budget(m: int) -> float:
-        return k - 6.0 - 4.0 * math.log2(m / eps_max)
-
-    m = max(1, math.floor(k))
-    prev = -1
-    for _ in range(200):
-        nxt = math.floor(budget(m))
-        if nxt == m:
-            break
-        if nxt < 1:
-            m = 1
-            break
-        if nxt == prev:
-            m = min(m, nxt)
-            break
-        prev, m = m, nxt
-    # Exact verification: settle on the largest m inside the budget.
-    while m >= 1 and budget(m) < m:
-        m -= 1
-    while m >= 0 and budget(m + 1) >= m + 1:
-        m += 1
-    return max(m, 0)
+    lo, hi = 0, max(math.floor(k), 0)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid <= k - 6.0 - 4.0 * math.log2(mid / eps_max):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

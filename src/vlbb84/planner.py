@@ -11,6 +11,11 @@ for each of three parameter-estimation strategies:
 The chain is: accuracy condition -> sample-size floor A_0, target length
 -> post-sifting requirement l_F, strategy moments -> N_F lower bounds,
 then a scan over the artificial noise to minimize N_F.
+
+plan() is the only entry that takes a distance and a LinkParams: it
+derives the channel once, and every function below it (budget, noise
+optimum, strategy resolution at fixed N, forecasts) takes that
+ChannelDerived instead.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ SQRT = "sqrt"
 STRATEGY_KINDS = (FRACTION, COUNT, SQRT)
 
 DEFAULT_FRACTION = 1.0 / 3.0
+
+# Artificial-noise search: grid spacing of the scan, then the width at
+# which the golden-section refinement stops.
+_NOISE_GRID_STEP = 1e-4
+_NOISE_TOL = 1e-6
 
 
 class InfeasibleError(ValueError):
@@ -263,8 +273,8 @@ def _budget_real(channel: ChannelDerived, m_f: int, kind: str,
     return n_f, strategy, n_lim, a0_bits, l_f_bits
 
 
-def photon_budget(d: float, m_f: int, kind: str, p_extra: float,
-                  link: LinkParams, sec: SecurityParams,
+def photon_budget(channel: ChannelDerived, m_f: int, kind: str,
+                  p_extra: float, sec: SecurityParams,
                   g: float = DEFAULT_FRACTION):
     """Minimum pulse count N_F for the request, with the resolved strategy.
 
@@ -272,7 +282,6 @@ def photon_budget(d: float, m_f: int, kind: str, p_extra: float,
     count strategy resolves A to the sample floor A_0, and the sqrt
     strategy resolves B to A_0 / sqrt(n_lim).
     """
-    channel = channel_at(link, d)
     n_f, strategy, n_lim, _, _ = _budget_real(channel, m_f, kind, p_extra, sec, g)
     return math.ceil(n_f), strategy, n_lim
 
@@ -282,16 +291,15 @@ def _max_extra_noise(p_flip: float, sec: SecurityParams) -> float:
     return (sec.Q_t - p_flip) / (1.0 - 2.0 * p_flip)
 
 
-def optimal_extra_noise(d: float, m_f: int, kind: str, link: LinkParams,
-                        sec: SecurityParams, g: float = DEFAULT_FRACTION,
-                        grid_step: float = 1e-4, tol: float = 1e-6) -> float:
-    """Artificial-noise level minimizing N_F at this distance.
+def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
+                        sec: SecurityParams,
+                        g: float = DEFAULT_FRACTION) -> float:
+    """Artificial-noise level minimizing N_F on this channel.
 
     Dense grid scan over the feasible range followed by golden-section
     refinement; returns 0 whenever the intrinsic link noise alone already
     minimizes the budget.
     """
-    channel = channel_at(link, d)
     if channel.P_flip >= sec.Q_t:
         raise InfeasibleError(
             "optimal_extra_noise",
@@ -304,20 +312,20 @@ def optimal_extra_noise(d: float, m_f: int, kind: str, link: LinkParams,
             return math.inf
 
     e_max = max(_max_extra_noise(channel.P_flip, sec) - 1e-9, 0.0)
-    n_grid = int(e_max / grid_step) + 1
+    n_grid = int(e_max / _NOISE_GRID_STEP) + 1
     best_i, best_v = 0, objective(0.0)
     for i in range(1, n_grid + 1):
-        e = min(i * grid_step, e_max)
+        e = min(i * _NOISE_GRID_STEP, e_max)
         v = objective(e)
         if v < best_v:
             best_i, best_v = i, v
     if best_v == math.inf:
         raise InfeasibleError("optimal_extra_noise", "no feasible noise level")
 
-    lo = max((best_i - 1) * grid_step, 0.0)
-    hi = min((best_i + 1) * grid_step, e_max)
+    lo = max((best_i - 1) * _NOISE_GRID_STEP, 0.0)
+    hi = min((best_i + 1) * _NOISE_GRID_STEP, e_max)
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    while hi - lo > tol:
+    while hi - lo > _NOISE_TOL:
         x1 = hi - ratio * (hi - lo)
         x2 = lo + ratio * (hi - lo)
         if objective(x1) <= objective(x2):
@@ -330,8 +338,24 @@ def optimal_extra_noise(d: float, m_f: int, kind: str, link: LinkParams,
     return e_opt
 
 
-def success_probability(d: float, n_pulses: int, strategy: Strategy,
-                        p_extra: float, link: LinkParams,
+def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
+                     p_extra: float, sec: SecurityParams,
+                     g: float = DEFAULT_FRACTION) -> Strategy:
+    """Resolve a strategy for a run of n_pulses that was not sized by plan().
+
+    The fraction rule needs only g; count and sqrt resolve their constant
+    from the accuracy floor A_0 at the effective flip, evaluated at this N.
+    """
+    if kind == FRACTION:
+        return Strategy(FRACTION, g)
+    a0_bits = a0(effective_flip(channel.P_flip, p_extra), sec)
+    if kind == COUNT:
+        return Strategy(COUNT, a0_bits)
+    return Strategy(SQRT, a0_bits / math.sqrt(n_pulses * channel.p))
+
+
+def success_probability(channel: ChannelDerived, n_pulses: int,
+                        strategy: Strategy, p_extra: float,
                         sec: SecurityParams) -> float:
     """Probability that the run survives parameter estimation.
 
@@ -339,7 +363,8 @@ def success_probability(d: float, n_pulses: int, strategy: Strategy,
     deviation sigma_Qhat / (1 - 2*P_extra), the linear map that undoes the
     controlled randomization.
     """
-    channel = channel_at(link, d)
+    if not 0.0 <= p_extra < 0.5:
+        raise ValueError(f"p_extra must be in [0, 1/2), got {p_extra}")
     p_hat = effective_flip(channel.P_flip, p_extra)
     stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
     if stats.mean_sample <= 0.0:
@@ -350,11 +375,10 @@ def success_probability(d: float, n_pulses: int, strategy: Strategy,
     return normal_cdf((sec.Q_t - channel.P_flip) / sigma_q)
 
 
-def expected_output(n_pulses: int, d: float, strategy: Strategy,
-                    p_extra: float, link: LinkParams,
+def expected_output(channel: ChannelDerived, n_pulses: int,
+                    strategy: Strategy, p_extra: float,
                     sec: SecurityParams) -> tuple[int, float]:
     """Mean and standard deviation of the final key length at fixed N."""
-    channel = channel_at(link, d)
     p_hat = effective_flip(channel.P_flip, p_extra)
     stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
     rate = 1.0 - (1.0 + sec.f_max) * binary_entropy(p_hat)
@@ -365,16 +389,15 @@ def expected_output(n_pulses: int, d: float, strategy: Strategy,
     return mean_m, rate * stats.std_L
 
 
-def kbr_stats(n_pulses: int, d: float, strategy: Strategy, p_extra: float,
-              link: LinkParams, sec: SecurityParams) -> tuple[float, float]:
+def kbr_stats(n_pulses: int, p_success: float, mean_m: float,
+              std_m: float) -> tuple[float, float]:
     """Mean and standard deviation of the key bit rate (bits per pulse).
 
-    The rate is a mixture: M/N with probability P_success, 0 otherwise.
+    The rate is a mixture: M/N with probability p_success, 0 otherwise,
+    where M has the mean and standard deviation of expected_output().
     """
-    p_succ = success_probability(d, n_pulses, strategy, p_extra, link, sec)
-    mean_m, std_m = expected_output(n_pulses, d, strategy, p_extra, link, sec)
-    mean = p_succ * mean_m / n_pulses
-    var = p_succ * std_m ** 2 + p_succ * (1.0 - p_succ) * mean_m ** 2
+    mean = p_success * mean_m / n_pulses
+    var = p_success * std_m ** 2 + p_success * (1.0 - p_success) * mean_m ** 2
     return mean, math.sqrt(var) / n_pulses
 
 
@@ -388,15 +411,15 @@ def plan(d: float, m_f: int, kind: str, link: LinkParams,
     """
     if m_f < 1:
         raise InfeasibleError("plan", f"m_F must be >= 1, got {m_f}")
-    if p_extra is None:
-        p_extra = optimal_extra_noise(d, m_f, kind, link, sec, g)
     channel = channel_at(link, d)
+    if p_extra is None:
+        p_extra = optimal_extra_noise(channel, m_f, kind, sec, g)
     n_f_real, strategy, n_lim, a0_bits, l_f_bits = _budget_real(
         channel, m_f, kind, p_extra, sec, g)
     n_f = math.ceil(n_f_real)
-    mean_m, std_m = expected_output(n_f, d, strategy, p_extra, link, sec)
-    p_succ = success_probability(d, n_f, strategy, p_extra, link, sec)
-    kbr_mean, kbr_std = kbr_stats(n_f, d, strategy, p_extra, link, sec)
+    mean_m, std_m = expected_output(channel, n_f, strategy, p_extra, sec)
+    p_succ = success_probability(channel, n_f, strategy, p_extra, sec)
+    kbr_mean, kbr_std = kbr_stats(n_f, p_succ, mean_m, std_m)
     return Plan(strategy=strategy, N_F=n_f, P_extra_opt=p_extra,
                 l_F=l_f_bits, A_0=a0_bits, n_lim=n_lim,
                 expected_m=mean_m, expected_m_std=std_m,

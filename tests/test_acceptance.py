@@ -13,9 +13,9 @@ from vlbb84.link_model import (LinkParams, SecurityParams, channel_at,
                                limit_distance)
 from vlbb84.numerics import (binary_entropy, output_length_fixed_point,
                              solve_bracketed)
-from vlbb84.planner import (COUNT, FRACTION, SQRT, Strategy, kbr_stats,
-                            optimal_extra_noise, photon_budget, plan,
-                            success_probability)
+from vlbb84.planner import (COUNT, FRACTION, SQRT, Strategy, expected_output,
+                            kbr_stats, optimal_extra_noise, photon_budget,
+                            plan, success_probability)
 from vlbb84.protocol import derive_seed, quantum_phase, run_protocol
 from vlbb84.reconcile import cascade, leakage_upper_bound
 
@@ -85,14 +85,15 @@ def test_c04_fixed_n_curve_matches_theory():
         assert dq <= 3 * math.hypot(se_emp, se_pred) + 1e-12, f"Q at d={d}"
 
         kbr = np.array([r.m for r in records], dtype=float) / n_pulses
-        kbr_pred, kbr_sigma = kbr_stats(n_pulses, d, strategy, 0.0, LINK, SEC)
+        p_succ = success_probability(ch, n_pulses, strategy, 0.0, SEC)
+        kbr_pred, kbr_sigma = kbr_stats(
+            n_pulses, p_succ, *expected_output(ch, n_pulses, strategy, 0.0, SEC))
         se_emp = kbr.std(ddof=1) / math.sqrt(iters)
         se_pred = kbr_sigma / math.sqrt(iters)
         dk = abs(float(kbr.mean()) - kbr_pred)
         assert dk <= 3 * math.hypot(se_emp, se_pred) + 1e-12, f"KBR at d={d}"
 
         abort_emp = float(np.mean([r.aborted for r in records]))
-        p_succ = success_probability(d, n_pulses, strategy, 0.0, LINK, SEC)
         abort_pred = 1 - p_succ
         se_emp = math.sqrt(max(abort_emp * (1 - abort_emp), 0.0) / iters)
         se_pred = math.sqrt(max(abort_pred * (1 - abort_pred), 0.0) / iters)
@@ -214,7 +215,8 @@ def test_c09_extra_noise_shape():
     grid = [10.0, 25.0, 40.0, 55.0, 65.0, 73.0]
     assert grid[-1] < d_lim
     for kind in (FRACTION, COUNT, SQRT):
-        opts = [optimal_extra_noise(d, 1000, kind, LINK, SEC) for d in grid]
+        opts = [optimal_extra_noise(channel_at(LINK, d), 1000, kind, SEC)
+                for d in grid]
         assert opts[0] > 1e-3, f"no noise needed at short range for {kind}?"
         tail = opts[-3:]
         assert tail[0] >= tail[1] >= tail[2], f"tail not decaying: {tail}"
@@ -223,8 +225,9 @@ def test_c09_extra_noise_shape():
         # covers the golden-section refinement tolerance).
         assert all(a >= b - 2e-6 for a, b in zip(opts, opts[1:]))
         for d, e in zip(grid, opts):
-            n_opt = photon_budget(d, 1000, kind, e, LINK, SEC)[0]
-            n_zero = photon_budget(d, 1000, kind, 0.0, LINK, SEC)[0]
+            ch = channel_at(LINK, d)
+            n_opt = photon_budget(ch, 1000, kind, e, SEC)[0]
+            n_zero = photon_budget(ch, 1000, kind, 0.0, SEC)[0]
             assert n_opt <= n_zero
         curve = " ".join(f"{e:.5f}" for e in opts)
         print(f"[PASS] criterion 9: {kind:8s} P_extra_opt(d) = {curve} -> 0")

@@ -65,11 +65,23 @@ HUGE_MF = "1" + "0" * 400
     ("run", "--distance", "30", "--mf", HUGE_MF),
     ("plan", "--distance", "nan", "--mf", "1000"),
     ("run", "--distance", "nan", "--n", "100"),
+    # Rejected by the argument parser itself.
+    ("plan", "--distance", "-inf", "--mf", "1000"),
+    ("plan", "--distance", "30", "--mf", "abc"),
+    ("plan", "--distance", "30"),
+    ("run", "--distance", "30", "--n", "10", "--mf", "5"),
 ])
 def test_unusable_numbers_are_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_ERROR
     assert json.loads(out)["error"] == "invalid"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--help"])
+    assert exc.value.code == 0
+    assert "--distance" in capsys.readouterr().out
 
 
 class TestPlanCommand:
@@ -172,6 +184,16 @@ class TestSweepCommand:
         assert code == EXIT_OK
         rows = list(csv.DictReader(out_csv.open()))
         assert rows[0]["status"] == "infeasible:strategy_stats"
+
+    def test_fixed_n_half_extra_noise_is_error(self, capsys, tmp_path):
+        # p_extra = 1/2 erases the key and cannot be inverted.
+        code, out = run_cli(capsys, "sweep", "--distances", "30",
+                            "--n", "50000", "--p-extra", "0.5",
+                            "--out", str(tmp_path / "half.csv"))
+        assert code == EXIT_ERROR
+        doc = json.loads(out)
+        assert doc["error"] == "invalid"
+        assert "p_extra" in doc["message"]
 
     def test_sweep_reproducible(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -111,6 +111,24 @@ class TestOutputLengthFixedPoint:
         if exact:
             assert m == exact
 
+    @given(st.floats(min_value=-10.0, max_value=1e9),
+           st.sampled_from([0.01, 0.5, 1e-9]))
+    @settings(max_examples=200, deadline=None)
+    def test_largest_m_inside_budget(self, k, eps_max):
+        def inside(m):
+            return m <= k - 6.0 - 4.0 * math.log2(m / eps_max)
+
+        m = output_length_fixed_point(k, eps_max)
+        assert m == 0 or inside(m)
+        assert not inside(m + 1)
+
+    @given(st.floats(min_value=10.0, max_value=5000.0),
+           st.sampled_from([0.5, 1e-9]))
+    @settings(max_examples=40, deadline=None)
+    def test_against_scan_oracle_other_eps(self, k, eps_max):
+        assert output_length_fixed_point(k, eps_max) == \
+            scan_fixed_point(k, eps_max)
+
     @given(st.floats(min_value=7.0, max_value=1e6),
            st.floats(min_value=0.0, max_value=1e5))
     @settings(max_examples=60, deadline=None)

@@ -6,11 +6,13 @@ import pytest
 from vlbb84.link_model import (LinkParams, SecurityParams, channel_at,
                                effective_flip, limit_distance)
 from vlbb84.numerics import binary_entropy, output_length_fixed_point
-from vlbb84.planner import (COUNT, FRACTION, SQRT, InfeasibleError, Strategy,
+from vlbb84.planner import (COUNT, DEFAULT_FRACTION, FRACTION, SQRT,
+                            InfeasibleError, Strategy,
                             _budget_from_requirements, _sqrt_sample_limit, a0,
-                            expected_output, gamma, kbr_stats, l_f,
-                            optimal_extra_noise, photon_budget, plan,
-                            strategy_stats, success_probability)
+                            expected_output, fixed_n_strategy, gamma,
+                            kbr_stats, l_f, optimal_extra_noise,
+                            photon_budget, plan, strategy_stats,
+                            success_probability)
 from vlbb84.protocol import derive_seed, run_protocol
 
 LINK = LinkParams()
@@ -124,17 +126,18 @@ class TestPhotonBudget:
                               + math.sqrt((1 - p) + 4 * (a0_ref + lf_ref) / 9)) ** 2
         n_ref = math.ceil(max(arm1, arm2))
 
-        n_f, strategy, n_lim = photon_budget(50.0, 1000, COUNT, 0.0, LINK, SEC)
+        n_f, strategy, n_lim = photon_budget(ch, 1000, COUNT, 0.0, SEC)
         assert n_f == n_ref == 486535
         assert strategy.param == pytest.approx(a0_ref, rel=1e-12)
         assert strategy.param == pytest.approx(1036.106465, abs=1e-4)
         assert n_lim is None
 
     def test_fraction_and_sqrt_frozen_d50(self):
-        n_f, strategy, _ = photon_budget(50.0, 1000, FRACTION, 0.0, LINK, SEC)
+        ch = channel_at(LINK, 50.0)
+        n_f, strategy, _ = photon_budget(ch, 1000, FRACTION, 0.0, SEC)
         assert n_f == 502530
         assert strategy.param == pytest.approx(1 / 3)
-        n_f, strategy, n_lim = photon_budget(50.0, 1000, SQRT, 0.0, LINK, SEC)
+        n_f, strategy, n_lim = photon_budget(ch, 1000, SQRT, 0.0, SEC)
         assert n_f == 481817
         assert n_lim == pytest.approx(2980.202388, abs=1e-4)
         assert strategy.param == pytest.approx(1036.106465 / math.sqrt(n_lim),
@@ -164,26 +167,27 @@ class TestPhotonBudget:
 
     def test_infeasible_above_threshold(self):
         with pytest.raises(InfeasibleError):
-            photon_budget(100.0, 1000, COUNT, 0.0, LINK, SEC)
+            photon_budget(channel_at(LINK, 100.0), 1000, COUNT, 0.0, SEC)
         with pytest.raises(InfeasibleError):
-            photon_budget(50.0, 1000, COUNT, 0.08, LINK, SEC)
+            photon_budget(channel_at(LINK, 50.0), 1000, COUNT, 0.08, SEC)
 
     def test_infeasible_at_zero_flip(self):
         with pytest.raises(InfeasibleError):
-            photon_budget(0.0, 1000, COUNT, 0.0, LINK, SEC)
+            photon_budget(channel_at(LINK, 0.0), 1000, COUNT, 0.0, SEC)
 
     def test_nondecreasing_in_mf(self):
+        ch = channel_at(LINK, 30.0)
         for kind in (FRACTION, COUNT):
-            sizes = [photon_budget(30.0, m, kind, 0.01, LINK, SEC)[0]
+            sizes = [photon_budget(ch, m, kind, 0.01, SEC)[0]
                      for m in (200, 500, 1000, 2000, 5000)]
             assert all(u <= v for u, v in zip(sizes, sizes[1:]))
         # The sqrt strategy is nondecreasing only once the key-length arm
         # binds; below that the cap arm 4*A_0^2/n_lim shrinks as n_lim
         # grows with m_F, so N_F genuinely dips (its own defining max[]).
-        sizes = [photon_budget(30.0, m, SQRT, 0.01, LINK, SEC)[0]
+        sizes = [photon_budget(ch, m, SQRT, 0.01, SEC)[0]
                  for m in (500, 1000, 2000, 5000)]
         assert all(u <= v for u, v in zip(sizes, sizes[1:]))
-        low, mid = (photon_budget(30.0, m, SQRT, 0.01, LINK, SEC)[0]
+        low, mid = (photon_budget(ch, m, SQRT, 0.01, SEC)[0]
                     for m in (200, 500))
         assert low > mid
 
@@ -195,8 +199,7 @@ class TestPhotonBudget:
                 for p_extra in (0.0, 0.01):
                     ch = channel_at(LINK, d)
                     ph = effective_flip(ch.P_flip, p_extra)
-                    n_f, strategy, _ = photon_budget(d, 1000, kind, p_extra,
-                                                     LINK, SEC)
+                    n_f, strategy, _ = photon_budget(ch, 1000, kind, p_extra, SEC)
                     stats = strategy_stats(n_f, ch.p, ph, strategy)
                     assert stats.mean_sample >= a0(ph, SEC) * (1 - 1e-9)
                     n_mean = n_f * ch.p
@@ -208,7 +211,7 @@ class TestPhotonBudget:
 class TestOptimalExtraNoise:
     def test_positive_at_short_distance(self):
         for kind in (FRACTION, COUNT, SQRT):
-            e = optimal_extra_noise(10.0, 1000, kind, LINK, SEC)
+            e = optimal_extra_noise(channel_at(LINK, 10.0), 1000, kind, SEC)
             assert e > 1e-3
             ch = channel_at(LINK, 10.0)
             assert effective_flip(ch.P_flip, e) < SEC.Q_t
@@ -216,32 +219,34 @@ class TestOptimalExtraNoise:
     def test_never_worse_than_zero_noise(self):
         for kind in (FRACTION, COUNT, SQRT):
             for d in (10.0, 25.0, 40.0, 60.0):
-                e = optimal_extra_noise(d, 1000, kind, LINK, SEC)
-                n_opt = photon_budget(d, 1000, kind, e, LINK, SEC)[0]
-                n_zero = photon_budget(d, 1000, kind, 0.0, LINK, SEC)[0]
+                ch = channel_at(LINK, d)
+                e = optimal_extra_noise(ch, 1000, kind, SEC)
+                n_opt = photon_budget(ch, 1000, kind, e, SEC)[0]
+                n_zero = photon_budget(ch, 1000, kind, 0.0, SEC)[0]
                 assert n_opt <= n_zero
 
     def test_infeasible_beyond_limit(self):
         with pytest.raises(InfeasibleError):
-            optimal_extra_noise(100.0, 1000, COUNT, LINK, SEC)
+            optimal_extra_noise(channel_at(LINK, 100.0), 1000, COUNT, SEC)
 
 
 class TestSuccessProbability:
     def test_half_at_threshold(self):
         d_lim = limit_distance(LINK, SEC)
-        p_succ = success_probability(d_lim, 200000, Strategy(FRACTION, 1 / 3),
-                                     0.0, LINK, SEC)
+        p_succ = success_probability(channel_at(LINK, d_lim), 200000,
+                                     Strategy(FRACTION, 1 / 3), 0.0, SEC)
         assert p_succ == pytest.approx(0.5, abs=1e-3)
 
     def test_far_tail(self):
-        p_succ = success_probability(10.0, 2_000_000, Strategy(FRACTION, 1 / 3),
-                                     0.0, LINK, SEC)
+        p_succ = success_probability(channel_at(LINK, 10.0), 2_000_000,
+                                     Strategy(FRACTION, 1 / 3), 0.0, SEC)
         assert p_succ >= 1 - 1e-6
 
     def test_monte_carlo_abort_rate_d50(self):
         # Spec reference point: essentially no aborts predicted or seen.
         strategy = Strategy(FRACTION, 1 / 3)
-        p_succ = success_probability(50.0, 200000, strategy, 0.0, LINK, SEC)
+        p_succ = success_probability(channel_at(LINK, 50.0), 200000, strategy,
+                                     0.0, SEC)
         aborts = sum(
             run_protocol(LINK, SEC, 50.0, 200000, strategy, 0.0,
                          derive_seed(101, i)).aborted
@@ -265,7 +270,8 @@ class TestSuccessProbability:
     def test_monte_carlo_abort_rate_d65(self):
         # Near the limit the abort rate is materially nonzero.
         strategy = Strategy(FRACTION, 1 / 3)
-        p_succ = success_probability(65.0, 200000, strategy, 0.0, LINK, SEC)
+        p_succ = success_probability(channel_at(LINK, 65.0), 200000, strategy,
+                                     0.0, SEC)
         assert p_succ < 1 - 1e-4
         runs = [run_protocol(LINK, SEC, 65.0, 200000, strategy, 0.0,
                              derive_seed(202, i)).aborted for i in range(500)]
@@ -277,15 +283,15 @@ class TestSuccessProbability:
 
 class TestExpectedOutput:
     def test_zero_above_threshold(self):
-        mean_m, std_m = expected_output(486535, 50.0, Strategy(COUNT, 1036.0),
-                                        0.08, LINK, SEC)
+        mean_m, std_m = expected_output(channel_at(LINK, 50.0), 486535,
+                                        Strategy(COUNT, 1036.0), 0.08, SEC)
         assert mean_m == 0
         assert std_m == 0.0
 
     def test_zero_noise_collapse(self):
         # At d = 0 the effective flip is 0, so k equals the key length.
-        mean_m, _ = expected_output(10000, 0.0, Strategy(FRACTION, 1 / 3),
-                                    0.0, LINK, SEC)
+        mean_m, _ = expected_output(channel_at(LINK, 0.0), 10000,
+                                    Strategy(FRACTION, 1 / 3), 0.0, SEC)
         mean_l = (2 / 3) * 10000 * 0.06
         assert mean_m == output_length_fixed_point(mean_l, SEC.eps_max)
 
@@ -293,23 +299,29 @@ class TestExpectedOutput:
         # The sizing identity is linear while the output length carries a
         # -4*log2(m) term, so the guarantee is exact only up to ~2 bits;
         # assert with a 3-bit slack.
+        ch = channel_at(LINK, 50.0)
         for kind in (FRACTION, COUNT, SQRT):
-            n_f, strategy, _ = photon_budget(50.0, 1000, kind, 0.0, LINK, SEC)
-            mean_m, std_m = expected_output(n_f, 50.0, strategy, 0.0, LINK, SEC)
+            n_f, strategy, _ = photon_budget(ch, 1000, kind, 0.0, SEC)
+            mean_m, std_m = expected_output(ch, n_f, strategy, 0.0, SEC)
             assert mean_m - SEC.C_F * std_m >= 1000 - 3
 
 
 class TestKbrStats:
     def test_certain_success_mixture(self):
         strategy = Strategy(FRACTION, 1 / 3)
-        mean_m, std_m = expected_output(2_000_000, 10.0, strategy, 0.0, LINK, SEC)
-        kbr_mean, kbr_std = kbr_stats(2_000_000, 10.0, strategy, 0.0, LINK, SEC)
+        ch = channel_at(LINK, 10.0)
+        mean_m, std_m = expected_output(ch, 2_000_000, strategy, 0.0, SEC)
+        p_succ = success_probability(ch, 2_000_000, strategy, 0.0, SEC)
+        kbr_mean, kbr_std = kbr_stats(2_000_000, p_succ, mean_m, std_m)
         assert kbr_mean == pytest.approx(mean_m / 2e6, rel=1e-6)
         assert kbr_std == pytest.approx(std_m / 2e6, rel=1e-4)
 
     def test_monte_carlo_d25(self):
         strategy = Strategy(FRACTION, 1 / 3)
-        kbr_mean, kbr_std = kbr_stats(200000, 25.0, strategy, 0.0, LINK, SEC)
+        ch = channel_at(LINK, 25.0)
+        kbr_mean, kbr_std = kbr_stats(
+            200000, success_probability(ch, 200000, strategy, 0.0, SEC),
+            *expected_output(ch, 200000, strategy, 0.0, SEC))
         kbrs = [run_protocol(LINK, SEC, 25.0, 200000, strategy, 0.0,
                              derive_seed(303, i)).m / 200000
                 for i in range(50)]
@@ -338,6 +350,19 @@ class TestPlan:
         with pytest.raises(InfeasibleError):
             plan(30.0, 0, FRACTION, LINK, SEC)
 
+    def test_derives_the_channel_once(self, monkeypatch):
+        distances = []
+
+        def counting_channel_at(link, d):
+            distances.append(d)
+            return channel_at(link, d)
+
+        monkeypatch.setattr("vlbb84.planner.channel_at", counting_channel_at)
+        for kind in (FRACTION, COUNT, SQRT):
+            plan(30.0, 1000, kind, LINK, SEC)
+            plan(30.0, 1000, kind, LINK, SEC, p_extra=0.0)
+        assert distances == [30.0] * 6
+
     def test_as_dict_serializes(self):
         doc = plan(30.0, 500, SQRT, LINK, SEC).as_dict()
         assert doc["m_F"] == 500
@@ -352,3 +377,74 @@ class TestPlan:
                          result.P_extra_opt, derive_seed(404, i)).m >= 1000
             for i in range(100))
         assert hits >= 95
+
+
+# plan(d, 1000, kind, LINK, SEC), frozen bit for bit: strategy param, N_F,
+# P_extra_opt, l_F, A_0, n_lim, expected_m, expected_m_std, expected_KBR,
+# KBR_std, P_success. A refactor of the planner must reproduce every value.
+FROZEN_PLANS = {
+    (5.0, FRACTION): (0.3333333333333333, 64016, 0.01927082039324994,
+        1599.081697687546, 1017.3537296188775, None,
+        1290, 24.104600527058494, 0.020151212196950763,
+        0.00037654024817324565, 1.0),
+    (5.0, COUNT): (1093.6538480432791, 54934, 0.011116023989253638,
+        1375.5472100778036, 1093.6538480432791, None,
+        1116, 38.9370185784982, 0.02031528743583209,
+        0.0007087963479538755, 1.0),
+    (5.0, SQRT): (21.557314969722132, 54253, 0.01100951949424901,
+        1372.8696298096224, 1096.370896033304, 2586.5784943555486,
+        1091, 30.5536407766419, 0.020109487032975135,
+        0.0005631696086233369, 1.0),
+    (30.0, FRACTION): (0.3333333333333333, 201052, 0.009822291236000338,
+        1599.0823767726404, 1017.3537296221452, None,
+        1290, 24.512395337148195, 0.006416250522252949,
+        0.00012192067394081231, 1.0),
+    (30.0, COUNT): (1093.6518753106334, 172698, 0.0015072722464948268,
+        1375.5491827799963, 1093.6518753106334, None,
+        1118, 39.615138661507046, 0.006473728705601686,
+        0.0002293896782910459, 1.0),
+    (30.0, SQRT): (21.549664244565815, 170524, 0.0013967477524976868,
+        1372.824140678856, 1096.4177431033568, 2588.6366404447494,
+        1092, 31.09006714372296, 0.006403790668762168,
+        0.00018232077093970913, 1.0),
+    (65.0, FRACTION): (0.3333333333333333, 1571881, 0.0,
+        3262.5275394991986, 1123.7954716900451, None,
+        1046, 15.636493834169096, 0.0006654447760356366,
+        9.947632069549969e-06, 0.999999999999687),
+    (65.0, COUNT): (1123.7954716900451, 1412280, 0.0,
+        3262.5275394991986, 1123.7954716900451, None,
+        1066, 22.232136958476552, 0.0007548078265662221,
+        1.57420636065749e-05, 0.9999999974699288),
+    (65.0, SQRT): (16.635139834637982, 1404440, 0.0,
+        3262.5275394991986, 1123.7954716900451, 4563.747875462379,
+        1057, 19.44068634496554, 0.0007526131392766706,
+        1.3842356399007061e-05, 0.9999999974699406),
+}
+PLAN_FIELDS = ("N_F", "P_extra_opt", "l_F", "A_0", "n_lim", "expected_m",
+               "expected_m_std", "expected_KBR", "KBR_std", "P_success")
+
+
+class TestFrozenForecasts:
+    @pytest.mark.parametrize("d, kind", list(FROZEN_PLANS))
+    def test_whole_plan(self, d, kind):
+        param, *values = FROZEN_PLANS[d, kind]
+        expect = {"d": d, "m_F": 1000,
+                  "strategy": {"kind": kind, "param": param},
+                  **dict(zip(PLAN_FIELDS, values))}
+        assert plan(d, 1000, kind, LINK, SEC).as_dict() == expect
+
+    @pytest.mark.parametrize("kind, param, std_m, kbr_std", [
+        (COUNT, 1025.5528943604443, 49.23259667341459, 9.846519334682919e-05),
+        (SQRT, 14.759146839996465, 44.00397535560993, 8.800795071121986e-05),
+    ])
+    def test_fixed_n_forecast_d40(self, kind, param, std_m, kbr_std):
+        n_pulses = 500_000
+        ch = channel_at(LINK, 40.0)
+        strategy = fixed_n_strategy(ch, kind, n_pulses, 0.0, SEC,
+                                    DEFAULT_FRACTION)
+        assert strategy == Strategy(kind, param)
+        forecast = expected_output(ch, n_pulses, strategy, 0.0, SEC)
+        assert forecast == (2629, std_m)
+        p_succ = success_probability(ch, n_pulses, strategy, 0.0, SEC)
+        assert p_succ == 1.0
+        assert kbr_stats(n_pulses, p_succ, *forecast) == (0.005258, kbr_std)
