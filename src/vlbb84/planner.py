@@ -410,7 +410,7 @@ def plan(d: float, m_f: int, kind: str, link: LinkParams,
     reproduce fixed-noise baselines).
     """
     if m_f < 1:
-        raise InfeasibleError("plan", f"m_F must be >= 1, got {m_f}")
+        raise ValueError(f"m_F must be >= 1, got {m_f}")
     channel = channel_at(link, d)
     if p_extra is None:
         p_extra = optimal_extra_noise(channel, m_f, kind, sec, g)

@@ -1,9 +1,16 @@
 """Event-level execution of the variable-length BB84 protocol.
 
-The quantum phase samples the physical events of each pulse directly
+The quantum phase samples the physical events behind each detection
 (photon survival, dark count, registration order, depolarization) instead
 of tracking qubit states, so the sifted-bit statistics it produces are an
 independent check of the closed-form p and P_flip of the link model.
+
+Only detected pulses can reach the sifted key, and at most a few percent
+of pulses are detected, so the sampler never materializes the N pulses:
+it draws the detection count n_det ~ Binomial(N, p_det) and then samples
+the events of those n_det detections alone, in O(n_det) time and memory.
+Every probability it uses comes from the primitives P_loss, P_DCR and
+P_depolar, never from the derived p or P_flip.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ from .link_model import (ChannelDerived, LinkParams, SecurityParams,
 from .planner import Plan, Strategy
 from .reconcile import MIN_KEY_LEN, cascade
 
-LOST = -1
-
 SOURCE_NONE = 0
 SOURCE_PHOTON = 1
 SOURCE_DARK = 2
@@ -29,15 +34,16 @@ SOURCE_DEPOLARIZED = 3
 
 
 def derive_seed(base_seed: int, index: int) -> int:
-    """Per-run seed: splitmix64 finalizer of base_seed XOR index.
+    """Seed of sub-stream `index` of `base_seed` (a run of a sweep, or a
+    stage of a run).
 
-    Decorrelates consecutive indices so parallel runs can share one base
-    seed; the result only depends on (base_seed, index).
+    Derived by numpy's SeedSequence with spawn key (index,), so distinct
+    (base_seed, index) pairs give unrelated 64-bit seeds.
     """
-    z = ((base_seed ^ index) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
+    seq = np.random.SeedSequence(base_seed, spawn_key=(index,))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
@@ -49,16 +55,17 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class PulseOutcomes:
-    """Per-pulse detection results of one quantum phase, as arrays."""
+    """Bob's side of the detected events of one quantum phase, as arrays
+    with one entry per detection (undetected pulses are never sampled)."""
 
-    detected: np.ndarray          # bool
-    detection_source: np.ndarray  # uint8, SOURCE_* codes
+    detection_source: np.ndarray  # uint8, SOURCE_* codes, never SOURCE_NONE
     basis_match: np.ndarray       # bool
-    bob_bit: np.ndarray           # int8, LOST where not detected
+    bob_bit: np.ndarray           # uint8
 
-    def __post_init__(self) -> None:
-        assert bool(np.all((self.bob_bit == LOST) == ~self.detected))
-        assert bool(np.all((self.detection_source == SOURCE_NONE) == ~self.detected))
+    @property
+    def detected(self) -> np.ndarray:
+        """Boolean mask of registered events (all of them, by construction)."""
+        return self.detection_source != SOURCE_NONE
 
 
 @dataclass
@@ -126,7 +133,8 @@ class RunRecord:
 
 def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
                   ) -> tuple[np.ndarray, PulseOutcomes, np.ndarray, np.ndarray]:
-    """Simulate N pulses; returns (k_A, outcomes, b_A, b_B).
+    """Simulate N pulses; returns (k_A, outcomes, b_A, b_B), one entry per
+    detected pulse (undetected pulses cannot be sifted and are not drawn).
 
     Per pulse, independently: the photon survives with 1 - P_loss and a
     dark count fires with P_DCR; when both occur the dark count is
@@ -134,49 +142,63 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
     a uniform bit. A registered photon is depolarized with P_depolar
     (uniform bit); otherwise Bob reads Alice's bit when bases match and a
     uniform bit when they differ.
+
+    A pulse is detected with p_det = 1 - P_loss * (1 - P_DCR). The number
+    of detections is drawn first; each detection is then photon only,
+    photon and dark, or dark only in proportion to (1 - P_loss)(1 - P_DCR),
+    (1 - P_loss) P_DCR and P_loss P_DCR. The five fair coins of a
+    detection (Alice's key bit, both bases, Bob's noise bit and the
+    dark-first coin) are the low five bits of one uniform random byte.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
     rng = np.random.default_rng(seed)
-    k_a = rng.integers(0, 2, n_pulses, dtype=np.uint8)
-    b_a = rng.integers(0, 2, n_pulses, dtype=np.uint8)
-    b_b = rng.integers(0, 2, n_pulses, dtype=np.uint8)
-    photon = rng.random(n_pulses) < (1.0 - channel.P_loss)
-    dark = rng.random(n_pulses) < channel.P_DCR
-    dark_first = rng.random(n_pulses) < 0.5
-    depolarized = rng.random(n_pulses) < channel.P_depolar
-    noise_bit = rng.integers(0, 2, n_pulses, dtype=np.uint8)
+    p_det = 1.0 - channel.P_loss * (1.0 - channel.P_DCR)
+    n_det = int(rng.binomial(n_pulses, p_det))
+    # Given a detection, a uniform u below photon_only_cut is a lone
+    # photon, u >= photon_cut a lone dark count, and the band between both.
+    # p_det = 0 (e.g. eta_e = 0 at d = 0) gives n_det = 0 and no division.
+    photon_cut = (1.0 - channel.P_loss) / p_det if n_det else 0.0
+    photon_only_cut = photon_cut * (1.0 - channel.P_DCR)
+    category = rng.random(n_det)
+    depolarized = rng.random(n_det) < channel.P_depolar
+    coins = np.frombuffer(rng.bytes(n_det), dtype=np.uint8)
+    k_a = coins & 1
+    b_a = (coins >> 1) & 1
+    b_b = (coins >> 2) & 1
+    noise_bit = (coins >> 3) & 1
+    dark_first = (coins & 16) != 0
 
-    detected = photon | dark
+    photon = category < photon_cut
+    dark = category >= photon_only_cut
     dark_registered = dark & (~photon | dark_first)
-    photon_registered = photon & ~dark_registered
+    depolarized &= ~dark_registered
     basis_match = b_a == b_b
 
-    source = np.full(n_pulses, SOURCE_NONE, dtype=np.uint8)
-    source[dark_registered] = SOURCE_DARK
-    source[photon_registered] = SOURCE_PHOTON
-    source[photon_registered & depolarized] = SOURCE_DEPOLARIZED
+    # Selections are arithmetic, not masked assignment or np.where: on
+    # random masks those branch per element and cost several times more.
+    source = (SOURCE_PHOTON
+              + dark_registered * np.uint8(SOURCE_DARK - SOURCE_PHOTON)
+              + depolarized * np.uint8(SOURCE_DEPOLARIZED - SOURCE_PHOTON))
+    random_outcome = dark_registered | depolarized | ~basis_match
+    bob_bit = k_a ^ ((noise_bit ^ k_a) & random_outcome)
 
-    random_outcome = (dark_registered
-                      | (photon_registered & depolarized)
-                      | (photon_registered & ~depolarized & ~basis_match))
-    bob_bit = np.where(random_outcome, noise_bit, k_a).astype(np.int8)
-    bob_bit[~detected] = LOST
-
-    outcomes = PulseOutcomes(detected=detected, detection_source=source,
-                             basis_match=basis_match, bob_bit=bob_bit)
+    outcomes = PulseOutcomes(detection_source=source, basis_match=basis_match,
+                             bob_bit=bob_bit)
     return k_a, outcomes, b_a, b_b
 
 
 def sift(k_a: np.ndarray, b_a: np.ndarray, b_b: np.ndarray,
          outcomes: PulseOutcomes) -> tuple[np.ndarray, np.ndarray]:
-    """Keep positions that were detected and measured in matching bases."""
+    """Keep the detected events measured in matching bases."""
     n = len(k_a)
     if not (len(b_a) == len(b_b) == len(outcomes.bob_bit) == n):
         raise ValueError("sift inputs must have equal length")
-    keep = outcomes.detected & (b_a == b_b)
+    # Index arrays: boolean-mask indexing on a random mask branches per
+    # element and costs several times more.
+    keep = np.flatnonzero(b_a == b_b)
     return (np.asarray(k_a, dtype=np.uint8)[keep],
-            outcomes.bob_bit[keep].astype(np.uint8))
+            np.asarray(outcomes.bob_bit, dtype=np.uint8)[keep])
 
 
 def controlled_randomization(key: np.ndarray, p_extra: float,

@@ -70,6 +70,10 @@ HUGE_MF = "1" + "0" * 400
     ("plan", "--distance", "30", "--mf", "abc"),
     ("plan", "--distance", "30"),
     ("run", "--distance", "30", "--n", "10", "--mf", "5"),
+    # Malformed requests, not requests the link cannot serve.
+    ("plan", "--distance", "30", "--mf", "0"),
+    ("run", "--distance", "30", "--mf", "-5"),
+    ("run", "--distance", "30", "--n", "1000", "--seed", "-1"),
 ])
 def test_unusable_numbers_are_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
@@ -194,6 +198,14 @@ class TestSweepCommand:
         doc = json.loads(out)
         assert doc["error"] == "invalid"
         assert "p_extra" in doc["message"]
+
+    def test_zero_target_is_error(self, capsys, tmp_path):
+        out_csv = tmp_path / "zero.csv"
+        code, out = run_cli(capsys, "sweep", "--distances", "30",
+                            "--mf", "0", "--out", str(out_csv))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "invalid"
+        assert not out_csv.exists()
 
     def test_sweep_reproducible(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

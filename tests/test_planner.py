@@ -347,8 +347,9 @@ class TestPlan:
             plan(100.0, 1000, FRACTION, LINK, SEC)
 
     def test_mf_floor_enforced(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ValueError) as exc:
             plan(30.0, 0, FRACTION, LINK, SEC)
+        assert not isinstance(exc.value, InfeasibleError)
 
     def test_derives_the_channel_once(self, monkeypatch):
         distances = []

@@ -1,21 +1,75 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vlbb84.link_model import (LinkParams, SecurityParams, channel_at,
-                               effective_flip)
+from test_acceptance import BASE_SEED
+from vlbb84 import protocol
+from vlbb84.link_model import (ChannelDerived, LinkParams, SecurityParams,
+                               channel_at, effective_flip)
 from vlbb84.numerics import output_length_fixed_point
 from vlbb84.planner import COUNT, FRACTION, Strategy
-from vlbb84.protocol import (LOST, SOURCE_DARK, SOURCE_DEPOLARIZED,
-                             SOURCE_NONE, SOURCE_PHOTON, PulseOutcomes,
-                             bits_to_hex, controlled_randomization,
-                             derive_seed, estimate_parameters, quantum_phase,
-                             run_protocol, sift)
+from vlbb84.protocol import (SOURCE_DARK, SOURCE_DEPOLARIZED, SOURCE_NONE,
+                             SOURCE_PHOTON, PulseOutcomes, bits_to_hex,
+                             controlled_randomization, derive_seed,
+                             estimate_parameters, quantum_phase, run_protocol,
+                             sift)
 
 LINK = LinkParams()
 SEC = SecurityParams()
+
+LOST = -1
+
+
+def reference_quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int):
+    """Per-pulse sampler, the oracle for the detected-only quantum_phase.
+
+    Draws every pulse's events, detected or not; returns per-pulse arrays
+    (k_a, b_a, b_b, detected, source, bob_bit) with bob_bit LOST where
+    nothing was registered.
+    """
+    rng = np.random.default_rng(seed)
+    k_a = rng.integers(0, 2, n_pulses, dtype=np.uint8)
+    b_a = rng.integers(0, 2, n_pulses, dtype=np.uint8)
+    b_b = rng.integers(0, 2, n_pulses, dtype=np.uint8)
+    photon = rng.random(n_pulses) < (1.0 - channel.P_loss)
+    dark = rng.random(n_pulses) < channel.P_DCR
+    dark_first = rng.random(n_pulses) < 0.5
+    depolarized = rng.random(n_pulses) < channel.P_depolar
+    noise_bit = rng.integers(0, 2, n_pulses, dtype=np.uint8)
+
+    detected = photon | dark
+    dark_registered = dark & (~photon | dark_first)
+    photon_registered = photon & ~dark_registered
+    basis_match = b_a == b_b
+
+    source = np.full(n_pulses, SOURCE_NONE, dtype=np.uint8)
+    source[dark_registered] = SOURCE_DARK
+    source[photon_registered] = SOURCE_PHOTON
+    source[photon_registered & depolarized] = SOURCE_DEPOLARIZED
+
+    random_outcome = (dark_registered
+                      | (photon_registered & depolarized)
+                      | (photon_registered & ~depolarized & ~basis_match))
+    bob_bit = np.where(random_outcome, noise_bit, k_a).astype(np.int8)
+    bob_bit[~detected] = LOST
+    return k_a, b_a, b_b, detected, source, bob_bit
+
+
+def sifted_statistics(k_a, b_a, b_b, detected, source, bob_bit) -> dict:
+    """Sift count, sifted QBER and provenance fractions of sifted bits."""
+    keep = detected & (b_a == b_b)
+    n_sift = int(keep.sum())
+    kept_source = source[keep]
+    return {
+        "n_sift": n_sift,
+        "qber": float((k_a[keep] != bob_bit[keep]).mean()),
+        "photon": float((kept_source == SOURCE_PHOTON).mean()),
+        "dark": float((kept_source == SOURCE_DARK).mean()),
+        "depolarized": float((kept_source == SOURCE_DEPOLARIZED).mean()),
+    }
 
 
 class TestSeedDerivation:
@@ -29,6 +83,43 @@ class TestSeedDerivation:
     def test_64_bit_range(self):
         for i in range(100):
             assert 0 <= derive_seed(2 ** 63, i) < 2 ** 64
+
+    @staticmethod
+    def stage_seeds(monkeypatch, run_seeds):
+        """Generator seeds run_protocol derives from each run seed, with the
+        stage indices read off one real run."""
+        calls = []
+
+        def recording(base, index):
+            calls.append((base, index))
+            return derive_seed(base, index)
+
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "derive_seed", recording)
+            run_protocol(LINK, SEC, 25.0, 1000, Strategy(FRACTION, 1 / 3),
+                         0.0, seed=1)
+        stages = [index for _, index in calls]
+        assert 0 < len(stages) == len(set(stages))
+        return [derive_seed(r, s) for r in run_seeds for s in stages]
+
+    def test_acceptance_criteria_streams_are_disjoint(self, monkeypatch):
+        # Criterion 4: 14 distances x 50 runs; criterion 5: 2 targets x 3
+        # strategies x 6 distances x 20 runs.
+        c04 = [derive_seed(BASE_SEED + 1, i) for i in range(14 * 50)]
+        c05 = [derive_seed(BASE_SEED + 2, i) for i in range(2 * 3 * 6 * 20)]
+        seeds = self.stage_seeds(monkeypatch, c04 + c05)
+        assert len(set(seeds)) == len(seeds)
+
+    def test_cli_seeds_share_no_stream(self, monkeypatch):
+        # `run --seed s` runs with seed s; `sweep --seed s` runs i with
+        # derive_seed(s, i).
+        runs = [0, 1] + [derive_seed(s, i) for s in (0, 1) for i in range(100)]
+        seeds = self.stage_seeds(monkeypatch, runs)
+        assert len(set(seeds)) == len(seeds)
+
+    def test_negative_base_rejected(self):
+        with pytest.raises(ValueError):
+            derive_seed(-1, 0)
 
 
 class TestQuantumPhase:
@@ -60,43 +151,80 @@ class TestQuantumPhase:
 
     def test_outcome_invariants(self):
         ch = channel_at(LINK, 25.0)
-        _, outcomes, _, _ = quantum_phase(50_000, ch, seed=14)
-        lost = outcomes.bob_bit == LOST
-        assert np.array_equal(lost, ~outcomes.detected)
-        assert np.array_equal(outcomes.detection_source == SOURCE_NONE,
-                              ~outcomes.detected)
-        detected_bits = outcomes.bob_bit[outcomes.detected]
-        assert np.isin(detected_bits, (0, 1)).all()
+        k_a, outcomes, b_a, b_b = quantum_phase(50_000, ch, seed=14)
+        assert len(k_a) > 0
+        for bits in (k_a, b_a, b_b, outcomes.bob_bit):
+            assert bits.dtype == np.uint8 and len(bits) == len(k_a)
+            assert np.isin(bits, (0, 1)).all()
+        assert not (outcomes.detection_source == SOURCE_NONE).any()
+        assert outcomes.detected.all()
+        assert np.array_equal(outcomes.basis_match, b_a == b_b)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             quantum_phase(0, channel_at(LINK, 0.0), seed=1)
 
+    def test_memory_scales_with_detections(self):
+        # 1e8 pulses at 65 km is ~650k detections; per-pulse arrays
+        # would need gigabytes.
+        tracemalloc.start()
+        try:
+            k_a, _, _, _ = quantum_phase(10 ** 8, channel_at(LINK, 65.0),
+                                         seed=derive_seed(16, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(k_a) < 10 ** 6
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("d", [5.0, 30.0, 65.0])
+    def test_matches_per_pulse_reference(self, d):
+        n = 2_000_000
+        ch = channel_at(LINK, d)
+        k_a, outcomes, b_a, b_b = quantum_phase(n, ch, derive_seed(17, 2 * int(d)))
+        fast = sifted_statistics(k_a, b_a, b_b, outcomes.detected,
+                                 outcomes.detection_source, outcomes.bob_bit)
+        ref = sifted_statistics(*reference_quantum_phase(
+            n, ch, derive_seed(17, 2 * int(d) + 1)))
+
+        p_det = 1.0 - ch.P_loss * (1.0 - ch.P_DCR)
+        dark = ch.P_DCR * (ch.P_loss + (1.0 - ch.P_loss) / 2.0) / p_det
+        depolarized = (1.0 - dark) * ch.P_depolar
+        theory = {"qber": ch.P_flip, "photon": 1.0 - dark - depolarized,
+                  "dark": dark, "depolarized": depolarized}
+        se_sift = math.sqrt(n * ch.p * (1 - ch.p))
+        assert abs(fast["n_sift"] - n * ch.p) <= 4 * se_sift
+        assert abs(ref["n_sift"] - n * ch.p) <= 4 * se_sift
+        assert abs(fast["n_sift"] - ref["n_sift"]) <= 4 * math.sqrt(2) * se_sift
+        for name, theta in theory.items():
+            se_fast = math.sqrt(theta * (1 - theta) / fast["n_sift"])
+            se_ref = math.sqrt(theta * (1 - theta) / ref["n_sift"])
+            assert abs(fast[name] - theta) <= 4 * se_fast, name
+            assert abs(ref[name] - theta) <= 4 * se_ref, name
+            assert abs(fast[name] - ref[name]) <= 4 * math.hypot(se_fast, se_ref), name
+
 
 class TestSift:
     def test_hand_traced_example(self):
-        k_a = np.array([0, 1, 1], dtype=np.uint8)
-        b_a = np.array([0, 1, 1], dtype=np.uint8)
-        b_b = np.array([0, 0, 1], dtype=np.uint8)
+        k_a = np.array([0, 1], dtype=np.uint8)
+        b_a = np.array([0, 1], dtype=np.uint8)
+        b_b = np.array([0, 1], dtype=np.uint8)
         outcomes = PulseOutcomes(
-            detected=np.array([True, False, True]),
             detection_source=np.array(
-                [SOURCE_PHOTON, SOURCE_NONE, SOURCE_PHOTON], dtype=np.uint8),
+                [SOURCE_PHOTON, SOURCE_PHOTON], dtype=np.uint8),
             basis_match=(b_a == b_b),
-            bob_bit=np.array([0, LOST, 1], dtype=np.int8))
+            bob_bit=np.array([0, 1], dtype=np.uint8))
         sifted_a, sifted_b = sift(k_a, b_a, b_b, outcomes)
         assert sifted_a.tolist() == [0, 1]
         assert sifted_b.tolist() == [0, 1]
 
     def test_all_lost(self):
-        n = 5
         outcomes = PulseOutcomes(
-            detected=np.zeros(n, dtype=bool),
-            detection_source=np.full(n, SOURCE_NONE, dtype=np.uint8),
-            basis_match=np.ones(n, dtype=bool),
-            bob_bit=np.full(n, LOST, dtype=np.int8))
-        zeros = np.zeros(n, dtype=np.uint8)
-        sifted_a, sifted_b = sift(zeros, zeros, zeros, outcomes)
+            detection_source=np.zeros(0, dtype=np.uint8),
+            basis_match=np.zeros(0, dtype=bool),
+            bob_bit=np.zeros(0, dtype=np.uint8))
+        empty = np.zeros(0, dtype=np.uint8)
+        sifted_a, sifted_b = sift(empty, empty, empty, outcomes)
         assert len(sifted_a) == 0 and len(sifted_b) == 0
 
     def test_sift_fraction_concentrates_on_p(self):
@@ -111,10 +239,9 @@ class TestSift:
 
     def test_length_mismatch_rejected(self):
         outcomes = PulseOutcomes(
-            detected=np.ones(2, dtype=bool),
             detection_source=np.full(2, SOURCE_PHOTON, dtype=np.uint8),
             basis_match=np.ones(2, dtype=bool),
-            bob_bit=np.zeros(2, dtype=np.int8))
+            bob_bit=np.zeros(2, dtype=np.uint8))
         with pytest.raises(ValueError):
             sift(np.zeros(3, dtype=np.uint8), np.zeros(2, dtype=np.uint8),
                  np.zeros(2, dtype=np.uint8), outcomes)
@@ -253,6 +380,13 @@ class TestRunProtocol:
                              0.0, seed=8)
         assert small.m <= 4096
         assert small.to_json_dict()["final_key"] == bits_to_hex(small.final_key)
+
+    def test_no_emission_is_no_signal(self):
+        # eta_e = 0: no photon ever leaves, and d = 0 has no dark counts.
+        r = run_protocol(LinkParams(eta_e=0.0), SEC, 0.0, 100_000,
+                         Strategy(FRACTION, 1 / 3), 0.0, seed=12)
+        assert r.n_sifted == 0
+        assert r.aborted and r.abort_cause == "no-signal"
 
     def test_wall_time_excluded_by_default(self):
         r = run_protocol(LINK, SEC, 10.0, 10_000, Strategy(FRACTION, 1 / 3),
