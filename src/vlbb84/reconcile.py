@@ -4,15 +4,32 @@ Classic four-pass Cascade: the first pass partitions the key in natural
 order into blocks of ceil(0.73 / Q) bits, each later pass reshuffles and
 doubles the block size. Odd-parity blocks are corrected by binary search,
 and every correction re-queues the earlier-pass blocks that contain the
-flipped bit (the cascade effect). Each parity Alice discloses counts as
-one leaked bit; a parity already disclosed for the identical index range
-is cached and not re-counted.
+flipped bit (the cascade effect).
+
+Both keys are local to the simulation, so a parity comparison only needs
+where the keys disagree. Each pass keeps its disagreement array
+a[order] ^ b[order] in pass order, with the pass's inverse permutation:
+
+- One `np.bitwise_xor.reduceat` over it gives the pass's top-level block
+  parity mismatches.
+- A binary search takes the disagreement positions of its block once;
+  a left half [start, mid) has a parity mismatch exactly when it holds an
+  odd number of them, which `bisect` counts.
+- A correction flips one entry of every pass's array, found through the
+  inverse permutation, and toggles block `position // size` of that pass.
+
+Leakage rule: every parity Alice discloses, a top-level block or the left
+half of a search step, counts as one leaked bit. A range (pass, start, end)
+she has already disclosed is not counted again. Top-level blocks and
+search halves of a pass never coincide, so each pass leaks its block count
+plus its distinct search halves.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +48,8 @@ class ReconcileResult:
     n_exp: int            # parity bits disclosed
     f_realized: float     # n_exp / (l * h(Q_ref))
     verified: bool        # corrected key equals Alice's
+    leak_per_pass: tuple[int, ...]      # parity bits disclosed per pass
+    searches_per_pass: tuple[int, ...]  # binary searches run per pass
 
 
 def leakage_upper_bound(l: int, p_hat: float, sec: SecurityParams) -> float:
@@ -38,6 +57,15 @@ def leakage_upper_bound(l: int, p_hat: float, sec: SecurityParams) -> float:
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
     return sec.f_max * l * binary_entropy(p_hat)
+
+
+def _as_bits(key: np.ndarray, name: str) -> np.ndarray:
+    arr = np.asarray(key)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError(f"{name} must hold only 0/1 values")
+    return arr.astype(np.uint8, copy=False)
 
 
 def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
@@ -48,53 +76,54 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     direct comparison and costs no leakage. q_ref = 0 is floored at 1/l so
     the first-pass block size stays finite.
     """
-    n = len(key_a)
-    if len(key_b) != n:
-        raise ValueError(f"key length mismatch: {n} vs {len(key_b)}")
+    a = _as_bits(key_a, "key_a")
+    b = _as_bits(key_b, "key_b")
+    n = len(a)
+    if len(b) != n:
+        raise ValueError(f"key length mismatch: {n} vs {len(b)}")
     if n < MIN_KEY_LEN:
         raise ValueError(f"key too short for cascade: {n} < {MIN_KEY_LEN}")
     if not 0.0 <= q_ref < 0.5:
         raise ValueError(f"q_ref must be in [0, 1/2), got {q_ref}")
 
     rng = np.random.default_rng(seed)
-    a = np.asarray(key_a, dtype=np.uint8)
-    b = np.asarray(key_b, dtype=np.uint8).copy()
-    k1 = math.ceil(BLOCK_COEFF / max(q_ref, 1.0 / n))
+    q_floor = max(q_ref, 1.0 / n)
+    k1 = math.ceil(BLOCK_COEFF / q_floor)
 
-    orders: list[np.ndarray] = []       # per pass: permuted index order
-    blocks: list[list[tuple[int, int]]] = []  # per pass: [start, end) ranges
+    sizes: list[int] = []               # per pass: block size
+    orders: list[np.ndarray] = []       # per pass: pass position -> key index
+    inverses: list[np.ndarray] = []     # per pass: key index -> pass position
+    diffs: list[np.ndarray] = []        # per pass: a ^ b in pass order
     odd: list[list[bool]] = []          # per pass: current parity mismatch
-    pos_to_block: list[np.ndarray] = []
-    disclosed: dict[tuple[int, int, int], int] = {}
-    leak = 0
-
-    def alice_parity(pi: int, start: int, end: int) -> int:
-        nonlocal leak
-        key = (pi, start, end)
-        if key not in disclosed:
-            disclosed[key] = int(np.bitwise_xor.reduce(a[orders[pi][start:end]]))
-            leak += 1
-        return disclosed[key]
-
-    def bob_parity(pi: int, start: int, end: int) -> int:
-        return int(np.bitwise_xor.reduce(b[orders[pi][start:end]]))
-
-    def binary_search(pi: int, start: int, end: int) -> int:
-        # One error is inside [start, end); halve until it is isolated.
-        # Only the left half's parity is asked, the right is implied.
-        while end - start > 1:
-            mid = start + (end - start + 1) // 2
-            if alice_parity(pi, start, mid) != bob_parity(pi, start, mid):
-                end = mid
-            else:
-                start = mid
-        return int(orders[pi][start])
-
+    disclosed: set[tuple[int, int, int]] = set()  # search halves asked
+    leak = [0] * CASCADE_PASSES
+    searches = [0] * CASCADE_PASSES
     heap: list[tuple[int, int, int]] = []   # (size, pass, block); lazy entries
 
     def mark_odd(pi: int, bi: int) -> None:
-        start, end = blocks[pi][bi]
-        heapq.heappush(heap, (end - start, pi, bi))
+        start = bi * sizes[pi]
+        heapq.heappush(heap, (min(sizes[pi], n - start), pi, bi))
+
+    def binary_search(pi: int, start: int, end: int) -> int:
+        # The block holds an odd number of disagreements; halve until one
+        # is isolated. Only the left half's parity is asked, the right is
+        # implied. `where` holds the block's disagreement offsets from
+        # block_start; where[lo:hi] are the ones inside [start, end).
+        block_start = start
+        where = diffs[pi][start:end].nonzero()[0].tolist()
+        lo, hi = 0, len(where)
+        while end - start > 1:
+            mid = start + (end - start + 1) // 2
+            asked = (pi, start, mid)
+            if asked not in disclosed:
+                disclosed.add(asked)
+                leak[pi] += 1
+            cut = bisect_left(where, mid - block_start, lo, hi)
+            if (cut - lo) % 2:
+                end, hi = mid, cut
+            else:
+                start, lo = mid, cut
+        return int(orders[pi][start])
 
     def drain_odd_blocks() -> None:
         # Repeatedly correct the smallest currently-odd block over all
@@ -104,11 +133,13 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
             _, pi, bi = heapq.heappop(heap)
             if not odd[pi][bi]:
                 continue
-            start, end = blocks[pi][bi]
-            flipped = binary_search(pi, start, end)
-            b[flipped] ^= 1
-            for pj in range(len(blocks)):
-                bj = int(pos_to_block[pj][flipped])
+            searches[pi] += 1
+            start = bi * sizes[pi]
+            flipped = binary_search(pi, start, min(start + sizes[pi], n))
+            for pj in range(len(diffs)):
+                pos = int(inverses[pj][flipped])
+                diffs[pj][pos] ^= 1
+                bj = pos // sizes[pj]
                 odd[pj][bj] = not odd[pj][bj]
                 if odd[pj][bj]:
                     mark_odd(pj, bj)
@@ -116,21 +147,26 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     for pi in range(CASCADE_PASSES):
         size = k1 * (2 ** pi)
         order = np.arange(n) if pi == 0 else rng.permutation(n)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(n)
+        # Pass 0 runs in natural order, so diffs[0] is a ^ b for Bob's
+        # current key; each later pass starts from it, permuted.
+        diff = a ^ b if pi == 0 else diffs[0][order]
+        sizes.append(size)
         orders.append(order)
-        ranges = [(s, min(s + size, n)) for s in range(0, n, size)]
-        blocks.append(ranges)
-        inv = np.empty(n, dtype=np.int64)
-        for bi, (s, e) in enumerate(ranges):
-            inv[order[s:e]] = bi
-        pos_to_block.append(inv)
-        odd.append([alice_parity(pi, s, e) != bob_parity(pi, s, e)
-                    for s, e in ranges])
-        for bi, is_odd in enumerate(odd[pi]):
-            if is_odd:
-                mark_odd(pi, bi)
+        inverses.append(inverse)
+        diffs.append(diff)
+        starts = np.arange(0, n, size)
+        block_odd = np.bitwise_xor.reduceat(diff, starts).astype(bool)
+        odd.append(block_odd.tolist())
+        leak[pi] = len(starts)
+        for bi in np.flatnonzero(block_odd).tolist():
+            mark_odd(pi, bi)
         drain_odd_blocks()
 
-    q_floor = max(q_ref, 1.0 / n)
-    f_realized = leak / (n * binary_entropy(q_floor))
-    return ReconcileResult(corrected_B=b, n_exp=leak, f_realized=f_realized,
-                           verified=bool(np.array_equal(a, b)))
+    n_exp = sum(leak)
+    return ReconcileResult(corrected_B=a ^ diffs[0], n_exp=n_exp,
+                           f_realized=n_exp / (n * binary_entropy(q_floor)),
+                           verified=not diffs[0].any(),
+                           leak_per_pass=tuple(leak),
+                           searches_per_pass=tuple(searches))

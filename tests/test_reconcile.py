@@ -1,13 +1,122 @@
+import heapq
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlbb84.link_model import SecurityParams
 from vlbb84.numerics import binary_entropy
-from vlbb84.reconcile import cascade, leakage_upper_bound
+from vlbb84.reconcile import (BLOCK_COEFF, CASCADE_PASSES, MIN_KEY_LEN,
+                              cascade, leakage_upper_bound)
 
 SEC = SecurityParams()
+
+
+@dataclass(frozen=True)
+class ReferenceResult:
+    corrected_B: np.ndarray
+    n_exp: int
+    f_realized: float
+    verified: bool
+
+
+def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
+                      seed: int) -> ReferenceResult:
+    """Oracle: Cascade that gathers both keys and asks every parity.
+
+    Each top-level block and each binary-search step reduces a[order] and
+    b[order] over its range, and a correction finds the flipped bit's
+    block in every pass through a position-to-block table.
+    """
+    n = len(key_a)
+    if len(key_b) != n:
+        raise ValueError(f"key length mismatch: {n} vs {len(key_b)}")
+    if n < MIN_KEY_LEN:
+        raise ValueError(f"key too short for cascade: {n} < {MIN_KEY_LEN}")
+    if not 0.0 <= q_ref < 0.5:
+        raise ValueError(f"q_ref must be in [0, 1/2), got {q_ref}")
+
+    rng = np.random.default_rng(seed)
+    a = np.asarray(key_a, dtype=np.uint8)
+    b = np.asarray(key_b, dtype=np.uint8).copy()
+    k1 = math.ceil(BLOCK_COEFF / max(q_ref, 1.0 / n))
+
+    orders: list[np.ndarray] = []       # per pass: permuted index order
+    blocks: list[list[tuple[int, int]]] = []  # per pass: [start, end) ranges
+    odd: list[list[bool]] = []          # per pass: current parity mismatch
+    pos_to_block: list[np.ndarray] = []
+    disclosed: dict[tuple[int, int, int], int] = {}
+    leak = 0
+
+    def alice_parity(pi: int, start: int, end: int) -> int:
+        nonlocal leak
+        key = (pi, start, end)
+        if key not in disclosed:
+            disclosed[key] = int(np.bitwise_xor.reduce(a[orders[pi][start:end]]))
+            leak += 1
+        return disclosed[key]
+
+    def bob_parity(pi: int, start: int, end: int) -> int:
+        return int(np.bitwise_xor.reduce(b[orders[pi][start:end]]))
+
+    def binary_search(pi: int, start: int, end: int) -> int:
+        # One error is inside [start, end); halve until it is isolated.
+        # Only the left half's parity is asked, the right is implied.
+        while end - start > 1:
+            mid = start + (end - start + 1) // 2
+            if alice_parity(pi, start, mid) != bob_parity(pi, start, mid):
+                end = mid
+            else:
+                start = mid
+        return int(orders[pi][start])
+
+    heap: list[tuple[int, int, int]] = []   # (size, pass, block); lazy entries
+
+    def mark_odd(pi: int, bi: int) -> None:
+        start, end = blocks[pi][bi]
+        heapq.heappush(heap, (end - start, pi, bi))
+
+    def drain_odd_blocks() -> None:
+        # Repeatedly correct the smallest currently-odd block over all
+        # passes so far; entries that turned even in the meantime are
+        # skipped lazily.
+        while heap:
+            _, pi, bi = heapq.heappop(heap)
+            if not odd[pi][bi]:
+                continue
+            start, end = blocks[pi][bi]
+            flipped = binary_search(pi, start, end)
+            b[flipped] ^= 1
+            for pj in range(len(blocks)):
+                bj = int(pos_to_block[pj][flipped])
+                odd[pj][bj] = not odd[pj][bj]
+                if odd[pj][bj]:
+                    mark_odd(pj, bj)
+
+    for pi in range(CASCADE_PASSES):
+        size = k1 * (2 ** pi)
+        order = np.arange(n) if pi == 0 else rng.permutation(n)
+        orders.append(order)
+        ranges = [(s, min(s + size, n)) for s in range(0, n, size)]
+        blocks.append(ranges)
+        inv = np.empty(n, dtype=np.int64)
+        for bi, (s, e) in enumerate(ranges):
+            inv[order[s:e]] = bi
+        pos_to_block.append(inv)
+        odd.append([alice_parity(pi, s, e) != bob_parity(pi, s, e)
+                    for s, e in ranges])
+        for bi, is_odd in enumerate(odd[pi]):
+            if is_odd:
+                mark_odd(pi, bi)
+        drain_odd_blocks()
+
+    q_floor = max(q_ref, 1.0 / n)
+    f_realized = leak / (n * binary_entropy(q_floor))
+    return ReferenceResult(corrected_B=b, n_exp=leak, f_realized=f_realized,
+                           verified=bool(np.array_equal(a, b)))
 
 
 def keys_with_exact_errors(l, n_errors, seed):
@@ -20,20 +129,40 @@ def keys_with_exact_errors(l, n_errors, seed):
     return a, b
 
 
-def top_level_parity_count(l, q_ref):
+def top_level_parities_per_pass(l, q_ref):
     k1 = math.ceil(0.73 / q_ref)
-    return sum(math.ceil(l / (k1 * 2 ** i)) for i in range(4))
+    return tuple(math.ceil(l / (k1 * 2 ** i)) for i in range(4))
+
+
+def top_level_parity_count(l, q_ref):
+    return sum(top_level_parities_per_pass(l, q_ref))
+
+
+def assert_matches_reference(a, b, q_ref, seed):
+    """cascade and the oracle agree exactly on every reported value."""
+    got = cascade(a, b, q_ref, seed)
+    ref = reference_cascade(a, b, q_ref, seed)
+    assert got.n_exp == ref.n_exp
+    assert got.corrected_B.dtype == ref.corrected_B.dtype
+    assert np.array_equal(got.corrected_B, ref.corrected_B)
+    assert got.verified == ref.verified
+    assert got.f_realized == ref.f_realized
+    assert sum(got.leak_per_pass) == got.n_exp
+    return got
 
 
 class TestCascadeBasics:
     def test_identical_keys(self):
-        a, b = keys_with_exact_errors(256, 0, seed=1)
-        res = cascade(a, b, 0.05, seed=2)
-        assert res.verified
-        assert np.array_equal(res.corrected_B, a)
-        # No binary searches, so the leakage is exactly the top-level
-        # block parities of the four passes.
-        assert res.n_exp == top_level_parity_count(256, 0.05)
+        for l in (256, 1000, 4099):
+            a, b = keys_with_exact_errors(l, 0, seed=l)
+            res = cascade(a, b, 0.05, seed=2)
+            assert res.verified
+            assert np.array_equal(res.corrected_B, a)
+            # No binary searches, so the leakage is exactly the top-level
+            # block parities of the four passes.
+            assert res.n_exp == top_level_parity_count(l, 0.05)
+            assert res.leak_per_pass == top_level_parities_per_pass(l, 0.05)
+            assert res.searches_per_pass == (0,) * CASCADE_PASSES
 
     def test_single_error_located(self):
         rng = np.random.default_rng(3)
@@ -45,6 +174,13 @@ class TestCascadeBasics:
         assert np.array_equal(res.corrected_B, a)
         assert int((b != res.corrected_B).sum()) == 1
         assert res.n_exp > top_level_parity_count(64, 0.05)
+        assert res.searches_per_pass == (1, 0, 0, 0)
+        # The search in bit 37's 15-bit first-pass block asks 3 or 4
+        # halves (the left half takes the odd bit); the later passes
+        # disclose only their blocks.
+        top = top_level_parities_per_pass(64, 0.05)
+        assert 3 <= res.leak_per_pass[0] - top[0] <= 4
+        assert res.leak_per_pass[1:] == top[1:]
 
     def test_zero_qref_floor(self):
         a, b = keys_with_exact_errors(64, 1, seed=5)
@@ -73,6 +209,94 @@ class TestCascadeBasics:
             cascade(a, b, 0.6, seed=1)
         with pytest.raises(ValueError):
             cascade(a, b[:32], 0.05, seed=1)
+
+
+class TestMatchesReference:
+    def test_shortest_key(self):
+        for s in range(20):
+            a, b = keys_with_exact_errors(MIN_KEY_LEN, s % 4, seed=100 + s)
+            assert_matches_reference(a, b, 0.02 * (s % 10), seed=200 + s)
+
+    def test_zero_qref_floor(self):
+        # q_ref = 0 is floored at 1/l: first-pass blocks of ceil(0.73 l)
+        # bits, here 219 and a short second block of 81.
+        for n_errors in range(4):
+            a, b = keys_with_exact_errors(300, n_errors, seed=300 + n_errors)
+            assert_matches_reference(a, b, 0.0, seed=400 + n_errors)
+
+    def test_first_block_covers_key(self):
+        l, q_ref = 100, 0.005
+        assert math.ceil(0.73 / q_ref) >= l
+        for n_errors in (1, 2, 5):
+            a, b = keys_with_exact_errors(l, n_errors, seed=500 + n_errors)
+            assert_matches_reference(a, b, q_ref, seed=600 + n_errors)
+
+    def test_length_not_multiple_of_block_sizes(self):
+        l, q_ref = 1001, 0.05
+        k1 = math.ceil(0.73 / q_ref)
+        assert all(l % (k1 * 2 ** i) for i in range(CASCADE_PASSES))
+        a, b = keys_with_exact_errors(l, 50, seed=700)
+        assert_matches_reference(a, b, q_ref, seed=701)
+
+    def test_zero_errors(self):
+        a, b = keys_with_exact_errors(4096, 0, seed=800)
+        res = assert_matches_reference(a, b, 0.03, seed=801)
+        assert res.verified
+
+    def test_dense_errors(self):
+        l, q = 2000, 0.3
+        a, b = keys_with_exact_errors(l, round(l * q), seed=900)
+        assert_matches_reference(a, b, q, seed=901)
+
+    def test_long_key(self):
+        # The size of a long_keys run at 30 km: l ~ 126k, q ~ 0.015.
+        l, q = 126_000, 0.015
+        a, b = keys_with_exact_errors(l, round(l * q), seed=1000)
+        res = assert_matches_reference(a, b, q, seed=1001)
+        assert res.verified
+
+    @given(st.integers(min_value=MIN_KEY_LEN, max_value=5000),
+           st.floats(min_value=0.0, max_value=0.5),
+           st.floats(min_value=0.0, max_value=0.49),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, l, error_fraction, q_ref, seed):
+        a, b = keys_with_exact_errors(l, round(l * error_fraction), seed)
+        assert_matches_reference(a, b, q_ref, seed + 1)
+
+
+class TestInputValidation:
+    def test_two_dimensional_key(self):
+        a = np.zeros((8, 8), dtype=np.uint8)
+        with pytest.raises(ValueError, match="1-D"):
+            cascade(a, a.copy(), 0.05, seed=1)
+        with pytest.raises(ValueError, match="1-D"):
+            cascade(a.ravel(), a, 0.05, seed=1)
+
+    @pytest.mark.parametrize("value", [2, 3, 256])
+    @pytest.mark.parametrize("which", ["key_a", "key_b"])
+    def test_non_bit_values(self, value, which):
+        a, b = keys_with_exact_errors(64, 2, seed=13)
+        keys = {"key_a": a.astype(np.int64), "key_b": b.astype(np.int64)}
+        keys[which][5] = value
+        with pytest.raises(ValueError, match=f"{which} must hold only 0/1"):
+            cascade(keys["key_a"], keys["key_b"], 0.05, seed=1)
+
+    def test_fractional_value(self):
+        a, b = keys_with_exact_errors(64, 2, seed=14)
+        b = b.astype(float)
+        b[3] = 0.5
+        with pytest.raises(ValueError, match="0/1"):
+            cascade(a, b, 0.05, seed=1)
+
+    def test_bool_and_wide_int_keys_accepted(self):
+        a, b = keys_with_exact_errors(512, 9, seed=15)
+        want = cascade(a, b, 0.03, seed=16)
+        for dtype in (bool, np.int64):
+            got = cascade(a.astype(dtype), b.astype(dtype), 0.03, seed=16)
+            assert got.n_exp == want.n_exp
+            assert got.corrected_B.dtype == np.uint8
+            assert np.array_equal(got.corrected_B, want.corrected_B)
 
 
 class TestCascadeStatistics:
@@ -117,6 +341,16 @@ class TestCascadeStatistics:
         res = cascade(a, b, 0.03, seed=14)
         assert res.f_realized == pytest.approx(
             res.n_exp / (4096 * binary_entropy(0.03)), rel=1e-12)
+
+    def test_per_pass_counts_add_up(self):
+        a, b = keys_with_exact_errors(4096, 123, seed=19)
+        res = cascade(a, b, 0.03, seed=20)
+        assert len(res.leak_per_pass) == CASCADE_PASSES
+        assert len(res.searches_per_pass) == CASCADE_PASSES
+        assert sum(res.leak_per_pass) == res.n_exp
+        # Each search corrects exactly one error.
+        assert res.verified
+        assert sum(res.searches_per_pass) == 123
 
 
 class TestLeakageUpperBound:
