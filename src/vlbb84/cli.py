@@ -10,18 +10,17 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .link_model import (LinkParams, SecurityParams, channel_at,
-                         limit_distance)
+from .link_model import (ChannelDerived, LinkParams, SecurityParams,
+                         channel_at, limit_distance)
 from .planner import (DEFAULT_FRACTION, STRATEGY_KINDS, InfeasibleError,
-                      expected_output, fixed_n_strategy, kbr_stats, plan,
-                      success_probability)
-from .protocol import derive_seed, run_protocol
+                      Strategy, expected_output, fixed_n_strategy, kbr_stats,
+                      plan, success_probability)
+from .protocol import derive_seed, run_from_plan, run_protocol
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -29,31 +28,6 @@ EXIT_INFEASIBLE = 2
 
 DEFAULT_ITERATIONS_PLANNED = 20
 DEFAULT_ITERATIONS_FIXED_N = 50
-
-
-@dataclass
-class SweepSpec:
-    """One sweep request: either m_F-driven planning or fixed-N mode."""
-
-    d_values: list[float]
-    strategies: list[str]
-    iterations: int
-    base_seed: int
-    output_path: Path
-    m_f: Optional[int] = None
-    n_pulses: Optional[int] = None
-    g: float = DEFAULT_FRACTION
-    p_extra: Optional[float] = None     # None = optimize (planned mode only)
-    plan_only: bool = False
-
-    def __post_init__(self) -> None:
-        if (self.m_f is None) == (self.n_pulses is None):
-            raise ValueError("exactly one of m_F and N must be set")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        for kind in self.strategies:
-            if kind not in STRATEGY_KINDS:
-                raise ValueError(f"unknown strategy {kind!r}")
 
 
 def _fmt(x) -> str:
@@ -97,22 +71,32 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _fixed_n_run(channel: ChannelDerived, kind: str, n_pulses: int,
+                 p_extra: Optional[float], g: float,
+                 sec: SecurityParams) -> tuple[Strategy, float]:
+    """Strategy and noise of a run of n_pulses that plan() did not size.
+
+    Without a target there is nothing to optimize the noise for, so an
+    unset p_extra means 0.
+    """
+    if p_extra is None:
+        p_extra = 0.0
+    return fixed_n_strategy(channel, kind, n_pulses, p_extra, sec, g), p_extra
+
+
 def cmd_run(args) -> int:
     link, sec = load_config(args.config)
     p_extra = _parse_p_extra(args.p_extra)
     if args.n is not None:
-        if p_extra is None:
-            p_extra = 0.0
-        strategy = fixed_n_strategy(channel_at(link, args.distance),
-                                    args.strategy, args.n, p_extra, sec, args.g)
-        n_pulses = args.n
+        strategy, p_extra = _fixed_n_run(channel_at(link, args.distance),
+                                         args.strategy, args.n, p_extra,
+                                         args.g, sec)
+        record = run_protocol(link, sec, args.distance, args.n, strategy,
+                              p_extra, args.seed)
     else:
         the_plan = plan(args.distance, args.mf, args.strategy, link, sec,
                         g=args.g, p_extra=p_extra)
-        strategy, n_pulses, p_extra = (the_plan.strategy, the_plan.N_F,
-                                       the_plan.P_extra_opt)
-    record = run_protocol(link, sec, args.distance, n_pulses, strategy,
-                          p_extra, args.seed)
+        record = run_from_plan(the_plan, link, sec, args.seed)
     print(json.dumps(record.to_json_dict(emit_keys=args.emit_keys,
                                          include_wall_time=args.timings),
                      indent=2))
@@ -120,40 +104,32 @@ def cmd_run(args) -> int:
 
 
 def _sim_point(link: LinkParams, sec: SecurityParams, d: float, kind: str,
-               spec: SweepSpec, run_index_base: int) -> dict:
-    """Simulate one (d, strategy) sweep point and aggregate its runs."""
-    row: dict = {"d_km": d, "strategy": kind, "m_F": spec.m_f}
+               args, p_extra: Optional[float], seeds: list[int]) -> dict:
+    """Simulate one (d, strategy) sweep point, one run per seed, and
+    aggregate its runs."""
     channel = channel_at(link, d)
-    try:
-        if spec.m_f is not None:
-            the_plan = plan(d, spec.m_f, kind, link, sec, g=spec.g,
-                            p_extra=spec.p_extra)
-            strategy, n_pulses = the_plan.strategy, the_plan.N_F
-            p_extra = the_plan.P_extra_opt
-            m_pred = the_plan.expected_m
-            p_succ = the_plan.P_success
-            kbr_pred = the_plan.expected_kbr
-        else:
-            n_pulses = spec.n_pulses
-            p_extra = spec.p_extra if spec.p_extra is not None else 0.0
-            strategy = fixed_n_strategy(channel, kind, n_pulses, p_extra, sec,
-                                        spec.g)
-            m_pred, std_m = expected_output(channel, n_pulses, strategy,
-                                            p_extra, sec)
-            p_succ = success_probability(channel, n_pulses, strategy, p_extra,
-                                         sec)
-            kbr_pred, _ = kbr_stats(n_pulses, p_succ, m_pred, std_m)
-    except InfeasibleError as exc:
-        row.update({"status": f"infeasible:{exc.stage}"})
-        return row
+    if args.mf is not None:
+        the_plan = plan(d, args.mf, kind, link, sec, g=args.g, p_extra=p_extra)
+        strategy, n_pulses = the_plan.strategy, the_plan.N_F
+        p_extra = the_plan.P_extra_opt
+        m_pred = the_plan.expected_m
+        p_succ = the_plan.P_success
+        kbr_pred = the_plan.expected_kbr
+    else:
+        n_pulses = args.n
+        strategy, p_extra = _fixed_n_run(channel, kind, n_pulses, p_extra,
+                                         args.g, sec)
+        m_pred, std_m = expected_output(channel, n_pulses, strategy, p_extra,
+                                        sec)
+        p_succ = success_probability(channel, n_pulses, strategy, p_extra, sec)
+        kbr_pred, _ = kbr_stats(n_pulses, p_succ, m_pred, std_m)
 
-    records = [run_protocol(link, sec, d, n_pulses, strategy, p_extra,
-                            derive_seed(spec.base_seed, run_index_base + i))
-               for i in range(spec.iterations)]
+    records = [run_protocol(link, sec, d, n_pulses, strategy, p_extra, seed)
+               for seed in seeds]
     q = np.array([r.Q_inferred for r in records])
     m = np.array([r.m for r in records], dtype=float)
     kbr = m / n_pulses      # m is already 0 for aborted runs
-    row.update({
+    return {
         "N": n_pulses,
         "P_extra": p_extra,
         "n_sifted_mean": float(np.mean([r.n_sifted for r in records])),
@@ -173,8 +149,16 @@ def _sim_point(link: LinkParams, sec: SecurityParams, d: float, kind: str,
         "m_pred": m_pred,
         "kbr_pred": kbr_pred,
         "status": "ok",
-    })
-    return row
+    }
+
+
+def _plan_point(link: LinkParams, sec: SecurityParams, d: float,
+                kind: str, args, p_extra: Optional[float]) -> dict:
+    p = plan(d, args.mf, kind, link, sec, g=args.g, p_extra=p_extra)
+    return {"N_F": p.N_F, "P_extra_opt": p.P_extra_opt, "A0": p.A_0,
+            "l_F": p.l_F, "expected_m": p.expected_m,
+            "P_success": p.P_success, "kbr_mean": p.expected_kbr,
+            "kbr_std": p.kbr_std, "status": "ok"}
 
 
 SIM_COLUMNS = ["d_km", "strategy", "m_F", "N", "P_extra", "n_sifted_mean",
@@ -187,58 +171,54 @@ PLAN_COLUMNS = ["d_km", "strategy", "m_F", "N_F", "P_extra_opt", "A0", "l_F",
                 "expected_m", "P_success", "kbr_mean", "kbr_std", "status"]
 
 
-def run_sweep(spec: SweepSpec, link: LinkParams, sec: SecurityParams) -> Path:
-    """Execute a sweep and write its CSV; rows in (d, strategy) order."""
-    rows = []
-    run_index = 0
-    for d in spec.d_values:
-        for kind in spec.strategies:
-            if spec.plan_only:
-                rows.append(_plan_point(link, sec, d, kind, spec))
-            else:
-                rows.append(_sim_point(link, sec, d, kind, spec, run_index))
-                run_index += spec.iterations
-    columns = PLAN_COLUMNS if spec.plan_only else SIM_COLUMNS
-    with open(spec.output_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
-    return spec.output_path
-
-
-def _plan_point(link: LinkParams, sec: SecurityParams, d: float,
-                kind: str, spec: SweepSpec) -> dict:
-    row: dict = {"d_km": d, "strategy": kind, "m_F": spec.m_f}
-    try:
-        p = plan(d, spec.m_f, kind, link, sec, g=spec.g, p_extra=spec.p_extra)
-    except InfeasibleError as exc:
-        row["status"] = f"infeasible:{exc.stage}"
-        return row
-    row.update({"N_F": p.N_F, "P_extra_opt": p.P_extra_opt, "A0": p.A_0,
-                "l_F": p.l_F, "expected_m": p.expected_m,
-                "P_success": p.P_success, "kbr_mean": p.expected_kbr,
-                "kbr_std": p.kbr_std, "status": "ok"})
-    return row
-
-
 def cmd_sweep(args) -> int:
+    """Plan or simulate every (distance, strategy) point, in that order, and
+    write one CSV row per point; an infeasible point is a row, not an error.
+
+    Run seeds come from --seed and a run index that advances by the
+    iteration count at every simulated point, infeasible ones included.
+    """
     link, sec = load_config(args.config)
     d_values = [float(x) for x in args.distances.split(",") if x.strip()]
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    p_extra = _parse_p_extra(args.p_extra)
     if args.iterations is not None:
         iterations = args.iterations
     else:
         iterations = (DEFAULT_ITERATIONS_PLANNED if args.mf is not None
                       else DEFAULT_ITERATIONS_FIXED_N)
-    spec = SweepSpec(d_values=d_values, strategies=strategies,
-                     iterations=iterations, base_seed=args.seed,
-                     output_path=Path(args.out), m_f=args.mf,
-                     n_pulses=args.n, g=args.g,
-                     p_extra=_parse_p_extra(args.p_extra),
-                     plan_only=args.plan_only)
-    path = run_sweep(spec, link, sec)
-    print(json.dumps({"written": str(path), "points": len(d_values) * len(strategies)}))
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    for kind in strategies:
+        if kind not in STRATEGY_KINDS:
+            raise ValueError(f"unknown strategy {kind!r}")
+    if args.plan_only and args.mf is None:
+        raise ValueError("--plan-only needs --mf")
+
+    rows = []
+    for d in d_values:
+        for kind in strategies:
+            row: dict = {"d_km": d, "strategy": kind, "m_F": args.mf}
+            try:
+                if args.plan_only:
+                    row.update(_plan_point(link, sec, d, kind, args, p_extra))
+                else:
+                    first = len(rows) * iterations
+                    seeds = [derive_seed(args.seed, first + i)
+                             for i in range(iterations)]
+                    row.update(_sim_point(link, sec, d, kind, args, p_extra,
+                                          seeds))
+            except InfeasibleError as exc:
+                row["status"] = f"infeasible:{exc.stage}"
+            rows.append(row)
+    columns = PLAN_COLUMNS if args.plan_only else SIM_COLUMNS
+    path = Path(args.out)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row.get(c)) for c in columns])
+    print(json.dumps({"written": str(path), "points": len(rows)}))
     return EXIT_OK
 
 
@@ -303,13 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="fraction",
                    help="comma-separated subset of fraction,count,sqrt")
     p.add_argument("--g", type=float, default=DEFAULT_FRACTION)
-    p.add_argument("--p-extra", default=None)
+    p.add_argument("--p-extra", default=None,
+                   help="float or 'opt'; fixed-N mode defaults to 0")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iterations", type=int, default=None,
                    help="runs per point (default 20 planned / 50 fixed-N)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--plan-only", action="store_true",
-                   help="emit planner predictions without simulating")
+                   help="emit planner predictions without simulating "
+                        "(needs --mf)")
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -322,7 +304,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(json.dumps({"error": "infeasible", "stage": exc.stage,
                           "message": str(exc)}), file=sys.stdout)
         return EXIT_INFEASIBLE
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(json.dumps({"error": "invalid", "message": str(exc)}),
               file=sys.stdout)
         return EXIT_ERROR

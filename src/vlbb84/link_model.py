@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .numerics import solve_bracketed
@@ -26,6 +26,16 @@ def _require_finite(params) -> None:
         v = getattr(params, f.name)
         if not math.isfinite(v):
             raise ValueError(f"{f.name} must be finite, got {v}")
+
+
+def _from_json(cls, doc: dict | str):
+    """Build from a JSON document; missing fields keep their defaults."""
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    return cls(**{k: float(v) for k, v in doc.items()})
 
 
 @dataclass(frozen=True)
@@ -67,16 +77,7 @@ class LinkParams:
         if self.v_f <= 0.0:
             raise ValueError(f"v_f must be > 0, got {self.v_f}")
 
-    @classmethod
-    def from_json(cls, doc: dict | str) -> "LinkParams":
-        """Build from a JSON document; missing fields keep their defaults."""
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown LinkParams fields: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in doc.items()})
+    from_json = classmethod(_from_json)
 
 
 @dataclass(frozen=True)
@@ -104,15 +105,7 @@ class SecurityParams:
         if self.eps <= 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
-    @classmethod
-    def from_json(cls, doc: dict | str) -> "SecurityParams":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown SecurityParams fields: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in doc.items()})
+    from_json = classmethod(_from_json)
 
 
 @dataclass(frozen=True)
@@ -132,12 +125,7 @@ class ChannelDerived:
     s_lim: float        # synchronization lower bound on s, s
 
     def as_dict(self) -> dict:
-        return {
-            "tau": self.tau, "delta_tau": self.delta_tau, "window": self.window,
-            "P_DCR": self.P_DCR, "P_0": self.P_0, "P_loss": self.P_loss,
-            "P_depolar": self.P_depolar, "p": self.p, "P_flip": self.P_flip,
-            "s": self.s, "s_lim": self.s_lim,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def emission_efficiency_from_mu(mu: float) -> float:
@@ -188,11 +176,7 @@ def derive_channel(link: LinkParams) -> ChannelDerived:
 
 def channel_at(link: LinkParams, d: float) -> ChannelDerived:
     """Derive the channel for the same devices at a different distance."""
-    return derive_channel(LinkParams(**{**_link_dict(link), "d": d}))
-
-
-def _link_dict(link: LinkParams) -> dict:
-    return {f.name: getattr(link, f.name) for f in fields(LinkParams)}
+    return derive_channel(replace(link, d=d))
 
 
 def effective_flip(p_flip: float, p_extra: float) -> float:

@@ -225,7 +225,7 @@ def _budget_from_requirements(kind: str, p: float, a0_bits: float,
                               g: float = DEFAULT_FRACTION):
     """Real-valued N_F from the two requirements (sample floor, key floor).
 
-    Returns (N_F, resolved strategy or None, n_lim or None).
+    Returns (N_F, n_lim); n_lim is None except for 'sqrt'.
     """
     cf2 = sec.C_F ** 2
     one_p = 1.0 - p
@@ -234,27 +234,26 @@ def _budget_from_requirements(kind: str, p: float, a0_bits: float,
         n_len = cf2 / (4.0 * p) * (
             math.sqrt(one_p)
             + math.sqrt(one_p + 4.0 * l_f_bits / (cf2 * (1.0 - g)))) ** 2
-        return max(n_acc, n_len), Strategy(FRACTION, g), None
+        return max(n_acc, n_len), None
     if kind == COUNT:
         n_acc = 2.0 * a0_bits / p
         n_len = cf2 / (4.0 * p) * (
             math.sqrt(one_p)
             + math.sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2
-        strategy = Strategy(COUNT, a0_bits) if a0_bits > 0.0 else None
-        return max(n_acc, n_len), strategy, None
+        return max(n_acc, n_len), None
     if kind == SQRT:
         n_lim = _sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F)
-        n_f = max(4.0 * a0_bits ** 2 / n_lim, n_lim) / p
-        b = a0_bits / math.sqrt(n_lim)
-        strategy = Strategy(SQRT, b) if b > 0.0 else None
-        return n_f, strategy, n_lim
+        return max(4.0 * a0_bits ** 2 / n_lim, n_lim) / p, n_lim
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
 def _budget_real(channel: ChannelDerived, m_f: int, kind: str,
                  p_extra: float, sec: SecurityParams,
                  g: float = DEFAULT_FRACTION):
-    """Real-valued N_F with the resolved strategy, before integer rounding."""
+    """Real-valued N_F before integer rounding.
+
+    Returns (N_F, n_lim, A_0, l_F).
+    """
     p = channel.p
     if p <= 0.0:
         raise InfeasibleError("photon_budget", "link delivers no signal (p = 0)")
@@ -268,9 +267,25 @@ def _budget_real(channel: ChannelDerived, m_f: int, kind: str,
             f"effective flip {p_hat:.6f} >= abort threshold {sec.Q_t}")
     a0_bits = a0(p_hat, sec)
     l_f_bits = l_f(m_f, p_hat, sec)
-    n_f, strategy, n_lim = _budget_from_requirements(
-        kind, p, a0_bits, l_f_bits, sec, g)
-    return n_f, strategy, n_lim, a0_bits, l_f_bits
+    n_f, n_lim = _budget_from_requirements(kind, p, a0_bits, l_f_bits, sec, g)
+    return n_f, n_lim, a0_bits, l_f_bits
+
+
+def _resolve_strategy(kind: str, a0_bits: float, n: Optional[float],
+                      g: float) -> Strategy:
+    """The strategy whose constant meets the sample floor A_0.
+
+    fraction takes g as given; count sets A = A_0; sqrt sets
+    B = A_0 / sqrt(n), with n the sifted length the rule is tuned at
+    (n_lim for a planned run, N*p for a fixed-N run).
+    """
+    if kind == FRACTION:
+        return Strategy(FRACTION, g)
+    if kind == COUNT:
+        return Strategy(COUNT, a0_bits)
+    if kind == SQRT:
+        return Strategy(SQRT, a0_bits / math.sqrt(n))
+    raise ValueError(f"unknown strategy kind {kind!r}")
 
 
 def photon_budget(channel: ChannelDerived, m_f: int, kind: str,
@@ -282,8 +297,8 @@ def photon_budget(channel: ChannelDerived, m_f: int, kind: str,
     count strategy resolves A to the sample floor A_0, and the sqrt
     strategy resolves B to A_0 / sqrt(n_lim).
     """
-    n_f, strategy, n_lim, _, _ = _budget_real(channel, m_f, kind, p_extra, sec, g)
-    return math.ceil(n_f), strategy, n_lim
+    n_f, n_lim, a0_bits, _ = _budget_real(channel, m_f, kind, p_extra, sec, g)
+    return math.ceil(n_f), _resolve_strategy(kind, a0_bits, n_lim, g), n_lim
 
 
 def _max_extra_noise(p_flip: float, sec: SecurityParams) -> float:
@@ -304,6 +319,8 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
         raise InfeasibleError(
             "optimal_extra_noise",
             f"intrinsic QBER {channel.P_flip:.6f} >= abort threshold {sec.Q_t}")
+    if kind == FRACTION:
+        Strategy(FRACTION, g)   # rejects g outside (0, 1/2] before the search
 
     def objective(p_extra: float) -> float:
         try:
@@ -346,12 +363,11 @@ def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
     The fraction rule needs only g; count and sqrt resolve their constant
     from the accuracy floor A_0 at the effective flip, evaluated at this N.
     """
-    if kind == FRACTION:
-        return Strategy(FRACTION, g)
-    a0_bits = a0(effective_flip(channel.P_flip, p_extra), sec)
-    if kind == COUNT:
-        return Strategy(COUNT, a0_bits)
-    return Strategy(SQRT, a0_bits / math.sqrt(n_pulses * channel.p))
+    # The fraction rule has no A_0 to compute, and none exists at a zero
+    # effective flip (d = 0 without noise).
+    a0_bits = (0.0 if kind == FRACTION
+               else a0(effective_flip(channel.P_flip, p_extra), sec))
+    return _resolve_strategy(kind, a0_bits, n_pulses * channel.p, g)
 
 
 def success_probability(channel: ChannelDerived, n_pulses: int,
@@ -414,8 +430,9 @@ def plan(d: float, m_f: int, kind: str, link: LinkParams,
     channel = channel_at(link, d)
     if p_extra is None:
         p_extra = optimal_extra_noise(channel, m_f, kind, sec, g)
-    n_f_real, strategy, n_lim, a0_bits, l_f_bits = _budget_real(
+    n_f_real, n_lim, a0_bits, l_f_bits = _budget_real(
         channel, m_f, kind, p_extra, sec, g)
+    strategy = _resolve_strategy(kind, a0_bits, n_lim, g)
     n_f = math.ceil(n_f_real)
     mean_m, std_m = expected_output(channel, n_f, strategy, p_extra, sec)
     p_succ = success_probability(channel, n_f, strategy, p_extra, sec)

@@ -16,7 +16,7 @@ P_depolar, never from the derived p or P_flip.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -102,32 +102,13 @@ class RunRecord:
         Wall-clock time is excluded by default so the output is a pure
         function of (inputs, seed).
         """
-        doc = {
-            "N": self.N,
-            "n_sifted": self.n_sifted,
-            "sample_size": self.sample_size,
-            "Q_hat": self.Q_hat,
-            "Q_inferred": self.Q_inferred,
-            "q_inferred_clamped": self.q_inferred_clamped,
-            "aborted": self.aborted,
-            "abort_cause": self.abort_cause,
-            "l": self.l,
-            "n_exp": self.n_exp,
-            "f_realized": self.f_realized,
-            "verified": self.verified,
-            "k": self.k,
-            "m": self.m,
-            "final_key": None,
-            "P_extra": self.P_extra,
-            "d": self.d,
-            "strategy": {"kind": self.strategy.kind, "param": self.strategy.param},
-            "seed": self.seed,
-            "t_quantum": self.t_quantum,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["strategy"] = {"kind": self.strategy.kind, "param": self.strategy.param}
+        doc["final_key"] = None
         if self.final_key is not None and (emit_keys or self.m <= key_limit):
             doc["final_key"] = bits_to_hex(self.final_key)
-        if include_wall_time:
-            doc["t_post"] = self.t_post
+        if not include_wall_time:
+            del doc["t_post"]
         return doc
 
 

@@ -14,6 +14,10 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def read_rows(path):
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
 class TestLinkInfo:
     def test_table1_d0(self, capsys):
         code, out = run_cli(capsys, "link-info", "--distance", "0")
@@ -149,6 +153,18 @@ class TestRunCommand:
                          "--seed", "2")
         assert "t_post" not in json.loads(out)
 
+    def test_out_of_memory_is_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.6 GiB")
+
+        monkeypatch.setattr("vlbb84.cli.run_protocol", exhausted)
+        code, out = run_cli(capsys, "run", "--distance", "30",
+                            "--n", "100000000000")
+        assert code == EXIT_ERROR
+        doc = json.loads(out)
+        assert doc["error"] == "invalid"
+        assert "allocate" in doc["message"]
+
 
 class TestSweepCommand:
     def test_fixed_n_sweep(self, capsys, tmp_path):
@@ -158,7 +174,7 @@ class TestSweepCommand:
                           "--iterations", "3", "--seed", "5",
                           "--out", str(out_csv))
         assert code == EXIT_OK
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_rows(out_csv)
         assert len(rows) == 2
         assert set(SIM_COLUMNS) <= set(rows[0].keys())
         assert all(r["status"] == "ok" for r in rows)
@@ -173,7 +189,7 @@ class TestSweepCommand:
                           "--p-extra", "0", "--iterations", "2",
                           "--seed", "11", "--out", str(out_csv))
         assert code == EXIT_OK
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_rows(out_csv)
         assert [r["strategy"] for r in rows] == ["count", "sqrt"]
         assert all(r["status"] == "ok" for r in rows)
         assert all(float(r["m_mean"]) > 0 for r in rows)
@@ -186,7 +202,7 @@ class TestSweepCommand:
                           "--p-extra", "0", "--iterations", "2",
                           "--seed", "11", "--out", str(out_csv))
         assert code == EXIT_OK
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_rows(out_csv)
         assert rows[0]["status"] == "infeasible:strategy_stats"
 
     def test_fixed_n_half_extra_noise_is_error(self, capsys, tmp_path):
@@ -198,6 +214,19 @@ class TestSweepCommand:
         doc = json.loads(out)
         assert doc["error"] == "invalid"
         assert "p_extra" in doc["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "1000", "--plan-only"),
+        ("--n", "1000", "--iterations", "0"),
+        ("--mf", "1000", "--strategies", "fraction,foo"),
+    ])
+    def test_bad_arguments_are_errors(self, capsys, tmp_path, argv):
+        out_csv = tmp_path / "bad.csv"
+        code, out = run_cli(capsys, "sweep", "--distances", "30", *argv,
+                            "--out", str(out_csv))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "invalid"
+        assert not out_csv.exists()
 
     def test_zero_target_is_error(self, capsys, tmp_path):
         out_csv = tmp_path / "zero.csv"
@@ -215,8 +244,10 @@ class TestSweepCommand:
         run_cli(capsys, *args, "--out", str(b))
         # All columns except wall-clock t_post_mean must be identical.
         wall = SIM_COLUMNS.index("t_post_mean")
-        rows_a = [[c for i, c in enumerate(r) if i != wall] for r in csv.reader(a.open())]
-        rows_b = [[c for i, c in enumerate(r) if i != wall] for r in csv.reader(b.open())]
+        rows_a = [[c for i, c in enumerate(r) if i != wall]
+                  for r in csv.reader(a.read_text().splitlines())]
+        rows_b = [[c for i, c in enumerate(r) if i != wall]
+                  for r in csv.reader(b.read_text().splitlines())]
         assert rows_a == rows_b
 
     def test_empty_distances_header_only(self, capsys, tmp_path):
@@ -235,7 +266,7 @@ class TestSweepCommand:
                           "--iterations", "2", "--seed", "3",
                           "--out", str(out_csv))
         assert code == EXIT_OK
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_rows(out_csv)
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("infeasible")
 
@@ -245,6 +276,6 @@ class TestSweepCommand:
                           "--mf", "1000", "--strategies", "fraction,count,sqrt",
                           "--plan-only", "--out", str(out_csv))
         assert code == EXIT_OK
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_rows(out_csv)
         assert len(rows) == 6
         assert all(int(r["N_F"]) >= 1 for r in rows)

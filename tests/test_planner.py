@@ -157,7 +157,7 @@ class TestPhotonBudget:
         # With no accuracy or length requirement the bound collapses to
         # the pure fluctuation term C_F^2 (1-p) / p.
         p = 0.06
-        n_f, _, _ = _budget_from_requirements(FRACTION, p, 0.0, 0.0, SEC)
+        n_f, _ = _budget_from_requirements(FRACTION, p, 0.0, 0.0, SEC)
         assert n_f == pytest.approx(SEC.C_F ** 2 * (1 - p) / p, rel=1e-9)
 
     def test_degenerate_collapse_sqrt(self):
@@ -228,6 +228,14 @@ class TestOptimalExtraNoise:
     def test_infeasible_beyond_limit(self):
         with pytest.raises(InfeasibleError):
             optimal_extra_noise(channel_at(LINK, 100.0), 1000, COUNT, SEC)
+
+    @pytest.mark.parametrize("g", [0.7, -0.5])
+    def test_rejects_fraction_outside_half(self, g):
+        ch = channel_at(LINK, 30.0)
+        with pytest.raises(ValueError, match="fraction g must be in"):
+            optimal_extra_noise(ch, 1000, FRACTION, SEC, g=g)
+        with pytest.raises(ValueError, match="fraction g must be in"):
+            photon_budget(ch, 1000, FRACTION, 0.0, SEC, g=g)
 
 
 class TestSuccessProbability:
