@@ -10,7 +10,9 @@ for each of three parameter-estimation strategies:
 
 The chain is: accuracy condition -> sample-size floor A_0, target length
 -> post-sifting requirement l_F, strategy moments -> N_F lower bounds,
-then a scan over the artificial noise to minimize N_F.
+then a search over the artificial noise to minimize N_F: one numpy
+screen of the whole noise grid, an exact scalar re-check of the grid
+points the screen puts near the minimum, and a golden-section refinement.
 
 plan() is the only entry that takes a distance and a LinkParams: it
 derives the channel once, and every function below it (budget, noise
@@ -23,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .link_model import (ChannelDerived, LinkParams, SecurityParams,
                          channel_at, effective_flip)
@@ -40,6 +44,11 @@ DEFAULT_FRACTION = 1.0 / 3.0
 # which the golden-section refinement stops.
 _NOISE_GRID_STEP = 1e-4
 _NOISE_TOL = 1e-6
+# Grid points whose screened N_F lies within this relative distance of the
+# screened minimum are re-evaluated by the scalar objective. The screen
+# differs from it by ~1e-14 relative, so the scalar minimum is always
+# among them.
+_SCREEN_MARGIN = 1e-9
 
 
 class InfeasibleError(ValueError):
@@ -48,6 +57,12 @@ class InfeasibleError(ValueError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+
+
+def _check_fraction(g: float) -> None:
+    """Reject a fraction g outside (0, 1/2] before any budget divides by it."""
+    if not 0.0 < g <= 0.5:
+        raise ValueError(f"fraction g must be in (0, 1/2], got {g}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +80,8 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == FRACTION and not 0.0 < self.param <= 0.5:
-            raise ValueError(f"fraction g must be in (0, 1/2], got {self.param}")
+        if self.kind == FRACTION:
+            _check_fraction(self.param)
         if self.kind in (COUNT, SQRT) and self.param <= 0.0:
             raise ValueError(f"{self.kind} param must be > 0, got {self.param}")
 
@@ -149,15 +164,21 @@ def a0(p_hat: float, sec: SecurityParams) -> float:
     return (1.0 / (g * g)) * (1.0 / p_hat - 1.0)
 
 
-def l_f(m_f: int, p_hat: float, sec: SecurityParams) -> float:
-    """Sifted-key length needed after estimation to extract m_f bits."""
+def _extraction_floor(m_f: int, sec: SecurityParams) -> float:
+    """Key length needed to extract m_f bits from an error-free key."""
     if m_f < 1:
         raise ValueError(f"m_f must be >= 1, got {m_f}")
+    return m_f + 6.0 + 4.0 * math.log2(m_f / sec.eps_max)
+
+
+def l_f(m_f: int, p_hat: float, sec: SecurityParams) -> float:
+    """Sifted-key length needed after estimation to extract m_f bits."""
+    floor = _extraction_floor(m_f, sec)
     den = 1.0 - (1.0 + sec.f_max) * binary_entropy(p_hat)
     if den <= 0.0:
         raise InfeasibleError(
             "l_f", f"effective flip {p_hat:.6f} at or above the abort threshold")
-    return (m_f + 6.0 + 4.0 * math.log2(m_f / sec.eps_max)) / den
+    return floor / den
 
 
 def strategy_stats(n_pulses: float, p: float, p_hat: float,
@@ -220,6 +241,24 @@ def _sqrt_sample_limit(l_f_bits: float, a0_bits: float, p: float,
     return root.value ** 2
 
 
+def _largest_cubic_root(ca: float, cb: np.ndarray,
+                        cc: np.ndarray) -> np.ndarray:
+    """Largest real root of u**3 + ca*u**2 + cb*u + cc, elementwise, in the
+    trigonometric form for a cubic with three real roots.
+
+    The sqrt strategy's cubic has three wherever it is feasible: cb < 0
+    puts its stationary points on either side of 0, so the local maximum
+    exceeds poly(0) = cc > 0, and feasible means the local minimum is
+    <= 0. Call under np.errstate: infeasible points may give nan.
+    """
+    shift = ca / 3.0
+    p3 = (cb - ca * shift) / 3.0
+    q2 = (cc + shift * (2.0 * shift * shift - cb)) / 2.0
+    r = np.sqrt(-p3)
+    cos_3theta = np.clip(-q2 / (r * r * r), -1.0, 1.0)
+    return 2.0 * r * np.cos(np.arccos(cos_3theta) / 3.0) - shift
+
+
 def _budget_from_requirements(kind: str, p: float, a0_bits: float,
                               l_f_bits: float, sec: SecurityParams,
                               g: float = DEFAULT_FRACTION):
@@ -254,6 +293,8 @@ def _budget_real(channel: ChannelDerived, m_f: int, kind: str,
 
     Returns (N_F, n_lim, A_0, l_F).
     """
+    if kind == FRACTION:
+        _check_fraction(g)
     p = channel.p
     if p <= 0.0:
         raise InfeasibleError("photon_budget", "link delivers no signal (p = 0)")
@@ -269,6 +310,63 @@ def _budget_real(channel: ChannelDerived, m_f: int, kind: str,
     l_f_bits = l_f(m_f, p_hat, sec)
     n_f, n_lim = _budget_from_requirements(kind, p, a0_bits, l_f_bits, sec, g)
     return n_f, n_lim, a0_bits, l_f_bits
+
+
+def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
+                   p_extra: np.ndarray, sec: SecurityParams,
+                   g: float) -> np.ndarray:
+    """_budget_real's N_F at every noise level of the array p_extra: inf
+    where _budget_real raises InfeasibleError, nan where N_F overflows
+    (there the scalar version may raise OverflowError or divide by zero).
+
+    The same formulas over arrays, with the same feasibility comparisons,
+    except that sqrt takes its sample limit from _largest_cubic_root
+    instead of by bisection. Agrees with the scalar N_F to ~1e-14
+    relative: enough to rank noise levels, not to replace the scalar.
+    """
+    p = channel.p
+    if p <= 0.0:
+        return np.full(p_extra.shape, math.inf)
+    p_flip = channel.P_flip
+    p_hat = p_flip + p_extra - 2.0 * p_flip * p_extra
+    cf2 = sec.C_F ** 2
+    one_p = 1.0 - p
+    # p_hat = 0 divides by zero and takes log2(0), and extreme inputs
+    # overflow; the end masks those points.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gam = gamma(p_hat, sec)
+        a0_bits = (1.0 / (gam * gam)) * (1.0 / p_hat - 1.0)
+        entropy = (-p_hat * np.log2(p_hat)
+                   - (1.0 - p_hat) * np.log2(1.0 - p_hat))
+        den = 1.0 - (1.0 + sec.f_max) * entropy
+        l_f_bits = _extraction_floor(m_f, sec) / den
+        infeasible = (p_hat <= 0.0) | (p_hat >= sec.Q_t) | (den <= 0.0)
+        if kind == FRACTION:
+            n_f = np.maximum(
+                a0_bits / (g * p),
+                cf2 / (4.0 * p) * (
+                    math.sqrt(one_p)
+                    + np.sqrt(one_p + 4.0 * l_f_bits / (cf2 * (1.0 - g)))) ** 2)
+        elif kind == COUNT:
+            n_f = np.maximum(
+                2.0 * a0_bits / p,
+                cf2 / (4.0 * p) * (
+                    math.sqrt(one_p)
+                    + np.sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2)
+        elif kind == SQRT:
+            ca = -sec.C_F * math.sqrt(one_p)
+            cb = -(l_f_bits + a0_bits)
+            cc = a0_bits * sec.C_F / 2.0 * math.sqrt(one_p)
+            # cb < 0 wherever the other conditions hold, so u_stat is the
+            # scalar version's first branch.
+            u_stat = (-ca + np.sqrt(ca * ca - 3.0 * cb)) / 3.0
+            infeasible |= ((u_stat + ca) * u_stat + cb) * u_stat + cc > 0.0
+            n_lim = _largest_cubic_root(ca, cb, cc) ** 2
+            n_f = np.maximum(4.0 * a0_bits ** 2 / n_lim, n_lim) / p
+        else:
+            raise ValueError(f"unknown strategy kind {kind!r}")
+    n_f = np.where(np.isfinite(n_f), n_f, math.nan)
+    return np.where(infeasible, math.inf, n_f)
 
 
 def _resolve_strategy(kind: str, a0_bits: float, n: Optional[float],
@@ -311,16 +409,21 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
                         g: float = DEFAULT_FRACTION) -> float:
     """Artificial-noise level minimizing N_F on this channel.
 
-    Dense grid scan over the feasible range followed by golden-section
-    refinement; returns 0 whenever the intrinsic link noise alone already
-    minimizes the budget.
+    The minimum over a dense grid of the feasible range, refined by golden
+    section; returns 0 whenever the intrinsic link noise alone already
+    minimizes the budget. _screen_budget evaluates the whole grid at once,
+    then the scalar objective re-evaluates the points the screen puts
+    within _SCREEN_MARGIN of its minimum, and those it could not rank. The
+    first of them with the smallest scalar N_F is the grid minimum: the
+    point a scalar scan of every grid point would pick. The refinement is
+    scalar.
     """
     if channel.P_flip >= sec.Q_t:
         raise InfeasibleError(
             "optimal_extra_noise",
             f"intrinsic QBER {channel.P_flip:.6f} >= abort threshold {sec.Q_t}")
     if kind == FRACTION:
-        Strategy(FRACTION, g)   # rejects g outside (0, 1/2] before the search
+        _check_fraction(g)
 
     def objective(p_extra: float) -> float:
         try:
@@ -330,11 +433,17 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
 
     e_max = max(_max_extra_noise(channel.P_flip, sec) - 1e-9, 0.0)
     n_grid = int(e_max / _NOISE_GRID_STEP) + 1
-    best_i, best_v = 0, objective(0.0)
-    for i in range(1, n_grid + 1):
-        e = min(i * _NOISE_GRID_STEP, e_max)
-        v = objective(e)
-        if v < best_v:
+    grid = np.minimum(np.arange(n_grid + 1) * _NOISE_GRID_STEP, e_max)
+    screen = _screen_budget(channel, m_f, kind, grid, sec, g)
+    ranked = screen[np.isfinite(screen)]
+    cut = ranked.min() * (1.0 + _SCREEN_MARGIN) if ranked.size else -math.inf
+    recheck = (screen <= cut) | np.isnan(screen)
+    best_i, best_v = 0, math.inf
+    for i in np.flatnonzero(recheck).tolist():
+        v = objective(float(grid[i]))
+        # As in a scan of every point, grid point 0 is the first best
+        # whatever its value; a nan there is never beaten.
+        if i == 0 or v < best_v:
             best_i, best_v = i, v
     if best_v == math.inf:
         raise InfeasibleError("optimal_extra_noise", "no feasible noise level")

@@ -78,6 +78,8 @@ HUGE_MF = "1" + "0" * 400
     ("plan", "--distance", "30", "--mf", "0"),
     ("run", "--distance", "30", "--mf", "-5"),
     ("run", "--distance", "30", "--n", "1000", "--seed", "-1"),
+    ("plan", "--distance", "30", "--mf", "1000", "--p-extra", "0", "--g", "1"),
+    ("plan", "--distance", "30", "--mf", "1000", "--p-extra", "0", "--g", "0"),
 ])
 def test_unusable_numbers_are_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)

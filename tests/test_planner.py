@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vlbb84.link_model import (LinkParams, SecurityParams, channel_at,
-                               effective_flip, limit_distance)
+from vlbb84 import planner
+from vlbb84.link_model import (ChannelDerived, LinkParams, SecurityParams,
+                               channel_at, effective_flip, limit_distance)
 from vlbb84.numerics import binary_entropy, output_length_fixed_point
-from vlbb84.planner import (COUNT, DEFAULT_FRACTION, FRACTION, SQRT,
+from vlbb84.planner import (_NOISE_GRID_STEP, _NOISE_TOL, COUNT,
+                            DEFAULT_FRACTION, FRACTION, SQRT, STRATEGY_KINDS,
                             InfeasibleError, Strategy,
-                            _budget_from_requirements, _sqrt_sample_limit, a0,
-                            expected_output, fixed_n_strategy, gamma,
-                            kbr_stats, l_f, optimal_extra_noise,
-                            photon_budget, plan, strategy_stats,
-                            success_probability)
+                            _budget_from_requirements, _budget_real,
+                            _max_extra_noise, _screen_budget,
+                            _sqrt_sample_limit, a0, expected_output,
+                            fixed_n_strategy, gamma, kbr_stats, l_f,
+                            optimal_extra_noise, photon_budget, plan,
+                            strategy_stats, success_probability)
 from vlbb84.protocol import derive_seed, run_protocol
 
 LINK = LinkParams()
@@ -229,13 +234,141 @@ class TestOptimalExtraNoise:
         with pytest.raises(InfeasibleError):
             optimal_extra_noise(channel_at(LINK, 100.0), 1000, COUNT, SEC)
 
-    @pytest.mark.parametrize("g", [0.7, -0.5])
+    @pytest.mark.parametrize("g", [0.7, -0.5, 0.0, 1.0])
     def test_rejects_fraction_outside_half(self, g):
         ch = channel_at(LINK, 30.0)
         with pytest.raises(ValueError, match="fraction g must be in"):
             optimal_extra_noise(ch, 1000, FRACTION, SEC, g=g)
         with pytest.raises(ValueError, match="fraction g must be in"):
             photon_budget(ch, 1000, FRACTION, 0.0, SEC, g=g)
+        with pytest.raises(ValueError, match="fraction g must be in"):
+            plan(30.0, 1000, FRACTION, LINK, SEC, g=g, p_extra=0.0)
+
+
+# The scalar scan of every grid point that optimal_extra_noise ran before
+# its numpy screen, kept as the oracle the screen must reproduce exactly.
+def reference_optimal_extra_noise(channel: ChannelDerived, m_f: int,
+                                  kind: str, sec: SecurityParams,
+                                  g: float = DEFAULT_FRACTION) -> float:
+    """Artificial-noise level minimizing N_F on this channel.
+
+    Dense grid scan over the feasible range followed by golden-section
+    refinement; returns 0 whenever the intrinsic link noise alone already
+    minimizes the budget.
+    """
+    if channel.P_flip >= sec.Q_t:
+        raise InfeasibleError(
+            "optimal_extra_noise",
+            f"intrinsic QBER {channel.P_flip:.6f} >= abort threshold {sec.Q_t}")
+    if kind == FRACTION:
+        Strategy(FRACTION, g)   # rejects g outside (0, 1/2] before the search
+
+    def objective(p_extra: float) -> float:
+        try:
+            return _budget_real(channel, m_f, kind, p_extra, sec, g)[0]
+        except InfeasibleError:
+            return math.inf
+
+    e_max = max(_max_extra_noise(channel.P_flip, sec) - 1e-9, 0.0)
+    n_grid = int(e_max / _NOISE_GRID_STEP) + 1
+    best_i, best_v = 0, objective(0.0)
+    for i in range(1, n_grid + 1):
+        e = min(i * _NOISE_GRID_STEP, e_max)
+        v = objective(e)
+        if v < best_v:
+            best_i, best_v = i, v
+    if best_v == math.inf:
+        raise InfeasibleError("optimal_extra_noise", "no feasible noise level")
+
+    lo = max((best_i - 1) * _NOISE_GRID_STEP, 0.0)
+    hi = min((best_i + 1) * _NOISE_GRID_STEP, e_max)
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > _NOISE_TOL:
+        x1 = hi - ratio * (hi - lo)
+        x2 = lo + ratio * (hi - lo)
+        if objective(x1) <= objective(x2):
+            hi = x2
+        else:
+            lo = x1
+    e_opt = 0.5 * (lo + hi)
+    if objective(0.0) <= objective(e_opt):
+        return 0.0
+    return e_opt
+
+
+def noise_outcome(optimize, channel, m_f, kind, g):
+    try:
+        return optimize(channel, m_f, kind, SEC, g)
+    except InfeasibleError as exc:
+        return "infeasible", exc.stage
+    except ArithmeticError as exc:
+        # At a subnormal d or g the scalar objective can overflow or divide
+        # by an underflowed g*p; both versions must then raise alike.
+        return type(exc).__name__, str(exc)
+
+
+D_LIM = limit_distance(LINK, SEC)
+# g only enters the fraction strategy.
+KIND_G = [(FRACTION, g) for g in (DEFAULT_FRACTION, 0.05, 0.5)] + [
+    (COUNT, DEFAULT_FRACTION), (SQRT, DEFAULT_FRACTION)]
+
+
+class TestMatchesReferenceScan:
+    # d = 0 has P_flip = 0, so grid point 0 is infeasible; just below
+    # d_lim the grid has two points, and just above it none.
+    @pytest.mark.parametrize("kind, g", KIND_G)
+    @pytest.mark.parametrize("d", [0.0, 30.0, D_LIM - 0.01, D_LIM + 0.01])
+    @pytest.mark.parametrize("m_f", [1, 1000, 10**8])
+    def test_grid_cases(self, kind, g, d, m_f):
+        ch = channel_at(LINK, d)
+        expect = noise_outcome(reference_optimal_extra_noise, ch, m_f, kind, g)
+        assert noise_outcome(optimal_extra_noise, ch, m_f, kind, g) == expect
+
+    @given(d=st.floats(min_value=0.0, max_value=80.0),
+           log_mf=st.floats(min_value=0.0, max_value=8.0),
+           kind=st.sampled_from(STRATEGY_KINDS),
+           g=st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    @settings(max_examples=100, deadline=None)
+    # Subnormal inputs: the scalar objective is nan at grid point 0, which
+    # a scan never replaces; it overflows; it divides by g*p = 0.
+    @example(d=1.1125369292536007e-308, log_mf=0.0, kind=SQRT, g=0.5)
+    @example(d=7.228922560445868e-258, log_mf=0.0, kind=SQRT, g=0.5)
+    @example(d=0.0, log_mf=0.0, kind=FRACTION, g=5e-324)
+    def test_random_requests(self, d, log_mf, kind, g):
+        ch = channel_at(LINK, d)
+        m_f = round(10.0 ** log_mf)
+        expect = noise_outcome(reference_optimal_extra_noise, ch, m_f, kind, g)
+        assert noise_outcome(optimal_extra_noise, ch, m_f, kind, g) == expect
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @pytest.mark.parametrize("d", [0.0, 30.0, 65.0])
+    def test_screen_tracks_scalar_objective(self, kind, d):
+        # The re-check margin of 1e-9 relies on this agreement.
+        ch = channel_at(LINK, d)
+        e_max = _max_extra_noise(ch.P_flip, SEC)
+        grid = np.linspace(0.0, e_max, 200)
+        screen = _screen_budget(ch, 1000, kind, grid, SEC, DEFAULT_FRACTION)
+        for e, v in zip(grid.tolist(), screen.tolist()):
+            try:
+                scalar = _budget_real(ch, 1000, kind, e, SEC)[0]
+            except InfeasibleError:
+                scalar = math.inf
+            assert v == pytest.approx(scalar, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_scalar_evaluations_bounded(self, monkeypatch, kind):
+        # A scalar scan of the grid evaluates the budget 846 times here;
+        # the screen leaves the re-check, the golden section and plan()'s
+        # own call.
+        calls = []
+
+        def counting_budget_real(*args):
+            calls.append(args)
+            return _budget_real(*args)
+
+        monkeypatch.setattr(planner, "_budget_real", counting_budget_real)
+        plan(30.0, 1000, kind, LINK, SEC)
+        assert 0 < len(calls) <= 64
 
 
 class TestSuccessProbability:
