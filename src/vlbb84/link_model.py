@@ -17,6 +17,8 @@ from .numerics import solve_bracketed
 
 SPEED_OF_LIGHT_KM_S = 299792.458
 DEFAULT_FIBER_SPEED_KM_S = (2.0 / 3.0) * SPEED_OF_LIGHT_KM_S
+# limit_distance searches (0, LIMIT_SEARCH_MAX_KM] for the limit distance.
+LIMIT_SEARCH_MAX_KM = 200.0
 
 
 def _require_finite(params) -> None:
@@ -204,13 +206,12 @@ def infer_qber(q_hat: float, p_extra: float) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def limit_distance(link: LinkParams, sec: SecurityParams,
-                   d_max: float = 200.0) -> Optional[float]:
+def limit_distance(link: LinkParams, sec: SecurityParams) -> Optional[float]:
     """Distance at which the intrinsic QBER reaches the abort threshold.
 
-    Returns None when P_flip stays below Q_t on (0, d_max] (no limit
-    distance below d_max). Solved by bisection; P_flip is increasing in d
-    for physically sensible parameters.
+    Returns None when P_flip stays below Q_t on (0, LIMIT_SEARCH_MAX_KM]
+    (no limit distance below it). Solved by bisection; P_flip is
+    increasing in d for physically sensible parameters.
     """
     def f(d: float) -> float:
         return channel_at(link, d).P_flip - sec.Q_t
@@ -218,7 +219,8 @@ def limit_distance(link: LinkParams, sec: SecurityParams,
     lo = 1e-9
     if f(lo) >= 0.0:
         return lo
-    if f(d_max) < 0.0:
+    if f(LIMIT_SEARCH_MAX_KM) < 0.0:
         return None
-    root = solve_bracketed(f, lo, d_max, tol=1e-12, max_iter=200)
+    root = solve_bracketed(f, lo, LIMIT_SEARCH_MAX_KM, tol=1e-12,
+                           max_iter=200)
     return root.value

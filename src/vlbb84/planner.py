@@ -13,6 +13,10 @@ The chain is: accuracy condition -> sample-size floor A_0, target length
 then a search over the artificial noise to minimize N_F: one numpy
 screen of the whole noise grid, an exact scalar re-check of the grid
 points the screen puts near the minimum, and a golden-section refinement.
+The scalar budget and the screen share one rule, that an N_F which is not
+a finite float is infeasible, and one solver of the sqrt strategy's
+sample-limit cubic (its closed-form largest root), so they differ only by
+numpy-vs-libm rounding of log2 and pow.
 
 plan() is the only entry that takes a distance and a LinkParams: it
 derives the channel once, and every function below it (budget, noise
@@ -30,8 +34,7 @@ import numpy as np
 
 from .link_model import (ChannelDerived, LinkParams, SecurityParams,
                          channel_at, effective_flip)
-from .numerics import (binary_entropy, normal_cdf,
-                       output_length_fixed_point, solve_bracketed)
+from .numerics import binary_entropy, normal_cdf, output_length_fixed_point
 
 FRACTION = "fraction"
 COUNT = "count"
@@ -46,8 +49,8 @@ _NOISE_GRID_STEP = 1e-4
 _NOISE_TOL = 1e-6
 # Grid points whose screened N_F lies within this relative distance of the
 # screened minimum are re-evaluated by the scalar objective. The screen
-# differs from it by ~1e-14 relative, so the scalar minimum is always
-# among them.
+# differs from it only by numpy-vs-libm rounding of log2 and pow, ~1e-14
+# relative, so the scalar minimum is always among them.
 _SCREEN_MARGIN = 1e-9
 
 
@@ -214,49 +217,36 @@ def strategy_stats(n_pulses: float, p: float, p_hat: float,
                           std_Qhat=std_qhat, mean_Qhat=p_hat)
 
 
-def _sqrt_sample_limit(l_f_bits: float, a0_bits: float, p: float,
-                       c_f: float) -> float:
+def _sqrt_sample_limit(l_f_bits, a0_bits, p: float, c_f: float):
     """Largest root x of the sqrt-strategy feasibility equation
 
         x**1.5 - C_F*sqrt(1-p)*x - (l_F + A_0)*sqrt(x)
             + (A_0*C_F/2)*sqrt(1-p) = 0,
 
-    solved as a cubic in u = sqrt(x) by bisection from the rightmost
-    stationary point to the Cauchy bound.
+    elementwise over float or array requirements; inf where it has no
+    positive root.
+
+    In u = sqrt(x) it is the cubic u**3 + ca*u**2 + cb*u + cc with
+    cb <= 0 <= cc, so its stationary points lie on either side of u = 0.
+    It has a positive root iff it is <= 0 at the right one, u_stat, and
+    then it has three real roots: the largest comes from the
+    trigonometric form.
     """
     ca = -c_f * math.sqrt(1.0 - p)
     cb = -(l_f_bits + a0_bits)
     cc = a0_bits * c_f / 2.0 * math.sqrt(1.0 - p)
-
-    def poly(u: float) -> float:
-        return ((u + ca) * u + cb) * u + cc
-
-    # Rightmost stationary point of the cubic; the largest real root lies
-    # to its right whenever poly dips nonpositive there.
-    u_stat = (-ca + math.sqrt(ca * ca - 3.0 * cb)) / 3.0 if cb < 0.0 else -ca / 1.5
-    if poly(u_stat) > 0.0:
-        raise InfeasibleError("photon_budget", "no positive sample-limit root")
-    hi = 1.0 + max(abs(ca), abs(cb), abs(cc))
-    root = solve_bracketed(poly, u_stat, hi, tol=1e-12, max_iter=200)
-    return root.value ** 2
-
-
-def _largest_cubic_root(ca: float, cb: np.ndarray,
-                        cc: np.ndarray) -> np.ndarray:
-    """Largest real root of u**3 + ca*u**2 + cb*u + cc, elementwise, in the
-    trigonometric form for a cubic with three real roots.
-
-    The sqrt strategy's cubic has three wherever it is feasible: cb < 0
-    puts its stationary points on either side of 0, so the local maximum
-    exceeds poly(0) = cc > 0, and feasible means the local minimum is
-    <= 0. Call under np.errstate: infeasible points may give nan.
-    """
-    shift = ca / 3.0
-    p3 = (cb - ca * shift) / 3.0
-    q2 = (cc + shift * (2.0 * shift * shift - cb)) / 2.0
-    r = np.sqrt(-p3)
-    cos_3theta = np.clip(-q2 / (r * r * r), -1.0, 1.0)
-    return 2.0 * r * np.cos(np.arccos(cos_3theta) / 3.0) - shift
+    # Huge or non-finite requirements overflow r*r*r or give nan; the
+    # caller treats a non-finite N_F as infeasible.
+    with np.errstate(all="ignore"):
+        u_stat = (-ca + np.sqrt(ca * ca - 3.0 * cb)) / 3.0
+        no_root = ((u_stat + ca) * u_stat + cb) * u_stat + cc > 0.0
+        shift = ca / 3.0
+        p3 = (cb - ca * shift) / 3.0
+        q2 = (cc + shift * (2.0 * shift * shift - cb)) / 2.0
+        r = np.sqrt(-p3)
+        cos_3theta = np.minimum(np.maximum(-q2 / (r * r * r), -1.0), 1.0)
+        u = 2.0 * r * np.cos(np.arccos(cos_3theta) / 3.0) - shift
+        return np.where(no_root, math.inf, u * u)
 
 
 def _budget_from_requirements(kind: str, p: float, a0_bits: float,
@@ -281,7 +271,7 @@ def _budget_from_requirements(kind: str, p: float, a0_bits: float,
             + math.sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2
         return max(n_acc, n_len), None
     if kind == SQRT:
-        n_lim = _sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F)
+        n_lim = float(_sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F))
         return max(4.0 * a0_bits ** 2 / n_lim, n_lim) / p, n_lim
     raise ValueError(f"unknown strategy kind {kind!r}")
 
@@ -291,7 +281,10 @@ def _budget_real(channel: ChannelDerived, m_f: int, kind: str,
                  g: float = DEFAULT_FRACTION):
     """Real-valued N_F before integer rounding.
 
-    Returns (N_F, n_lim, A_0, l_F).
+    Returns (N_F, n_lim, A_0, l_F). An N_F that is not a finite float is
+    infeasible: that covers a sqrt sample limit with no positive root, and
+    requirements so large (a subnormal flip or g) that the budget
+    overflows or divides by an underflowed g*p.
     """
     if kind == FRACTION:
         _check_fraction(g)
@@ -308,21 +301,28 @@ def _budget_real(channel: ChannelDerived, m_f: int, kind: str,
             f"effective flip {p_hat:.6f} >= abort threshold {sec.Q_t}")
     a0_bits = a0(p_hat, sec)
     l_f_bits = l_f(m_f, p_hat, sec)
-    n_f, n_lim = _budget_from_requirements(kind, p, a0_bits, l_f_bits, sec, g)
+    try:
+        n_f, n_lim = _budget_from_requirements(kind, p, a0_bits, l_f_bits,
+                                               sec, g)
+    except (OverflowError, ZeroDivisionError):
+        n_f = math.inf
+    if not math.isfinite(n_f):
+        raise InfeasibleError("photon_budget", "no finite N_F meets the "
+                              "sample and key-length requirements")
     return n_f, n_lim, a0_bits, l_f_bits
 
 
 def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
                    p_extra: np.ndarray, sec: SecurityParams,
                    g: float) -> np.ndarray:
-    """_budget_real's N_F at every noise level of the array p_extra: inf
-    where _budget_real raises InfeasibleError, nan where N_F overflows
-    (there the scalar version may raise OverflowError or divide by zero).
+    """_budget_real's N_F at every noise level of the array p_extra, inf
+    where _budget_real raises InfeasibleError.
 
     The same formulas over arrays, with the same feasibility comparisons,
-    except that sqrt takes its sample limit from _largest_cubic_root
-    instead of by bisection. Agrees with the scalar N_F to ~1e-14
-    relative: enough to rank noise levels, not to replace the scalar.
+    the same sqrt sample limit and the same rule that a non-finite N_F is
+    infeasible. It differs from the scalar N_F only where numpy's log2
+    and pow round differently from libm's, ~1e-14 relative: enough to
+    rank noise levels, not to replace the scalar.
     """
     p = channel.p
     if p <= 0.0:
@@ -332,7 +332,7 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
     cf2 = sec.C_F ** 2
     one_p = 1.0 - p
     # p_hat = 0 divides by zero and takes log2(0), and extreme inputs
-    # overflow; the end masks those points.
+    # overflow; the non-finite N_F they give is infeasible.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gam = gamma(p_hat, sec)
         a0_bits = (1.0 / (gam * gam)) * (1.0 / p_hat - 1.0)
@@ -354,19 +354,11 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
                     math.sqrt(one_p)
                     + np.sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2)
         elif kind == SQRT:
-            ca = -sec.C_F * math.sqrt(one_p)
-            cb = -(l_f_bits + a0_bits)
-            cc = a0_bits * sec.C_F / 2.0 * math.sqrt(one_p)
-            # cb < 0 wherever the other conditions hold, so u_stat is the
-            # scalar version's first branch.
-            u_stat = (-ca + np.sqrt(ca * ca - 3.0 * cb)) / 3.0
-            infeasible |= ((u_stat + ca) * u_stat + cb) * u_stat + cc > 0.0
-            n_lim = _largest_cubic_root(ca, cb, cc) ** 2
+            n_lim = _sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F)
             n_f = np.maximum(4.0 * a0_bits ** 2 / n_lim, n_lim) / p
         else:
             raise ValueError(f"unknown strategy kind {kind!r}")
-    n_f = np.where(np.isfinite(n_f), n_f, math.nan)
-    return np.where(infeasible, math.inf, n_f)
+    return np.where(infeasible | ~np.isfinite(n_f), math.inf, n_f)
 
 
 def _resolve_strategy(kind: str, a0_bits: float, n: Optional[float],
@@ -413,10 +405,9 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     section; returns 0 whenever the intrinsic link noise alone already
     minimizes the budget. _screen_budget evaluates the whole grid at once,
     then the scalar objective re-evaluates the points the screen puts
-    within _SCREEN_MARGIN of its minimum, and those it could not rank. The
-    first of them with the smallest scalar N_F is the grid minimum: the
-    point a scalar scan of every grid point would pick. The refinement is
-    scalar.
+    within _SCREEN_MARGIN of its minimum. The first of them with the
+    smallest scalar N_F is the grid minimum: the point a scalar scan of
+    every grid point would pick. The refinement is scalar.
     """
     if channel.P_flip >= sec.Q_t:
         raise InfeasibleError(
@@ -437,13 +428,10 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     screen = _screen_budget(channel, m_f, kind, grid, sec, g)
     ranked = screen[np.isfinite(screen)]
     cut = ranked.min() * (1.0 + _SCREEN_MARGIN) if ranked.size else -math.inf
-    recheck = (screen <= cut) | np.isnan(screen)
     best_i, best_v = 0, math.inf
-    for i in np.flatnonzero(recheck).tolist():
+    for i in np.flatnonzero(screen <= cut).tolist():
         v = objective(float(grid[i]))
-        # As in a scan of every point, grid point 0 is the first best
-        # whatever its value; a nan there is never beaten.
-        if i == 0 or v < best_v:
+        if v < best_v:
             best_i, best_v = i, v
     if best_v == math.inf:
         raise InfeasibleError("optimal_extra_noise", "no feasible noise level")

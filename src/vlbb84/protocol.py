@@ -32,6 +32,10 @@ SOURCE_PHOTON = 1
 SOURCE_DARK = 2
 SOURCE_DEPOLARIZED = 3
 
+# RunRecord.to_json_dict omits a final key longer than this many bits
+# unless asked to emit keys.
+KEY_OUTPUT_LIMIT_BITS = 4096
+
 
 def derive_seed(base_seed: int, index: int) -> int:
     """Seed of sub-stream `index` of `base_seed` (a run of a sweep, or a
@@ -94,18 +98,19 @@ class RunRecord:
     t_quantum: float      # simulated seconds on the quantum channel
     t_post: float         # wall-clock seconds of post-processing
 
-    def to_json_dict(self, emit_keys: bool = False, key_limit: int = 4096,
+    def to_json_dict(self, emit_keys: bool = False,
                      include_wall_time: bool = False) -> dict:
         """JSON form of the record.
 
-        final_key is hex, omitted above key_limit bits unless emit_keys.
-        Wall-clock time is excluded by default so the output is a pure
-        function of (inputs, seed).
+        final_key is hex, omitted above KEY_OUTPUT_LIMIT_BITS bits unless
+        emit_keys. Wall-clock time is excluded by default so the output is
+        a pure function of (inputs, seed).
         """
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["strategy"] = {"kind": self.strategy.kind, "param": self.strategy.param}
         doc["final_key"] = None
-        if self.final_key is not None and (emit_keys or self.m <= key_limit):
+        if self.final_key is not None and (
+                emit_keys or self.m <= KEY_OUTPUT_LIMIT_BITS):
             doc["final_key"] = bits_to_hex(self.final_key)
         if not include_wall_time:
             del doc["t_post"]

@@ -118,6 +118,28 @@ class TestPlanCommand:
         assert doc["error"] == "infeasible"
         assert doc["stage"]
 
+    def test_subnormal_distance_plans(self, capsys):
+        # At d = 1e-300 the intrinsic flip is ~1e-300, so the budget at
+        # zero added noise overflows: that noise level is infeasible, and
+        # the plan is the one that d = 1e-9 gets.
+        code, out = run_cli(capsys, "plan", "--distance", "1e-300",
+                            "--mf", "1000", "--strategy", "sqrt")
+        assert code == EXIT_OK
+        assert json.loads(out)["N_F"] == 43097
+
+    @pytest.mark.parametrize("extra, stage", [
+        ((), "optimal_extra_noise"),
+        (("--p-extra", "0.01"), "photon_budget"),
+    ])
+    def test_subnormal_fraction_is_infeasible(self, capsys, extra, stage):
+        # g*p underflows to 0, so no noise level has a finite budget.
+        code, out = run_cli(capsys, "plan", "--distance", "30", "--mf", "1000",
+                            "--g", "5e-324", *extra)
+        assert code == EXIT_INFEASIBLE
+        doc = json.loads(out)
+        assert doc["error"] == "infeasible"
+        assert doc["stage"] == stage
+
 
 class TestRunCommand:
     def test_byte_identical_repeats(self, capsys):

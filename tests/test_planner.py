@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,6 +159,34 @@ class TestPhotonBudget:
                + a0_bits * SEC.C_F / 2 * math.sqrt(1 - ch.p))
         assert abs(res) <= 1e-6 * (lf_bits + a0_bits + 1)
 
+    @pytest.mark.parametrize("m_f", [1, 1000, 10**8])
+    @pytest.mark.parametrize("p_extra", [0.0, 0.01, 0.03, 0.06, 0.09])
+    def test_n_lim_brackets_exact_root(self, p_extra, m_f):
+        # In exact rational arithmetic on the solver's float coefficients,
+        # the cubic in u = sqrt(n_lim) is <= 0 four ulps below u and >= 0
+        # four ulps above it: n_lim is the largest root to ~1e-15.
+        width = Fraction(4, 2 ** 52)
+        feasible = 0
+        for d in np.linspace(0.0, 79.0, 40).tolist():
+            ch = channel_at(LINK, d)
+            try:
+                _, n_lim, a0_bits, lf_bits = _budget_real(ch, m_f, SQRT,
+                                                          p_extra, SEC)
+            except InfeasibleError:
+                continue
+            feasible += 1
+            root_1p = math.sqrt(1.0 - ch.p)
+            ca = Fraction(-SEC.C_F * root_1p)
+            cb = Fraction(-(lf_bits + a0_bits))
+            cc = Fraction(a0_bits * SEC.C_F / 2.0 * root_1p)
+
+            def poly(u):
+                return ((u + ca) * u + cb) * u + cc
+
+            u = Fraction(math.sqrt(n_lim))
+            assert poly(u * (1 - width)) <= 0 <= poly(u * (1 + width)), d
+        assert feasible > 0
+
     def test_degenerate_collapse_fraction(self):
         # With no accuracy or length requirement the bound collapses to
         # the pure fluctuation term C_F^2 (1-p) / p.
@@ -301,10 +330,6 @@ def noise_outcome(optimize, channel, m_f, kind, g):
         return optimize(channel, m_f, kind, SEC, g)
     except InfeasibleError as exc:
         return "infeasible", exc.stage
-    except ArithmeticError as exc:
-        # At a subnormal d or g the scalar objective can overflow or divide
-        # by an underflowed g*p; both versions must then raise alike.
-        return type(exc).__name__, str(exc)
 
 
 D_LIM = limit_distance(LINK, SEC)
@@ -329,8 +354,9 @@ class TestMatchesReferenceScan:
            kind=st.sampled_from(STRATEGY_KINDS),
            g=st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
     @settings(max_examples=100, deadline=None)
-    # Subnormal inputs: the scalar objective is nan at grid point 0, which
-    # a scan never replaces; it overflows; it divides by g*p = 0.
+    # Subnormal inputs, where the budget overflows or divides by an
+    # underflowed g*p: those noise levels are infeasible, grid point 0
+    # among them.
     @example(d=1.1125369292536007e-308, log_mf=0.0, kind=SQRT, g=0.5)
     @example(d=7.228922560445868e-258, log_mf=0.0, kind=SQRT, g=0.5)
     @example(d=0.0, log_mf=0.0, kind=FRACTION, g=5e-324)
@@ -341,9 +367,11 @@ class TestMatchesReferenceScan:
         assert noise_outcome(optimal_extra_noise, ch, m_f, kind, g) == expect
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
-    @pytest.mark.parametrize("d", [0.0, 30.0, 65.0])
+    @pytest.mark.parametrize("d", [0.0, 1e-308, 30.0, 65.0])
     def test_screen_tracks_scalar_objective(self, kind, d):
-        # The re-check margin of 1e-9 relies on this agreement.
+        # The re-check margin of 1e-9 relies on this agreement. At
+        # d = 1e-308 the sample floor A_0 overflows at zero added noise;
+        # both must call that point infeasible.
         ch = channel_at(LINK, d)
         e_max = _max_extra_noise(ch.P_flip, SEC)
         grid = np.linspace(0.0, e_max, 200)
@@ -369,6 +397,19 @@ class TestMatchesReferenceScan:
         monkeypatch.setattr(planner, "_budget_real", counting_budget_real)
         plan(30.0, 1000, kind, LINK, SEC)
         assert 0 < len(calls) <= 64
+
+
+class TestSubnormalInputs:
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @pytest.mark.parametrize("m_f", [1, 1000])
+    @pytest.mark.parametrize("d", [0.0, 1e-150, 1e-200, 1e-300, 1e-308, 5e-324])
+    def test_tiny_distance_plans_as_at_1e9(self, kind, m_f, d):
+        # Below ~1e-9 km the intrinsic flip only shrinks; the optimal
+        # noise dominates it, so the plan must not move.
+        near = plan(1e-9, m_f, kind, LINK, SEC)
+        result = plan(d, m_f, kind, LINK, SEC)
+        assert result.N_F == near.N_F
+        assert result.P_extra_opt == pytest.approx(near.P_extra_opt, abs=1e-9)
 
 
 class TestSuccessProbability:
@@ -533,10 +574,10 @@ FROZEN_PLANS = {
         1375.5472100778036, 1093.6538480432791, None,
         1116, 38.9370185784982, 0.02031528743583209,
         0.0007087963479538755, 1.0),
-    (5.0, SQRT): (21.557314969722132, 54253, 0.01100951949424901,
-        1372.8696298096224, 1096.370896033304, 2586.5784943555486,
-        1091, 30.5536407766419, 0.020109487032975135,
-        0.0005631696086233369, 1.0),
+    (5.0, SQRT): (21.557314969722174, 54253, 0.01100951949424901,
+        1372.8696298096224, 1096.370896033304, 2586.578494355538,
+        1091, 30.55364077664188, 0.020109487032975135,
+        0.0005631696086233366, 1.0),
     (30.0, FRACTION): (0.3333333333333333, 201052, 0.009822291236000338,
         1599.0823767726404, 1017.3537296221452, None,
         1290, 24.512395337148195, 0.006416250522252949,
@@ -545,10 +586,10 @@ FROZEN_PLANS = {
         1375.5491827799963, 1093.6518753106334, None,
         1118, 39.615138661507046, 0.006473728705601686,
         0.0002293896782910459, 1.0),
-    (30.0, SQRT): (21.549664244565815, 170524, 0.0013967477524976868,
-        1372.824140678856, 1096.4177431033568, 2588.6366404447494,
-        1092, 31.09006714372296, 0.006403790668762168,
-        0.00018232077093970913, 1.0),
+    (30.0, SQRT): (21.549664244565857, 170524, 0.0013967477524976868,
+        1372.824140678856, 1096.4177431033568, 2588.6366404447394,
+        1092, 31.090067143722944, 0.006403790668762168,
+        0.00018232077093970905, 1.0),
     (65.0, FRACTION): (0.3333333333333333, 1571881, 0.0,
         3262.5275394991986, 1123.7954716900451, None,
         1046, 15.636493834169096, 0.0006654447760356366,
@@ -557,10 +598,10 @@ FROZEN_PLANS = {
         3262.5275394991986, 1123.7954716900451, None,
         1066, 22.232136958476552, 0.0007548078265662221,
         1.57420636065749e-05, 0.9999999974699288),
-    (65.0, SQRT): (16.635139834637982, 1404440, 0.0,
-        3262.5275394991986, 1123.7954716900451, 4563.747875462379,
-        1057, 19.44068634496554, 0.0007526131392766706,
-        1.3842356399007061e-05, 0.9999999974699406),
+    (65.0, SQRT): (16.635139834637947, 1404440, 0.0,
+        3262.5275394991986, 1123.7954716900451, 4563.747875462398,
+        1057, 19.440686344965545, 0.0007526131392766706,
+        1.3842356399007067e-05, 0.9999999974699406),
 }
 PLAN_FIELDS = ("N_F", "P_extra_opt", "l_F", "A_0", "n_lim", "expected_m",
                "expected_m_std", "expected_KBR", "KBR_std", "P_success")
