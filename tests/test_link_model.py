@@ -86,6 +86,54 @@ class TestDeriveChannel:
             assert ch.p <= 0.5
 
 
+# Every derived quantity at the reference devices, frozen bit for bit.
+FROZEN_CHANNELS = {
+    0.0: {"tau": 0.0, "delta_tau": 0.0, "window": 0.0, "P_DCR": 0.0,
+          "P_0": 0.88, "P_loss": 0.88, "P_depolar": 0.0, "p": 0.06,
+          "P_flip": 0.0, "s": 1.015e-07, "s_lim": 1.015e-07},
+    1e-300: {"tau": 5.003461427972282e-306,
+             "delta_tau": 1.0006922855944565e-307,
+             "window": 3.0020768567833694e-307,
+             "P_DCR": 7.505192141958424e-306, "P_0": 0.88, "P_loss": 0.88,
+             "P_depolar": 5.003461427972282e-304, "p": 0.06,
+             "P_flip": 2.7956840728795127e-304, "s": 1.015e-07,
+             "s_lim": 1.015e-07},
+    5.0: {"tau": 2.5017307139861407e-05, "delta_tau": 5.003461427972281e-07,
+          "window": 1.5010384283916843e-06, "P_DCR": 3.752525661973575e-05,
+          "P_0": 0.88, "P_loss": 0.9046806118330862,
+          "P_depolar": 0.002498603993651083, "p": 0.04767666826951583,
+          "P_flip": 0.0014362253049949511, "s": 4.604615285175053e-06,
+          "s_lim": 3.1035768567833684e-06},
+    30.0: {"tau": 0.00015010384283916845, "delta_tau": 3.002076856783369e-06,
+           "window": 9.006230570350107e-06, "P_DCR": 0.00022513041860193912,
+           "P_0": 0.88, "P_loss": 0.9698573628218851,
+           "P_depolar": 0.014898290025894273, "p": 0.015180490786095624,
+           "P_flip": 0.01104642492352063, "s": 2.712019171105032e-05,
+           "s_lim": 1.8113961140700212e-05},
+    65.0: {"tau": 0.0003252249928181983, "delta_tau": 6.504499856363966e-06,
+           "window": 1.95134995690919e-05, "P_DCR": 0.0004877185158666913,
+           "P_0": 0.88, "P_loss": 0.9939857531964728,
+           "P_depolar": 0.031999329733587434, "p": 0.0032495160299344517,
+           "P_flip": 0.05221214599714707, "s": 5.8641998707275696e-05,
+           "s_lim": 3.91284991381838e-05},
+    150.0: {"tau": 0.0007505192141958422, "delta_tau": 1.5010384283916844e-05,
+            "window": 4.503115285175053e-05, "P_DCR": 0.0011251453700474913,
+            "P_0": 0.88, "P_loss": 0.99988,
+            "P_depolar": 0.07230468217976782, "p": 0.0006225051763015244,
+            "P_flip": 0.45531731508084716, "s": 0.0001351949585552516,
+            "s_lim": 9.016380570350107e-05},
+}
+
+
+class TestFrozenDerivation:
+    @pytest.mark.parametrize("d", sorted(FROZEN_CHANNELS))
+    def test_channel_is_bit_identical(self, d):
+        assert channel_at(LINK, d).as_dict() == FROZEN_CHANNELS[d]
+
+    def test_limit_distance_is_bit_identical(self):
+        assert limit_distance(LINK, SEC) == 77.89731006548323
+
+
 class TestEffectiveFlip:
     def test_identity_reduction(self):
         assert effective_flip(0.0, 0.05) == pytest.approx(0.05, abs=1e-15)
