@@ -43,6 +43,14 @@ def load_config(path: Optional[str]) -> tuple[LinkParams, SecurityParams]:
     if path is None:
         return LinkParams(), SecurityParams()
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(doc) - {"link", "security"}
+    if unknown:
+        raise ValueError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in doc.items():
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {name} must be a JSON object")
     link = LinkParams.from_json(doc.get("link", {}))
     sec = SecurityParams.from_json(doc.get("security", {}))
     return link, sec
@@ -50,9 +58,9 @@ def load_config(path: Optional[str]) -> tuple[LinkParams, SecurityParams]:
 
 def cmd_link_info(args) -> int:
     link, sec = load_config(args.config)
-    d = args.distance if args.distance is not None else link.d
-    channel = channel_at(link, d)
-    doc = {"d": d, **channel.as_dict(), "d_lim": limit_distance(link, sec)}
+    channel = channel_at(link, args.distance)
+    doc = {"d": args.distance, **channel.as_dict(),
+           "d_lim": limit_distance(link, sec)}
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
@@ -242,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link-info", help="Derived channel quantities and d_lim.")
     add_common(p)
-    p.add_argument("--distance", type=float, default=None, help="km")
+    p.add_argument("--distance", type=float, default=0.0, help="km")
     p.set_defaults(func=cmd_link_info)
 
     p = sub.add_parser("plan", help="Size the quantum phase for a target m_F.")

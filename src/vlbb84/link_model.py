@@ -1,7 +1,7 @@
 """Physical model of a single BB84 fiber link.
 
-All closed-form quantities derived from the device and channel constants
-live here: propagation timing, dark-count and loss probabilities,
+All closed-form quantities derived from the device constants and the
+distance live here: propagation timing, dark-count and loss probabilities,
 depolarization, the per-pulse sift-survival probability p, the intrinsic
 QBER of the link, and the source repetition time with its lower bound.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .numerics import solve_bracketed
@@ -37,12 +37,18 @@ def _from_json(cls, doc: dict | str):
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    for k, v in doc.items():
+        # Numeric strings go through float(). Bools would too, as 0 and 1,
+        # but true and false are no more numbers than null, arrays and
+        # objects are.
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            raise ValueError(f"{k} must be a number, got {v!r}")
     return cls(**{k: float(v) for k, v in doc.items()})
 
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Device and channel constants, SI units (seconds, km, 1/s, dB/km).
+    """Device and fiber constants, SI units (seconds, km, 1/s, dB/km).
 
     Defaults are the reference parameter set used throughout: a faint-laser
     source with eta_e = 0.2, a detector with eta_d = 0.6 and 25 Hz dark
@@ -62,7 +68,6 @@ class LinkParams:
     GD_A: float = 1e-9            # Alice gate duration, s
     GD_B: float = 1e-9            # Bob gate duration, s
     C: float = 3.0                # jitter coverage factor
-    d: float = 0.0                # link distance, km
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -70,7 +75,7 @@ class LinkParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("R", "R_depolar", "R_DCR", "DD", "DT", "GD_A", "GD_B", "d"):
+        for name in ("R", "R_depolar", "R_DCR", "DD", "DT", "GD_A", "GD_B"):
             v = getattr(self, name)
             if v < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
@@ -137,8 +142,8 @@ def emission_efficiency_from_mu(mu: float) -> float:
     return -math.expm1(-mu)
 
 
-def derive_channel(link: LinkParams) -> ChannelDerived:
-    """Evaluate all closed-form link quantities at link.d.
+def channel_at(link: LinkParams, d: float) -> ChannelDerived:
+    """Evaluate all closed-form link quantities at distance d (km).
 
     The intrinsic QBER combines three detection events that can produce a
     sifted bit: a dark count registered before the photon, the photon
@@ -149,13 +154,17 @@ def derive_channel(link: LinkParams) -> ChannelDerived:
                   + P_depolar/2 * (1 - P_DCR/2) * (1 - P_loss)]
                  / (1 - P_loss * (1 - P_DCR)).
     """
-    tau = link.d / link.v_f
+    if not math.isfinite(d):
+        raise ValueError(f"d must be finite, got {d}")
+    if d < 0.0:
+        raise ValueError(f"d must be >= 0, got {d}")
+    tau = d / link.v_f
     delta_tau = link.std * tau
     window = link.C * delta_tau
     P_DCR = -math.expm1(-link.R_DCR * window)
     P_0 = 1.0 - link.eta_e * link.eta_d
-    P_loss = 1.0 - (1.0 - P_0) * 10.0 ** (-link.R * link.d / 10.0)
-    P_depolar = -math.expm1(-(link.R_depolar / link.v_f) * link.d)
+    P_loss = 1.0 - (1.0 - P_0) * 10.0 ** (-link.R * d / 10.0)
+    P_depolar = -math.expm1(-(link.R_depolar / link.v_f) * d)
 
     denom = 1.0 - P_loss * (1.0 - P_DCR)
     p = 0.5 * denom
@@ -174,11 +183,6 @@ def derive_channel(link: LinkParams) -> ChannelDerived:
                           P_DCR=P_DCR, P_0=P_0, P_loss=P_loss,
                           P_depolar=P_depolar, p=p, P_flip=P_flip,
                           s=s, s_lim=s_lim)
-
-
-def channel_at(link: LinkParams, d: float) -> ChannelDerived:
-    """Derive the channel for the same devices at a different distance."""
-    return derive_channel(replace(link, d=d))
 
 
 def effective_flip(p_flip: float, p_extra: float) -> float:

@@ -480,8 +480,6 @@ def success_probability(channel: ChannelDerived, n_pulses: int,
         raise ValueError(f"p_extra must be in [0, 1/2), got {p_extra}")
     p_hat = effective_flip(channel.P_flip, p_extra)
     stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
-    if stats.mean_sample <= 0.0:
-        raise InfeasibleError("success_probability", "zero estimation sample")
     sigma_q = stats.std_Qhat / (1.0 - 2.0 * p_extra)
     if sigma_q == 0.0:
         return 1.0 if channel.P_flip < sec.Q_t else 0.0

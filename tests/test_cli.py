@@ -60,6 +60,46 @@ class TestLinkInfo:
         assert json.loads(out)["error"] == "invalid"
 
 
+    def test_default_distance_is_zero(self, capsys):
+        code, out = run_cli(capsys, "link-info")
+        assert code == EXIT_OK
+        assert json.loads(out)["d"] == 0.0
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '"x"',
+        '{"link": []}',
+        '{"security": 0.05}',
+        '{"securty": {"Q_t": 0.05}}',
+        '{"link": {"R": null}}',
+        '{"link": {"R": true}}',
+        '{"link": {"R": [0.2]}}',
+        '{"link": {"R": {"value": 0.2}}}',
+        '{"security": {"Q_t": null}}',
+        '{"link": {"d": 25}}',
+    ])
+    def test_malformed_config_is_error(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out = run_cli(capsys, "link-info", "--config", str(cfg))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "invalid"
+
+
+NEGATIVE_DISTANCE = {"error": "invalid", "message": "d must be >= 0, got -5.0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("link-info", "--distance", "-5"),
+    ("plan", "--distance", "-5", "--mf", "1000"),
+    ("run", "--distance", "-5", "--n", "1000"),
+])
+def test_negative_distance_is_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert json.loads(out) == NEGATIVE_DISTANCE
+
+
 # Far beyond float range: sizing it overflows instead of planning.
 HUGE_MF = "1" + "0" * 400
 
@@ -258,6 +298,15 @@ class TestSweepCommand:
                             "--mf", "0", "--out", str(out_csv))
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "invalid"
+        assert not out_csv.exists()
+
+    def test_negative_distance_is_error(self, capsys, tmp_path):
+        out_csv = tmp_path / "neg.csv"
+        code, out = run_cli(capsys, "sweep", "--distances", "5,-5",
+                            "--mf", "1000", "--iterations", "1",
+                            "--out", str(out_csv))
+        assert code == EXIT_ERROR
+        assert json.loads(out) == NEGATIVE_DISTANCE
         assert not out_csv.exists()
 
     def test_sweep_reproducible(self, capsys, tmp_path):

@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vlbb84.link_model import (LinkParams, SecurityParams, channel_at,
-                               derive_channel, effective_flip,
-                               emission_efficiency_from_mu, infer_qber,
-                               limit_distance)
+                               effective_flip, emission_efficiency_from_mu,
+                               infer_qber, limit_distance)
 from vlbb84.numerics import binary_entropy, solve_bracketed
 
 LINK = LinkParams()
@@ -34,7 +33,7 @@ class TestEmissionEfficiency:
 
 class TestDeriveChannel:
     def test_zero_distance_degenerate(self):
-        ch = derive_channel(LinkParams(d=0.0))
+        ch = channel_at(LinkParams(), 0.0)
         assert ch.window == 0.0
         assert ch.P_DCR == 0.0
         assert ch.P_loss == pytest.approx(0.88, abs=1e-15)
@@ -84,6 +83,17 @@ class TestDeriveChannel:
                 assert 0.0 <= v <= 1.0
             assert ch.P_loss >= ch.P_0
             assert ch.p <= 0.5
+
+    @pytest.mark.parametrize("d, message", [
+        (-1.0, "d must be >= 0, got -1.0"),
+        (math.nan, "d must be finite, got nan"),
+        (math.inf, "d must be finite, got inf"),
+        (-math.inf, "d must be finite, got -inf"),
+    ])
+    def test_unusable_distance_rejected(self, d, message):
+        with pytest.raises(ValueError) as exc:
+            channel_at(LINK, d)
+        assert str(exc.value) == message
 
 
 # Every derived quantity at the reference devices, frozen bit for bit.
@@ -203,8 +213,8 @@ class TestLimitDistance:
 
 class TestJsonLoading:
     def test_link_defaults_and_overrides(self):
-        link = LinkParams.from_json({"d": 12.5, "eta_d": 0.7})
-        assert link.d == 12.5
+        link = LinkParams.from_json({"DT": 50e-9, "eta_d": 0.7})
+        assert link.DT == 50e-9
         assert link.eta_d == 0.7
         assert link.eta_e == 0.2
         assert link.R == 0.2
@@ -219,12 +229,30 @@ class TestJsonLoading:
         with pytest.raises(ValueError):
             SecurityParams.from_json({"qt": 0.1})
 
+    def test_distance_is_not_a_link_field(self):
+        # The distance is an argument of channel_at, not a device constant.
+        with pytest.raises(ValueError) as exc:
+            LinkParams.from_json({"d": 25.0})
+        assert str(exc.value) == "unknown LinkParams fields: ['d']"
+        with pytest.raises(TypeError):
+            LinkParams(d=25.0)
+
     def test_security_defaults(self):
         sec = SecurityParams.from_json({})
         assert sec.Q_t == 0.091
         assert sec.f_max == 1.27
         assert sec.eps_max == 0.01
         assert sec.C_F == 3.0
+
+    def test_numeric_string_accepted(self):
+        assert LinkParams.from_json({"R": "0.3"}).R == 0.3
+
+    @pytest.mark.parametrize("value", [None, True, False, [0.2], {"x": 1}])
+    def test_non_numeric_value_rejected(self, value):
+        with pytest.raises(ValueError, match="^R must be a number"):
+            LinkParams.from_json({"R": value})
+        with pytest.raises(ValueError, match="^Q_t must be a number"):
+            SecurityParams.from_json({"Q_t": value})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
