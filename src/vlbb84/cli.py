@@ -105,9 +105,7 @@ def cmd_run(args) -> int:
         the_plan = plan(args.distance, args.mf, args.strategy, link, sec,
                         g=args.g, p_extra=p_extra)
         record = run_from_plan(the_plan, link, sec, args.seed)
-    print(json.dumps(record.to_json_dict(emit_keys=args.emit_keys,
-                                         include_wall_time=args.timings),
-                     indent=2))
+    print(json.dumps(record.to_json_dict(emit_keys=args.emit_keys), indent=2))
     return EXIT_OK
 
 
@@ -150,7 +148,6 @@ def _sim_point(link: LinkParams, sec: SecurityParams, d: float, kind: str,
         "kbr_mean": float(kbr.mean()),
         "kbr_std": float(kbr.std(ddof=1)) if len(kbr) > 1 else 0.0,
         "t_quantum_mean": float(np.mean([r.t_quantum for r in records])),
-        "t_post_mean": float(np.mean([r.t_post for r in records])),
         "p": channel.p,
         "P_flip": channel.P_flip,
         "P_success_pred": p_succ,
@@ -171,9 +168,8 @@ def _plan_point(link: LinkParams, sec: SecurityParams, d: float,
 
 SIM_COLUMNS = ["d_km", "strategy", "m_F", "N", "P_extra", "n_sifted_mean",
                "Q_mean", "Q_std", "abort_rate", "m_mean", "m_std", "m_min",
-               "kbr_mean", "kbr_std", "t_quantum_mean", "t_post_mean",
-               "p", "P_flip", "P_success_pred", "m_pred", "kbr_pred",
-               "status"]
+               "kbr_mean", "kbr_std", "t_quantum_mean", "p", "P_flip",
+               "P_success_pred", "m_pred", "kbr_pred", "status"]
 
 PLAN_COLUMNS = ["d_km", "strategy", "m_F", "N_F", "P_extra_opt", "A0", "l_F",
                 "expected_m", "P_success", "kbr_mean", "kbr_std", "status"]
@@ -277,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-keys", action="store_true",
                    help="include final_key regardless of size")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock post-processing time")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="Batch runs over distances; writes CSV.")

@@ -34,16 +34,22 @@ def _from_json(cls, doc: dict | str):
     """Build from a JSON document; missing fields keep their defaults."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} document must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    values = {}
     for k, v in doc.items():
-        # Numeric strings go through float(). Bools would too, as 0 and 1,
-        # but true and false are no more numbers than null, arrays and
-        # objects are.
-        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-            raise ValueError(f"{k} must be a number, got {v!r}")
-    return cls(**{k: float(v) for k, v in doc.items()})
+        # float() takes numeric strings, and bools as 0 and 1; but true and
+        # false are no more numbers than null, arrays and objects are.
+        try:
+            if isinstance(v, bool):
+                raise TypeError
+            values[k] = float(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"{k} must be a number, got {v!r}") from None
+    return cls(**values)
 
 
 @dataclass(frozen=True)

@@ -475,6 +475,11 @@ def success_probability(channel: ChannelDerived, n_pulses: int,
     The inferred QBER is normal around the intrinsic P_flip with standard
     deviation sigma_Qhat / (1 - 2*P_extra), the linear map that undoes the
     controlled randomization.
+
+    Only the QBER abort is modeled. A run also aborts with "no-signal"
+    (fewer than two bits sifted) or "key-too-short" (too few bits left
+    after the sample to reconcile); those aborts, which occur near d_lim
+    or at small N, are outside this forecast.
     """
     if not 0.0 <= p_extra < 0.5:
         raise ValueError(f"p_extra must be in [0, 1/2), got {p_extra}")

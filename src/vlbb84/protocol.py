@@ -15,7 +15,6 @@ P_depolar, never from the derived p or P_flip.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -96,15 +95,12 @@ class RunRecord:
     strategy: Strategy
     seed: int
     t_quantum: float      # simulated seconds on the quantum channel
-    t_post: float         # wall-clock seconds of post-processing
 
-    def to_json_dict(self, emit_keys: bool = False,
-                     include_wall_time: bool = False) -> dict:
+    def to_json_dict(self, emit_keys: bool = False) -> dict:
         """JSON form of the record.
 
         final_key is hex, omitted above KEY_OUTPUT_LIMIT_BITS bits unless
-        emit_keys. Wall-clock time is excluded by default so the output is
-        a pure function of (inputs, seed).
+        emit_keys.
         """
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["strategy"] = {"kind": self.strategy.kind, "param": self.strategy.param}
@@ -112,8 +108,6 @@ class RunRecord:
         if self.final_key is not None and (
                 emit_keys or self.m <= KEY_OUTPUT_LIMIT_BITS):
             doc["final_key"] = bits_to_hex(self.final_key)
-        if not include_wall_time:
-            del doc["t_post"]
         return doc
 
 
@@ -205,26 +199,27 @@ def estimate_parameters(sifted_a: np.ndarray, sifted_b: np.ndarray,
                         sec: SecurityParams, seed: int):
     """Sample a random subset, estimate the error rate, decide abort.
 
-    Returns (q_hat, q_inferred, clamped, aborted, remaining_a, remaining_b).
-    The abort compares the inferred QBER (randomization undone) against
-    Q_t. Keys too short to sample and still reconcile abort with a
-    distinct no-signal cause.
+    Returns (q_hat, q_inferred, clamped, abort_cause, remaining_a,
+    remaining_b). abort_cause is "no-signal" when fewer than two bits were
+    sifted (too few to sample and still reconcile), "qber-threshold" when
+    the inferred QBER (randomization undone) reaches Q_t, and None when
+    the run goes on.
     """
     n = len(sifted_a)
     if len(sifted_b) != n:
         raise ValueError("sifted keys must have equal length")
     if n < 2:
-        return 0.0, 0.0, False, True, sifted_a, sifted_b
+        return 0.0, 0.0, False, "no-signal", sifted_a, sifted_b
     rng = np.random.default_rng(seed)
     size = strategy.sample_size(n)
     idx = rng.choice(n, size=size, replace=False)
     q_hat = float(np.mean(sifted_a[idx] != sifted_b[idx]))
     q_inf = infer_qber(q_hat, p_extra)
     clamped = q_hat < p_extra
-    aborted = q_inf >= sec.Q_t
+    abort_cause = "qber-threshold" if q_inf >= sec.Q_t else None
     mask = np.ones(n, dtype=bool)
     mask[idx] = False
-    return q_hat, q_inf, clamped, aborted, sifted_a[mask], sifted_b[mask]
+    return q_hat, q_inf, clamped, abort_cause, sifted_a[mask], sifted_b[mask]
 
 
 def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
@@ -234,8 +229,12 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
 
     The quantum-channel time uses the fixed clock model
     N*s + tau + window + DD (classical-message latencies are not
-    modeled); post-processing time is measured wall clock.
+    modeled). p_extra outside [0, 1/2) is rejected on entry, however few
+    bits the run would sift: p_extra = 1/2 erases the key and cannot be
+    inverted.
     """
+    if not 0.0 <= p_extra < 0.5:
+        raise ValueError(f"p_extra must be in [0, 1/2), got {p_extra}")
     channel = channel_at(link, d)
     sub = [derive_seed(seed, i) for i in range(5)]
 
@@ -245,14 +244,14 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
     n_sifted = len(sifted_a)
     t_quantum = n_pulses * channel.s + channel.tau + channel.window + link.DD
 
-    q_hat, q_inf, clamped, aborted, rem_a, rem_b = estimate_parameters(
+    q_hat, q_inf, clamped, abort_cause, rem_a, rem_b = estimate_parameters(
         sifted_a, sifted_b, strategy, p_extra, sec, sub[2])
     sample_size = n_sifted - len(rem_a)
-    abort_cause = None
-    if aborted:
-        abort_cause = "no-signal" if n_sifted < 2 else "qber-threshold"
-
     l = len(rem_a)
+    if abort_cause is None and l < MIN_KEY_LEN:
+        abort_cause = "key-too-short"
+    aborted = abort_cause is not None
+
     p_hat = effective_flip(channel.P_flip, p_extra)
     n_exp = 0
     f_realized = 0.0
@@ -260,10 +259,6 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
     k_bound = 0.0
     m = 0
     final_key: Optional[np.ndarray] = None
-    t0 = time.perf_counter()
-    if not aborted and l < MIN_KEY_LEN:
-        aborted = True
-        abort_cause = "key-too-short"
     if not aborted:
         rec = cascade(rem_a, rem_b, q_hat, sub[3])
         n_exp = rec.n_exp
@@ -275,7 +270,6 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
         k_bound = ext.k_bound
         m = len(ext.final_key)
         final_key = ext.final_key
-    t_post = time.perf_counter() - t0
 
     return RunRecord(N=n_pulses, n_sifted=n_sifted, sample_size=sample_size,
                      Q_hat=q_hat, Q_inferred=q_inf, q_inferred_clamped=clamped,
@@ -283,7 +277,7 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
                      n_exp=n_exp, f_realized=f_realized, verified=verified,
                      k=k_bound, m=m, final_key=final_key, P_extra=p_extra,
                      d=d, strategy=strategy, seed=seed,
-                     t_quantum=t_quantum, t_post=t_post)
+                     t_quantum=t_quantum)
 
 
 def run_from_plan(plan: Plan, link: LinkParams, sec: SecurityParams,

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -209,13 +212,25 @@ class TestRunCommand:
         withkey = json.loads(out)
         assert len(withkey["final_key"]) == math.ceil(withkey["m"] / 8) * 2
 
-    def test_timings_flag(self, capsys):
-        _, out = run_cli(capsys, "run", "--distance", "25", "--n", "20000",
-                         "--seed", "2", "--timings")
-        assert "t_post" in json.loads(out)
-        _, out = run_cli(capsys, "run", "--distance", "25", "--n", "20000",
-                         "--seed", "2")
-        assert "t_post" not in json.loads(out)
+    def test_no_wall_clock_option(self, capsys):
+        # A run reports no wall time, so there is no flag to ask for it.
+        code, out = run_cli(capsys, "run", "--distance", "25", "--n", "20000",
+                            "--timings")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {
+            "error": "invalid",
+            "message": "vlbb84: unrecognized arguments: --timings"}
+
+    @pytest.mark.parametrize("n", ["10", "100000"])
+    def test_half_extra_noise_is_error_at_any_n(self, capsys, n):
+        # 10 pulses sift too few bits to estimate; the noise is still
+        # rejected, with the same error as when the run estimates.
+        code, out = run_cli(capsys, "run", "--distance", "30", "--n", n,
+                            "--p-extra", "0.5")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {
+            "error": "invalid",
+            "message": "p_extra must be in [0, 1/2), got 0.5"}
 
     def test_out_of_memory_is_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -315,13 +330,23 @@ class TestSweepCommand:
                 "count", "--iterations", "2", "--seed", "9")
         run_cli(capsys, *args, "--out", str(a))
         run_cli(capsys, *args, "--out", str(b))
-        # All columns except wall-clock t_post_mean must be identical.
-        wall = SIM_COLUMNS.index("t_post_mean")
-        rows_a = [[c for i, c in enumerate(r) if i != wall]
-                  for r in csv.reader(a.read_text().splitlines())]
-        rows_b = [[c for i, c in enumerate(r) if i != wall]
-                  for r in csv.reader(b.read_text().splitlines())]
-        assert rows_a == rows_b
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_byte_identical_across_processes(self, tmp_path):
+        # As criterion 10 for run: separate interpreters, here also with
+        # different string-hash seeds, write the same simulating CSV.
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out_csv = tmp_path / f"hash{hash_seed}.csv"
+            cmd = [sys.executable, "-m", "vlbb84.cli", "sweep",
+                   "--distances", "5,30", "--mf", "300",
+                   "--strategies", "fraction,sqrt", "--iterations", "2",
+                   "--seed", "13", "--out", str(out_csv)]
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            subprocess.run(cmd, capture_output=True, check=True, env=env)
+            outputs.append(out_csv.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b",ok\r\n") == 4
 
     def test_empty_distances_header_only(self, capsys, tmp_path):
         out_csv = tmp_path / "empty.csv"

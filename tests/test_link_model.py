@@ -247,12 +247,21 @@ class TestJsonLoading:
     def test_numeric_string_accepted(self):
         assert LinkParams.from_json({"R": "0.3"}).R == 0.3
 
-    @pytest.mark.parametrize("value", [None, True, False, [0.2], {"x": 1}])
+    @pytest.mark.parametrize("value", [None, True, False, [0.2], {"x": 1},
+                                       "abc"])
     def test_non_numeric_value_rejected(self, value):
         with pytest.raises(ValueError, match="^R must be a number"):
             LinkParams.from_json({"R": value})
         with pytest.raises(ValueError, match="^Q_t must be a number"):
             SecurityParams.from_json({"Q_t": value})
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "0.2", "null"])
+    def test_document_must_be_object(self, text):
+        with pytest.raises(ValueError) as exc:
+            LinkParams.from_json(text)
+        assert str(exc.value) == "LinkParams document must be a JSON object"
+        with pytest.raises(ValueError, match="^SecurityParams document"):
+            SecurityParams.from_json(text)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ from vlbb84 import protocol
 from vlbb84.link_model import (ChannelDerived, LinkParams, SecurityParams,
                                channel_at, effective_flip)
 from vlbb84.numerics import output_length_fixed_point
-from vlbb84.planner import COUNT, FRACTION, Strategy
+from vlbb84.planner import (COUNT, DEFAULT_FRACTION, FRACTION, SQRT,
+                            Strategy, fixed_n_strategy)
 from vlbb84.protocol import (SOURCE_DARK, SOURCE_DEPOLARIZED, SOURCE_NONE,
                              SOURCE_PHOTON, PulseOutcomes, bits_to_hex,
                              controlled_randomization, derive_seed,
@@ -276,18 +277,18 @@ class TestControlledRandomization:
 class TestEstimateParameters:
     def test_identical_keys(self):
         key = np.random.default_rng(4).integers(0, 2, 1000, dtype=np.uint8)
-        q_hat, q_inf, clamped, aborted, rem_a, rem_b = estimate_parameters(
+        q_hat, q_inf, clamped, cause, rem_a, rem_b = estimate_parameters(
             key, key.copy(), Strategy(FRACTION, 1 / 3), 0.0, SEC, seed=5)
         assert q_hat == 0.0 and q_inf == 0.0
-        assert not aborted and not clamped
+        assert cause is None and not clamped
         assert len(rem_a) == 1000 - 333
 
     def test_fully_mismatched_aborts(self):
         a = np.zeros(1000, dtype=np.uint8)
         b = np.ones(1000, dtype=np.uint8)
-        q_hat, q_inf, _, aborted, _, _ = estimate_parameters(
+        q_hat, q_inf, _, cause, _, _ = estimate_parameters(
             a, b, Strategy(FRACTION, 1 / 3), 0.0, SEC, seed=6)
-        assert q_hat == 1.0 and aborted
+        assert q_hat == 1.0 and cause == "qber-threshold"
 
     def test_sample_positions_removed(self):
         rng = np.random.default_rng(7)
@@ -300,18 +301,22 @@ class TestEstimateParameters:
 
     def test_clamped_inference_flag(self):
         key = np.random.default_rng(9).integers(0, 2, 1000, dtype=np.uint8)
-        q_hat, q_inf, clamped, aborted, _, _ = estimate_parameters(
+        q_hat, q_inf, clamped, cause, _, _ = estimate_parameters(
             key, key.copy(), Strategy(FRACTION, 1 / 3), 0.3, SEC, seed=10)
         assert q_hat == 0.0
         assert clamped
         assert q_inf == 0.0
-        assert not aborted
+        assert cause is None
 
     def test_no_signal_aborts(self):
-        empty = np.zeros(0, dtype=np.uint8)
-        _, _, _, aborted, _, _ = estimate_parameters(
-            empty, empty, Strategy(FRACTION, 1 / 3), 0.0, SEC, seed=11)
-        assert aborted
+        # Fewer than two sifted bits: nothing is sampled or removed.
+        for n in (0, 1):
+            key = np.zeros(n, dtype=np.uint8)
+            q_hat, q_inf, clamped, cause, rem_a, rem_b = estimate_parameters(
+                key, key, Strategy(FRACTION, 1 / 3), 0.0, SEC, seed=11)
+            assert cause == "no-signal"
+            assert (q_hat, q_inf, clamped) == (0.0, 0.0, False)
+            assert len(rem_a) == len(rem_b) == n
 
 
 class TestRunProtocol:
@@ -387,12 +392,20 @@ class TestRunProtocol:
                          Strategy(FRACTION, 1 / 3), 0.0, seed=12)
         assert r.n_sifted == 0
         assert r.aborted and r.abort_cause == "no-signal"
+        assert r.m == 0 and r.final_key is None and r.n_exp == 0
 
-    def test_wall_time_excluded_by_default(self):
-        r = run_protocol(LINK, SEC, 10.0, 10_000, Strategy(FRACTION, 1 / 3),
-                         0.0, seed=9)
-        assert "t_post" not in r.to_json_dict()
-        assert "t_post" in r.to_json_dict(include_wall_time=True)
+    @pytest.mark.parametrize("kind, p_extra, cause", [
+        (COUNT, 0.0, "key-too-short"),
+        (SQRT, 0.3, "qber-threshold"),
+    ])
+    def test_abort_cause_leaves_no_key(self, kind, p_extra, cause):
+        # 1000 pulses at 30 km sift 22 bits at seed 0: the count sample
+        # leaves fewer than MIN_KEY_LEN, and sqrt's sample sees the noise.
+        strategy = fixed_n_strategy(channel_at(LINK, 30.0), kind, 1000,
+                                    p_extra, SEC, DEFAULT_FRACTION)
+        r = run_protocol(LINK, SEC, 30.0, 1000, strategy, p_extra, seed=0)
+        assert r.aborted and r.abort_cause == cause
+        assert r.m == 0 and r.final_key is None and r.n_exp == 0
 
 
 class TestBitsToHex:
