@@ -3,8 +3,7 @@ protocol simulator for non-ideal fiber links."""
 
 from .extract import ExtractResult, extract_key, secure_length, toeplitz_extract
 from .link_model import (ChannelDerived, LinkParams, SecurityParams,
-                         channel_at, effective_flip,
-                         emission_efficiency_from_mu, infer_qber,
+                         channel_at, effective_flip, infer_qber,
                          limit_distance)
 from .numerics import (RootResult, binary_entropy, normal_cdf,
                        output_length_fixed_point, solve_bracketed)
@@ -19,8 +18,7 @@ from .reconcile import ReconcileResult, cascade, leakage_upper_bound
 
 __all__ = [
     "ChannelDerived", "LinkParams", "SecurityParams", "channel_at",
-    "effective_flip", "emission_efficiency_from_mu",
-    "infer_qber", "limit_distance",
+    "effective_flip", "infer_qber", "limit_distance",
     "RootResult", "binary_entropy", "normal_cdf",
     "output_length_fixed_point", "solve_bracketed",
     "EstimatorStats", "InfeasibleError", "Plan", "Strategy", "a0",

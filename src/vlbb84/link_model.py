@@ -141,13 +141,6 @@ class ChannelDerived:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def emission_efficiency_from_mu(mu: float) -> float:
-    """Emission efficiency of a faint-laser source with mean photon number mu."""
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
-    return -math.expm1(-mu)
-
-
 def channel_at(link: LinkParams, d: float) -> ChannelDerived:
     """Evaluate all closed-form link quantities at distance d (km).
 
@@ -203,6 +196,17 @@ def effective_flip(p_flip: float, p_extra: float) -> float:
     return p_flip + p_extra - 2.0 * p_flip * p_extra
 
 
+def check_p_extra(p_extra: float) -> None:
+    """Reject a requested noise level outside [0, 1/2).
+
+    At 1/2 the controlled randomization erases the key, and infer_qber
+    cannot undo it. The flip maps themselves (effective_flip,
+    controlled_randomization) stay defined at 1/2.
+    """
+    if not 0.0 <= p_extra < 0.5:
+        raise ValueError(f"p_extra must be in [0, 1/2), got {p_extra}")
+
+
 def infer_qber(q_hat: float, p_extra: float) -> float:
     """Invert the controlled randomization: (Q_hat - P_extra) / (1 - 2*P_extra).
 
@@ -210,8 +214,7 @@ def infer_qber(q_hat: float, p_extra: float) -> float:
     Q_hat; it is clamped. Callers that care can detect the negative case
     as q_hat < p_extra.
     """
-    if not 0.0 <= p_extra < 0.5:
-        raise ValueError(f"p_extra must be in [0, 1/2), got {p_extra}")
+    check_p_extra(p_extra)
     raw = (q_hat - p_extra) / (1.0 - 2.0 * p_extra)
     return min(1.0, max(0.0, raw))
 

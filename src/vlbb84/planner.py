@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .link_model import (ChannelDerived, LinkParams, SecurityParams,
-                         channel_at, effective_flip)
+                         channel_at, check_p_extra, effective_flip)
 from .numerics import binary_entropy, normal_cdf, output_length_fixed_point
 
 FRACTION = "fraction"
@@ -460,6 +460,7 @@ def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
     The fraction rule needs only g; count and sqrt resolve their constant
     from the accuracy floor A_0 at the effective flip, evaluated at this N.
     """
+    check_p_extra(p_extra)
     # The fraction rule has no A_0 to compute, and none exists at a zero
     # effective flip (d = 0 without noise).
     a0_bits = (0.0 if kind == FRACTION
@@ -481,8 +482,7 @@ def success_probability(channel: ChannelDerived, n_pulses: int,
     after the sample to reconcile); those aborts, which occur near d_lim
     or at small N, are outside this forecast.
     """
-    if not 0.0 <= p_extra < 0.5:
-        raise ValueError(f"p_extra must be in [0, 1/2), got {p_extra}")
+    check_p_extra(p_extra)
     p_hat = effective_flip(channel.P_flip, p_extra)
     stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
     sigma_q = stats.std_Qhat / (1.0 - 2.0 * p_extra)
@@ -523,13 +523,15 @@ def plan(d: float, m_f: int, kind: str, link: LinkParams,
     """Full sizing for one request: noise optimum, budget, and forecasts.
 
     Passing p_extra explicitly bypasses the noise optimization (used to
-    reproduce fixed-noise baselines).
+    reproduce fixed-noise baselines); it must lie in [0, 1/2).
     """
     if m_f < 1:
         raise ValueError(f"m_F must be >= 1, got {m_f}")
     channel = channel_at(link, d)
     if p_extra is None:
         p_extra = optimal_extra_noise(channel, m_f, kind, sec, g)
+    else:
+        check_p_extra(p_extra)
     n_f_real, n_lim, a0_bits, l_f_bits = _budget_real(
         channel, m_f, kind, p_extra, sec, g)
     strategy = _resolve_strategy(kind, a0_bits, n_lim, g)

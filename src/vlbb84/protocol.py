@@ -22,7 +22,8 @@ import numpy as np
 
 from .extract import extract_key
 from .link_model import (ChannelDerived, LinkParams, SecurityParams,
-                         channel_at, effective_flip, infer_qber)
+                         channel_at, check_p_extra, effective_flip,
+                         infer_qber)
 from .planner import Plan, Strategy
 from .reconcile import MIN_KEY_LEN, cascade
 
@@ -233,8 +234,7 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
     bits the run would sift: p_extra = 1/2 erases the key and cannot be
     inverted.
     """
-    if not 0.0 <= p_extra < 0.5:
-        raise ValueError(f"p_extra must be in [0, 1/2), got {p_extra}")
+    check_p_extra(p_extra)
     channel = channel_at(link, d)
     sub = [derive_seed(seed, i) for i in range(5)]
 

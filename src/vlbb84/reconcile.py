@@ -8,21 +8,32 @@ flipped bit (the cascade effect).
 
 Both keys are local to the simulation, so a parity comparison only needs
 where the keys disagree. Each pass keeps its disagreement array
-a[order] ^ b[order] in pass order, with the pass's inverse permutation:
+a[order] ^ b[order] in pass order; pass 0's order is the identity and is
+never built.
 
 - One `np.bitwise_xor.reduceat` over it gives the pass's top-level block
   parity mismatches.
-- A binary search takes the disagreement positions of its block once;
+- Pass 0 has no earlier pass to cascade into, and its blocks are
+  disjoint, so its searches cannot affect each other. They run in
+  lockstep: one `searchsorted` per round over the sorted disagreement
+  positions halves every odd block at once.
+- Any later search takes the disagreement positions of its block once;
   a left half [start, mid) has a parity mismatch exactly when it holds an
   odd number of them, which `bisect` counts.
-- A correction flips one entry of every pass's array, found through the
-  inverse permutation, and toggles block `position // size` of that pass.
+- A correction always flips a bit that currently disagrees. So each pass
+  after the first maps only the key indices that disagree when it is
+  built to their pass positions; a correction pops the flipped bit from
+  every map, clears it in every pass's array and toggles block
+  `position // size` of that pass.
 
 Leakage rule: every parity Alice discloses, a top-level block or the left
-half of a search step, counts as one leaked bit. A range (pass, start, end)
-she has already disclosed is not counted again. Top-level blocks and
-search halves of a pass never coincide, so each pass leaks its block count
-plus its distinct search halves.
+half of a search step, counts as one leaked bit. A half she has already
+disclosed is not counted again. Within one block's search tree each split
+point `mid` belongs to exactly one node, and a pass's blocks are disjoint,
+so (pass, mid) names a half; each pass records its disclosed halves in a
+bitmap indexed by `mid`. Top-level blocks and search halves of a pass
+never coincide, so each pass leaks its block count plus its distinct
+search halves.
 """
 
 from __future__ import annotations
@@ -68,6 +79,35 @@ def _as_bits(key: np.ndarray, name: str) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+def _search_first_pass(diff: np.ndarray, size: int,
+                       asked: np.ndarray) -> tuple[np.ndarray, int]:
+    """Binary-search every odd first-pass block at once.
+
+    diff is a ^ b in natural order, as bools. Each round halves every
+    block still longer than one bit, the same halves a search of one block
+    at a time would ask, and marks their split points in `asked`. Returns
+    the key index each search isolates and the number of halves asked.
+    """
+    n = len(diff)
+    errors = np.flatnonzero(diff)
+    starts = np.arange(0, n, size)
+    lo = starts[np.bitwise_xor.reduceat(diff, starts)]
+    hi = np.minimum(lo + size, n)
+    below = np.searchsorted(errors, lo)     # disagreements before lo
+    halves = 0
+    while (live := np.flatnonzero(hi - lo > 1)).size:
+        start, end, before = lo[live], hi[live], below[live]
+        mid = start + (end - start + 1) // 2
+        asked[mid] = 1
+        halves += live.size
+        cut = np.searchsorted(errors, mid)
+        left = (cut - before) % 2 == 1
+        hi[live] = np.where(left, mid, end)
+        lo[live] = np.where(left, start, mid)
+        below[live] = np.where(left, before, cut)
+    return lo, halves
+
+
 def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
             seed: int) -> ReconcileResult:
     """Reconcile key_b against key_a, assuming error rate around q_ref.
@@ -90,12 +130,13 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     q_floor = max(q_ref, 1.0 / n)
     k1 = math.ceil(BLOCK_COEFF / q_floor)
 
-    sizes: list[int] = []               # per pass: block size
-    orders: list[np.ndarray] = []       # per pass: pass position -> key index
-    inverses: list[np.ndarray] = []     # per pass: key index -> pass position
+    sizes = [k1 * 2 ** pi for pi in range(CASCADE_PASSES)]  # block size
+    # Per pass, from pass 1 on (pass 0 is the identity, None here):
+    orders: list = [None]       # pass position -> key index
+    positions: list = [None]    # disagreeing key index -> pass position
     diffs: list[np.ndarray] = []        # per pass: a ^ b in pass order
     odd: list[list[bool]] = []          # per pass: current parity mismatch
-    disclosed: set[tuple[int, int, int]] = set()  # search halves asked
+    asked = [bytearray(n) for _ in range(CASCADE_PASSES)]  # halves by mid
     leak = [0] * CASCADE_PASSES
     searches = [0] * CASCADE_PASSES
     heap: list[tuple[int, int, int]] = []   # (size, pass, block); lazy entries
@@ -111,19 +152,19 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
         # block_start; where[lo:hi] are the ones inside [start, end).
         block_start = start
         where = diffs[pi][start:end].nonzero()[0].tolist()
+        seen = asked[pi]
         lo, hi = 0, len(where)
         while end - start > 1:
             mid = start + (end - start + 1) // 2
-            asked = (pi, start, mid)
-            if asked not in disclosed:
-                disclosed.add(asked)
+            if not seen[mid]:
+                seen[mid] = 1
                 leak[pi] += 1
             cut = bisect_left(where, mid - block_start, lo, hi)
             if (cut - lo) % 2:
                 end, hi = mid, cut
             else:
                 start, lo = mid, cut
-        return int(orders[pi][start])
+        return start if pi == 0 else int(orders[pi][start])
 
     def drain_odd_blocks() -> None:
         # Repeatedly correct the smallest currently-odd block over all
@@ -137,27 +178,35 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
             start = bi * sizes[pi]
             flipped = binary_search(pi, start, min(start + sizes[pi], n))
             for pj in range(len(diffs)):
-                pos = int(inverses[pj][flipped])
-                diffs[pj][pos] ^= 1
+                pos = positions[pj].pop(flipped) if pj else flipped
+                diffs[pj][pos] = False
                 bj = pos // sizes[pj]
                 odd[pj][bj] = not odd[pj][bj]
                 if odd[pj][bj]:
                     mark_odd(pj, bj)
 
-    for pi in range(CASCADE_PASSES):
-        size = k1 * (2 ** pi)
-        order = np.arange(n) if pi == 0 else rng.permutation(n)
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(n)
-        # Pass 0 runs in natural order, so diffs[0] is a ^ b for Bob's
-        # current key; each later pass starts from it, permuted.
-        diff = a ^ b if pi == 0 else diffs[0][order]
-        sizes.append(size)
+    # Pass 0 runs in natural order, so diffs[0] is a ^ b for Bob's current
+    # key; each later pass starts from it, permuted. The lockstep search
+    # leaves no pass-0 block odd.
+    diff = (a ^ b).view(bool)
+    found, halves = _search_first_pass(
+        diff, k1, np.frombuffer(asked[0], dtype=np.uint8))
+    diff[found] = False
+    diffs.append(diff)
+    odd.append([False] * -(-n // k1))
+    leak[0] = len(odd[0]) + halves
+    searches[0] = len(found)
+
+    for pi in range(1, CASCADE_PASSES):
+        order = rng.permutation(n)
+        diff = diffs[0][order]
+        disagree = np.flatnonzero(diff)
         orders.append(order)
-        inverses.append(inverse)
+        positions.append(dict(zip(order[disagree].tolist(),
+                                  disagree.tolist())))
         diffs.append(diff)
-        starts = np.arange(0, n, size)
-        block_odd = np.bitwise_xor.reduceat(diff, starts).astype(bool)
+        starts = np.arange(0, n, sizes[pi])
+        block_odd = np.bitwise_xor.reduceat(diff, starts)
         odd.append(block_odd.tolist())
         leak[pi] = len(starts)
         for bi in np.flatnonzero(block_odd).tolist():

@@ -170,6 +170,16 @@ class TestPlanCommand:
         assert code == EXIT_OK
         assert json.loads(out)["N_F"] == 43097
 
+    @pytest.mark.parametrize("cmd", ["plan", "run"])
+    def test_half_extra_noise_is_invalid(self, capsys, cmd):
+        # A malformed request, not one the link cannot serve.
+        code, out = run_cli(capsys, cmd, "--distance", "30", "--mf", "1000",
+                            "--p-extra", "0.5")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {
+            "error": "invalid",
+            "message": "p_extra must be in [0, 1/2), got 0.5"}
+
     @pytest.mark.parametrize("extra, stage", [
         ((), "optimal_extra_noise"),
         (("--p-extra", "0.01"), "photon_budget"),
@@ -231,6 +241,15 @@ class TestRunCommand:
         assert json.loads(out) == {
             "error": "invalid",
             "message": "p_extra must be in [0, 1/2), got 0.5"}
+
+    @pytest.mark.parametrize("strategy", ["fraction", "count", "sqrt"])
+    def test_out_of_range_noise_has_one_message(self, capsys, strategy):
+        code, out = run_cli(capsys, "run", "--distance", "30", "--n", "100000",
+                            "--strategy", strategy, "--p-extra", "0.6")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {
+            "error": "invalid",
+            "message": "p_extra must be in [0, 1/2), got 0.6"}
 
     def test_out_of_memory_is_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -6,29 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vlbb84.link_model import (LinkParams, SecurityParams, channel_at,
-                               effective_flip, emission_efficiency_from_mu,
-                               infer_qber, limit_distance)
+                               effective_flip, infer_qber, limit_distance)
 from vlbb84.numerics import binary_entropy, solve_bracketed
 
 LINK = LinkParams()
 SEC = SecurityParams()
-
-
-class TestEmissionEfficiency:
-    def test_vacuum_only(self):
-        assert emission_efficiency_from_mu(0.0) == 0.0
-
-    def test_saturation(self):
-        assert emission_efficiency_from_mu(50.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_typical_mu(self):
-        assert emission_efficiency_from_mu(0.1) == pytest.approx(
-            1.0 - math.exp(-0.1), abs=1e-12)
-        assert emission_efficiency_from_mu(0.1) == pytest.approx(0.09516, abs=1e-5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            emission_efficiency_from_mu(-0.1)
 
 
 class TestDeriveChannel:

@@ -533,6 +533,18 @@ class TestPlan:
             plan(30.0, 0, FRACTION, LINK, SEC)
         assert not isinstance(exc.value, InfeasibleError)
 
+    @pytest.mark.parametrize("p_extra", [0.5, 0.6, -0.01, math.nan])
+    def test_given_noise_outside_half_rejected(self, p_extra):
+        # A malformed noise level, not one the link cannot serve.
+        ch = channel_at(LINK, 30.0)
+        message = rf"p_extra must be in \[0, 1/2\), got {p_extra}"
+        for kind in STRATEGY_KINDS:
+            with pytest.raises(ValueError, match=message) as exc:
+                plan(30.0, 1000, kind, LINK, SEC, p_extra=p_extra)
+            assert not isinstance(exc.value, InfeasibleError)
+            with pytest.raises(ValueError, match=message):
+                fixed_n_strategy(ch, kind, 100_000, p_extra, SEC)
+
     def test_derives_the_channel_once(self, monkeypatch):
         distances = []
 

@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ class ReferenceResult:
     n_exp: int
     f_realized: float
     verified: bool
+    leak_per_pass: tuple[int, ...]      # distinct ranges disclosed per pass
+    searches_per_pass: tuple[int, ...]  # binary searches run per pass
 
 
 def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
@@ -49,14 +52,14 @@ def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     odd: list[list[bool]] = []          # per pass: current parity mismatch
     pos_to_block: list[np.ndarray] = []
     disclosed: dict[tuple[int, int, int], int] = {}
-    leak = 0
+    leak = [0] * CASCADE_PASSES
+    searches = [0] * CASCADE_PASSES
 
     def alice_parity(pi: int, start: int, end: int) -> int:
-        nonlocal leak
         key = (pi, start, end)
         if key not in disclosed:
             disclosed[key] = int(np.bitwise_xor.reduce(a[orders[pi][start:end]]))
-            leak += 1
+            leak[pi] += 1
         return disclosed[key]
 
     def bob_parity(pi: int, start: int, end: int) -> int:
@@ -87,6 +90,7 @@ def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
             _, pi, bi = heapq.heappop(heap)
             if not odd[pi][bi]:
                 continue
+            searches[pi] += 1
             start, end = blocks[pi][bi]
             flipped = binary_search(pi, start, end)
             b[flipped] ^= 1
@@ -114,9 +118,12 @@ def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
         drain_odd_blocks()
 
     q_floor = max(q_ref, 1.0 / n)
-    f_realized = leak / (n * binary_entropy(q_floor))
-    return ReferenceResult(corrected_B=b, n_exp=leak, f_realized=f_realized,
-                           verified=bool(np.array_equal(a, b)))
+    n_exp = sum(leak)
+    f_realized = n_exp / (n * binary_entropy(q_floor))
+    return ReferenceResult(corrected_B=b, n_exp=n_exp, f_realized=f_realized,
+                           verified=bool(np.array_equal(a, b)),
+                           leak_per_pass=tuple(leak),
+                           searches_per_pass=tuple(searches))
 
 
 def keys_with_exact_errors(l, n_errors, seed):
@@ -148,6 +155,8 @@ def assert_matches_reference(a, b, q_ref, seed):
     assert got.verified == ref.verified
     assert got.f_realized == ref.f_realized
     assert sum(got.leak_per_pass) == got.n_exp
+    assert got.leak_per_pass == ref.leak_per_pass
+    assert got.searches_per_pass == ref.searches_per_pass
     return got
 
 
@@ -255,6 +264,17 @@ class TestMatchesReference:
         res = assert_matches_reference(a, b, q, seed=1001)
         assert res.verified
 
+    def test_cascade_back_into_first_pass(self):
+        # Corrections in later passes re-open first-pass blocks. Their
+        # searches ask again some halves the first pass already disclosed,
+        # and those must not be counted twice.
+        l, q = 3000, 0.03
+        a, b = keys_with_exact_errors(l, round(l * q), seed=1100)
+        starts = np.arange(0, l, math.ceil(BLOCK_COEFF / q))
+        first_odd = int(np.bitwise_xor.reduceat(a ^ b, starts).sum())
+        res = assert_matches_reference(a, b, q, seed=1101)
+        assert res.searches_per_pass[0] > first_odd
+
     @given(st.integers(min_value=MIN_KEY_LEN, max_value=5000),
            st.floats(min_value=0.0, max_value=0.5),
            st.floats(min_value=0.0, max_value=0.49),
@@ -351,6 +371,21 @@ class TestCascadeStatistics:
         # Each search corrects exactly one error.
         assert res.verified
         assert sum(res.searches_per_pass) == 123
+
+
+class TestCascadeMemory:
+    def test_peak_per_key_bit(self):
+        # A planned m_F = 1e6 run at 30 km reconciles l ~ 1.25M bits.
+        l, q = 1_250_000, 0.01
+        a, b = keys_with_exact_errors(l, round(l * q), seed=1200)
+        tracemalloc.start()
+        try:
+            res = cascade(a, b, q, seed=1201)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.verified
+        assert peak <= 48 * l
 
 
 class TestLeakageUpperBound:
