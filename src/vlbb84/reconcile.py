@@ -25,6 +25,12 @@ never built.
   built to their pass positions; a correction pops the flipped bit from
   every map, clears it in every pass's array and toggles block
   `position // size` of that pass.
+- Cascade stops at agreement. The disagreements left are counted after
+  pass 0 and after each later pass drains. Once none are left, every
+  block of every later pass is even: such a pass discloses its top-level
+  parities and searches nothing, so it draws no permutation and builds
+  no arrays. The generator is local to one call, so the draws it skips
+  feed nothing else.
 
 Leakage rule: every parity Alice discloses, a top-level block or the left
 half of a search step, counts as one leaked bit. A half she has already
@@ -196,8 +202,14 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     odd.append([False] * -(-n // k1))
     leak[0] = len(odd[0]) + halves
     searches[0] = len(found)
+    remaining = np.count_nonzero(diff)
 
     for pi in range(1, CASCADE_PASSES):
+        if not remaining:
+            # Every block of this pass is even: it discloses its
+            # top-level parities and searches nothing.
+            leak[pi] = -(-n // sizes[pi])
+            continue
         order = rng.permutation(n)
         diff = diffs[0][order]
         disagree = np.flatnonzero(diff)
@@ -212,6 +224,7 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
         for bi in np.flatnonzero(block_odd).tolist():
             mark_odd(pi, bi)
         drain_odd_blocks()
+        remaining = len(positions[pi])
 
     n_exp = sum(leak)
     return ReconcileResult(corrected_B=a ^ diffs[0], n_exp=n_exp,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,16 @@ class TestToeplitzExtract:
         assert np.array_equal(toeplitz_extract(x, seed, m),
                               dense_toeplitz(x, seed, m))
 
+    @pytest.mark.parametrize("l, m", [(125_834, 100_697), (125_835, 100_697)])
+    def test_largest_sums_are_exact(self, l, m):
+        # All-ones input and seed: every output bit sums l products, the
+        # largest integer the convolution can produce, so it is l % 2.
+        x = np.ones(l, dtype=np.uint8)
+        seed = np.ones(l + m - 1, dtype=np.uint8)
+        out = toeplitz_extract(x, seed, m)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, np.full(m, l % 2, dtype=np.uint8))
+
     def test_fft_length_is_smallest_5_smooth(self):
         def smooth(k):
             for p in (2, 3, 5):
@@ -137,6 +148,25 @@ class TestToeplitzExtract:
             toeplitz_extract(x, np.ones(10, dtype=np.uint8), 4)
         with pytest.raises(ValueError):
             toeplitz_extract(x, np.ones(40, dtype=np.uint8), 17)
+
+
+class TestToeplitzMemory:
+    def test_peak_per_input_bit(self):
+        # A planned m_F = 1e6 run at 30 km hashes l ~ 1.25M bits to ~1M.
+        # Two spectra and one float64 copy of the input peak at ~37 B per
+        # input bit; holding a spectrum through the rounding reads ~48.
+        l, m = 1_250_000, 1_000_000
+        rng = np.random.default_rng(17)
+        x = rng.integers(0, 2, l, dtype=np.uint8)
+        seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            out = toeplitz_extract(x, seed, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == m
+        assert peak <= 40 * l
 
 
 def test_cli_import_loads_no_scipy():

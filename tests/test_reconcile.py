@@ -275,6 +275,27 @@ class TestMatchesReference:
         res = assert_matches_reference(a, b, q, seed=1101)
         assert res.searches_per_pass[0] > first_odd
 
+    def test_agreement_after_first_pass(self):
+        # One error: the first pass finds it, and the later passes only
+        # disclose their top-level parities.
+        for l, q in ((64, 0.05), (1000, 0.02), (5000, 0.001)):
+            a, b = keys_with_exact_errors(l, 1, seed=l + 1200)
+            res = assert_matches_reference(a, b, q, seed=l + 1201)
+            assert res.searches_per_pass == (1, 0, 0, 0)
+            assert res.leak_per_pass[1:] == top_level_parities_per_pass(l, q)[1:]
+
+    def test_agreement_after_second_pass(self):
+        # Two errors in one first-pass block hide from the first pass; the
+        # second pass splits them, and its correction re-opens the block.
+        l, q = 1000, 0.02
+        a, _ = keys_with_exact_errors(l, 0, seed=1300)
+        b = a.copy()
+        b[[10, 20]] ^= 1
+        res = assert_matches_reference(a, b, q, seed=1301)
+        assert res.verified
+        assert res.searches_per_pass == (1, 1, 0, 0)
+        assert res.leak_per_pass[2:] == top_level_parities_per_pass(l, q)[2:]
+
     @given(st.integers(min_value=MIN_KEY_LEN, max_value=5000),
            st.floats(min_value=0.0, max_value=0.5),
            st.floats(min_value=0.0, max_value=0.49),
@@ -283,6 +304,66 @@ class TestMatchesReference:
     def test_property(self, l, error_fraction, q_ref, seed):
         a, b = keys_with_exact_errors(l, round(l * error_fraction), seed)
         assert_matches_reference(a, b, q_ref, seed + 1)
+
+
+def passes_starting_with_disagreement(res) -> int:
+    """Passes after the first that begin while Bob's key still differs.
+
+    Disagreements never grow, so these passes are 1 .. k. A pass that
+    begins with a disagreement either searches one of its own blocks
+    first or leaves the disagreement to the next pass, so for a verified
+    key k is the last pass with a search of its own.
+    """
+    if not res.verified:
+        return CASCADE_PASSES - 1
+    return max((pi for pi in range(1, CASCADE_PASSES)
+                if res.searches_per_pass[pi]), default=0)
+
+
+class TestStopAtAgreement:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Counts `permutation` calls on the generators cascade makes."""
+        calls = []
+        real = np.random.default_rng
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def permutation(self, *args, **kwargs):
+                calls.append(args)
+                return self.rng.permutation(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args, **kwargs: Spy(real(*args, **kwargs)))
+        return calls
+
+    def test_equal_keys_draw_nothing(self, draws):
+        for l in (MIN_KEY_LEN, 1000, 4099):
+            a, b = keys_with_exact_errors(l, 0, seed=l)
+            assert cascade(a, b, 0.05, seed=2).verified
+        assert draws == []
+
+    def test_single_error_draws_nothing(self, draws):
+        for l in (64, 1000, 126_000):
+            a, b = keys_with_exact_errors(l, 1, seed=l + 1)
+            assert cascade(a, b, 0.015, seed=3).verified
+        assert draws == []
+
+    def test_draws_only_for_passes_that_start_disagreeing(self, draws):
+        cases = [(1000, 2, 0.02), (1000, 20, 0.02), (3000, 90, 0.03),
+                 (2000, 600, 0.3), (300, 3, 0.0), (4096, 60, 0.01),
+                 (126_000, 1890, 0.015)]
+        for i, (l, errors, q) in enumerate(cases):
+            a, b = keys_with_exact_errors(l, errors, seed=1400 + i)
+            before = len(draws)
+            res = cascade(a, b, q, seed=1500 + i)
+            assert all(args == (l,) for args in draws[before:])
+            assert len(draws) - before <= passes_starting_with_disagreement(res)
 
 
 class TestInputValidation:
