@@ -109,11 +109,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sim_point(link: LinkParams, sec: SecurityParams, d: float, kind: str,
-               args, p_extra: Optional[float], seeds: list[int]) -> dict:
+def _sim_point(link: LinkParams, sec: SecurityParams, d: float,
+               channel: ChannelDerived, kind: str, args,
+               p_extra: Optional[float], seeds: list[int]) -> dict:
     """Simulate one (d, strategy) sweep point, one run per seed, and
-    aggregate its runs."""
-    channel = channel_at(link, d)
+    aggregate its runs; channel is the link at d."""
     if args.mf is not None:
         the_plan = plan(d, args.mf, kind, link, sec, g=args.g, p_extra=p_extra)
         strategy, n_pulses = the_plan.strategy, the_plan.N_F
@@ -198,9 +198,11 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"unknown strategy {kind!r}")
     if args.plan_only and args.mf is None:
         raise ValueError("--plan-only needs --mf")
+    # Rejects a bad distance before the first point is simulated.
+    channels = [channel_at(link, d) for d in d_values]
 
     rows = []
-    for d in d_values:
+    for d, channel in zip(d_values, channels):
         for kind in strategies:
             row: dict = {"d_km": d, "strategy": kind, "m_F": args.mf}
             try:
@@ -210,8 +212,8 @@ def cmd_sweep(args) -> int:
                     first = len(rows) * iterations
                     seeds = [derive_seed(args.seed, first + i)
                              for i in range(iterations)]
-                    row.update(_sim_point(link, sec, d, kind, args, p_extra,
-                                          seeds))
+                    row.update(_sim_point(link, sec, d, channel, kind, args,
+                                          p_extra, seeds))
             except InfeasibleError as exc:
                 row["status"] = f"infeasible:{exc.stage}"
             rows.append(row)

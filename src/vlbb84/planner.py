@@ -13,10 +13,10 @@ The chain is: accuracy condition -> sample-size floor A_0, target length
 then a search over the artificial noise to minimize N_F: one numpy
 screen of the whole noise grid, an exact scalar re-check of the grid
 points the screen puts near the minimum, and a golden-section refinement.
-The scalar budget and the screen share one rule, that an N_F which is not
-a finite float is infeasible, and one solver of the sqrt strategy's
-sample-limit cubic (its closed-form largest root), so they differ only by
-numpy-vs-libm rounding of log2 and pow.
+The scalar budget and the screen share the strategies' N_F formulas, one
+solver of the sqrt strategy's sample-limit cubic (its closed-form largest
+root) and one rule, that an N_F which is not a finite float is
+infeasible, so they differ only by numpy-vs-libm rounding of log2 and pow.
 
 plan() is the only entry that takes a distance and a LinkParams: it
 derives the channel once, and every function below it (budget, noise
@@ -223,8 +223,8 @@ def _sqrt_sample_limit(l_f_bits, a0_bits, p: float, c_f: float):
         x**1.5 - C_F*sqrt(1-p)*x - (l_F + A_0)*sqrt(x)
             + (A_0*C_F/2)*sqrt(1-p) = 0,
 
-    elementwise over float or array requirements; inf where it has no
-    positive root.
+    elementwise over float or array requirements (a Python float for
+    float ones); inf where it has no positive root.
 
     In u = sqrt(x) it is the cubic u**3 + ca*u**2 + cb*u + cc with
     cb <= 0 <= cc, so its stationary points lie on either side of u = 0.
@@ -246,33 +246,36 @@ def _sqrt_sample_limit(l_f_bits, a0_bits, p: float, c_f: float):
         r = np.sqrt(-p3)
         cos_3theta = np.minimum(np.maximum(-q2 / (r * r * r), -1.0), 1.0)
         u = 2.0 * r * np.cos(np.arccos(cos_3theta) / 3.0) - shift
-        return np.where(no_root, math.inf, u * u)
+        n_lim = np.where(no_root, math.inf, u * u)
+    return n_lim if n_lim.ndim else float(n_lim)
 
 
-def _budget_from_requirements(kind: str, p: float, a0_bits: float,
-                              l_f_bits: float, sec: SecurityParams,
-                              g: float = DEFAULT_FRACTION):
+def _budget_from_requirements(kind: str, p: float, a0_bits, l_f_bits,
+                              sec: SecurityParams, g: float = DEFAULT_FRACTION,
+                              sqrt=math.sqrt, maximum=max):
     """Real-valued N_F from the two requirements (sample floor, key floor).
 
-    Returns (N_F, n_lim); n_lim is None except for 'sqrt'.
+    Returns (N_F, n_lim); n_lim is None except for 'sqrt'. The scalar
+    budget calls it on floats with libm's sqrt and the builtin max, and the
+    noise screen on arrays with np.sqrt and np.maximum.
     """
     cf2 = sec.C_F ** 2
     one_p = 1.0 - p
     if kind == FRACTION:
         n_acc = a0_bits / (g * p)
         n_len = cf2 / (4.0 * p) * (
-            math.sqrt(one_p)
-            + math.sqrt(one_p + 4.0 * l_f_bits / (cf2 * (1.0 - g)))) ** 2
-        return max(n_acc, n_len), None
+            sqrt(one_p)
+            + sqrt(one_p + 4.0 * l_f_bits / (cf2 * (1.0 - g)))) ** 2
+        return maximum(n_acc, n_len), None
     if kind == COUNT:
         n_acc = 2.0 * a0_bits / p
         n_len = cf2 / (4.0 * p) * (
-            math.sqrt(one_p)
-            + math.sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2
-        return max(n_acc, n_len), None
+            sqrt(one_p)
+            + sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2
+        return maximum(n_acc, n_len), None
     if kind == SQRT:
-        n_lim = float(_sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F))
-        return max(4.0 * a0_bits ** 2 / n_lim, n_lim) / p, n_lim
+        n_lim = _sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F)
+        return maximum(4.0 * a0_bits ** 2 / n_lim, n_lim) / p, n_lim
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
@@ -318,19 +321,17 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
     """_budget_real's N_F at every noise level of the array p_extra, inf
     where _budget_real raises InfeasibleError.
 
-    The same formulas over arrays, with the same feasibility comparisons,
-    the same sqrt sample limit and the same rule that a non-finite N_F is
-    infeasible. It differs from the scalar N_F only where numpy's log2
-    and pow round differently from libm's, ~1e-14 relative: enough to
-    rank noise levels, not to replace the scalar.
+    Its array prelude makes the same feasibility comparisons; the N_F
+    formulas are _budget_from_requirements' own, and a non-finite N_F is
+    infeasible as in the scalar. It differs from the scalar N_F only where
+    numpy's log2 and pow round differently from libm's, ~1e-14 relative:
+    enough to rank noise levels, not to replace the scalar.
     """
     p = channel.p
     if p <= 0.0:
         return np.full(p_extra.shape, math.inf)
     p_flip = channel.P_flip
     p_hat = p_flip + p_extra - 2.0 * p_flip * p_extra
-    cf2 = sec.C_F ** 2
-    one_p = 1.0 - p
     # p_hat = 0 divides by zero and takes log2(0), and extreme inputs
     # overflow; the non-finite N_F they give is infeasible.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -341,23 +342,8 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
         den = 1.0 - (1.0 + sec.f_max) * entropy
         l_f_bits = _extraction_floor(m_f, sec) / den
         infeasible = (p_hat <= 0.0) | (p_hat >= sec.Q_t) | (den <= 0.0)
-        if kind == FRACTION:
-            n_f = np.maximum(
-                a0_bits / (g * p),
-                cf2 / (4.0 * p) * (
-                    math.sqrt(one_p)
-                    + np.sqrt(one_p + 4.0 * l_f_bits / (cf2 * (1.0 - g)))) ** 2)
-        elif kind == COUNT:
-            n_f = np.maximum(
-                2.0 * a0_bits / p,
-                cf2 / (4.0 * p) * (
-                    math.sqrt(one_p)
-                    + np.sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2)
-        elif kind == SQRT:
-            n_lim = _sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F)
-            n_f = np.maximum(4.0 * a0_bits ** 2 / n_lim, n_lim) / p
-        else:
-            raise ValueError(f"unknown strategy kind {kind!r}")
+        n_f, _ = _budget_from_requirements(kind, p, a0_bits, l_f_bits, sec, g,
+                                           sqrt=np.sqrt, maximum=np.maximum)
     return np.where(infeasible | ~np.isfinite(n_f), math.inf, n_f)
 
 
@@ -461,6 +447,8 @@ def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
     from the accuracy floor A_0 at the effective flip, evaluated at this N.
     """
     check_p_extra(p_extra)
+    if n_pulses < 1:
+        raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
     # The fraction rule has no A_0 to compute, and none exists at a zero
     # effective flip (d = 0 without noise).
     a0_bits = (0.0 if kind == FRACTION
@@ -536,9 +524,15 @@ def plan(d: float, m_f: int, kind: str, link: LinkParams,
         channel, m_f, kind, p_extra, sec, g)
     strategy = _resolve_strategy(kind, a0_bits, n_lim, g)
     n_f = math.ceil(n_f_real)
-    mean_m, std_m = expected_output(channel, n_f, strategy, p_extra, sec)
-    p_succ = success_probability(channel, n_f, strategy, p_extra, sec)
-    kbr_mean, kbr_std = kbr_stats(n_f, p_succ, mean_m, std_m)
+    # Near d = 0 a finite N_F can still give a key length whose square
+    # overflows a float: like an overflowing budget, that is infeasible.
+    try:
+        mean_m, std_m = expected_output(channel, n_f, strategy, p_extra, sec)
+        p_succ = success_probability(channel, n_f, strategy, p_extra, sec)
+        kbr_mean, kbr_std = kbr_stats(n_f, p_succ, mean_m, std_m)
+    except OverflowError:
+        raise InfeasibleError("forecast", "the key-length forecasts at N_F = "
+                              f"{n_f_real:.3e} overflow a float") from None
     return Plan(strategy=strategy, N_F=n_f, P_extra_opt=p_extra,
                 l_F=l_f_bits, A_0=a0_bits, n_lim=n_lim,
                 expected_m=mean_m, expected_m_std=std_m,

@@ -180,6 +180,20 @@ class TestPlanCommand:
             "error": "invalid",
             "message": "p_extra must be in [0, 1/2), got 0.5"}
 
+    @pytest.mark.parametrize("strategy", ["fraction", "count"])
+    @pytest.mark.parametrize("distance", ["1e-150", "1e-300"])
+    @pytest.mark.parametrize("cmd", ["plan", "run"])
+    def test_forecast_overflow_is_infeasible(self, capsys, cmd, distance,
+                                             strategy):
+        # As at d = 0, a link this close without added noise cannot be
+        # planned: here the forecasts of the finite N_F overflow.
+        code, out = run_cli(capsys, cmd, "--distance", distance, "--mf",
+                            "1000", "--strategy", strategy, "--p-extra", "0")
+        assert code == EXIT_INFEASIBLE
+        doc = json.loads(out)
+        assert doc["error"] == "infeasible"
+        assert doc["stage"] == "forecast"
+
     @pytest.mark.parametrize("extra, stage", [
         ((), "optimal_extra_noise"),
         (("--p-extra", "0.01"), "photon_budget"),
@@ -241,6 +255,15 @@ class TestRunCommand:
         assert json.loads(out) == {
             "error": "invalid",
             "message": "p_extra must be in [0, 1/2), got 0.5"}
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    @pytest.mark.parametrize("strategy", ["fraction", "count", "sqrt"])
+    def test_nonpositive_pulses_have_one_message(self, capsys, strategy, n):
+        code, out = run_cli(capsys, "run", "--distance", "30", "--n", n,
+                            "--strategy", strategy)
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {
+            "error": "invalid", "message": f"n_pulses must be >= 1, got {n}"}
 
     @pytest.mark.parametrize("strategy", ["fraction", "count", "sqrt"])
     def test_out_of_range_noise_has_one_message(self, capsys, strategy):
@@ -334,7 +357,11 @@ class TestSweepCommand:
         assert json.loads(out)["error"] == "invalid"
         assert not out_csv.exists()
 
-    def test_negative_distance_is_error(self, capsys, tmp_path):
+    def test_negative_distance_is_error(self, capsys, tmp_path, monkeypatch):
+        # Every distance is checked before the first point is simulated.
+        runs = []
+        monkeypatch.setattr("vlbb84.cli.run_protocol",
+                            lambda *args: runs.append(args))
         out_csv = tmp_path / "neg.csv"
         code, out = run_cli(capsys, "sweep", "--distances", "5,-5",
                             "--mf", "1000", "--iterations", "1",
@@ -342,6 +369,7 @@ class TestSweepCommand:
         assert code == EXIT_ERROR
         assert json.loads(out) == NEGATIVE_DISTANCE
         assert not out_csv.exists()
+        assert runs == []
 
     def test_sweep_reproducible(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -386,6 +414,15 @@ class TestSweepCommand:
         rows = read_rows(out_csv)
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"].startswith("infeasible")
+
+    def test_forecast_overflow_point_recorded(self, capsys, tmp_path):
+        out_csv = tmp_path / "tiny.csv"
+        code, _ = run_cli(capsys, "sweep", "--plan-only", "--distances",
+                          "30,1e-200", "--mf", "1000", "--p-extra", "0",
+                          "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = read_rows(out_csv)
+        assert [r["status"] for r in rows] == ["ok", "infeasible:forecast"]
 
     def test_plan_only_sweep(self, capsys, tmp_path):
         out_csv = tmp_path / "plan.csv"

@@ -187,6 +187,16 @@ class TestPhotonBudget:
             assert poly(u * (1 - width)) <= 0 <= poly(u * (1 + width)), d
         assert feasible > 0
 
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_scalar_budget_is_python_float(self, kind):
+        # The scalar objective runs on Python floats, not 0-d arrays, even
+        # though the budget formulas are shared with the numpy screen.
+        n_f, n_lim, _, _ = _budget_real(channel_at(LINK, 30.0), 1000, kind,
+                                        0.01, SEC)
+        assert type(n_f) is float
+        if kind == SQRT:
+            assert type(n_lim) is float
+
     def test_degenerate_collapse_fraction(self):
         # With no accuracy or length requirement the bound collapses to
         # the pure fluctuation term C_F^2 (1-p) / p.
@@ -544,6 +554,30 @@ class TestPlan:
             assert not isinstance(exc.value, InfeasibleError)
             with pytest.raises(ValueError, match=message):
                 fixed_n_strategy(ch, kind, 100_000, p_extra, SEC)
+
+    @pytest.mark.parametrize("kind", [FRACTION, COUNT])
+    @pytest.mark.parametrize("d", [1e-150, 1e-300])
+    def test_forecast_overflow_is_infeasible(self, d, kind):
+        # Without added noise the flip is ~d, so N_F is finite but the
+        # expected key length squared overflows a float.
+        with pytest.raises(InfeasibleError) as exc:
+            plan(d, 1000, kind, LINK, SEC, p_extra=0.0)
+        assert exc.value.stage == "forecast"
+
+    def test_huge_forecast_still_plans(self):
+        # At d = 1e-140 the forecasts stay within float range: it plans.
+        result = plan(1e-140, 1000, COUNT, LINK, SEC, p_extra=0.0)
+        assert result.N_F == pytest.approx(7.452e145, rel=1e-3)
+        assert result.P_success == 1.0
+
+    @pytest.mark.parametrize("n_pulses", [0, -5])
+    def test_fixed_n_needs_a_pulse(self, n_pulses):
+        ch = channel_at(LINK, 30.0)
+        for kind in STRATEGY_KINDS:
+            with pytest.raises(ValueError) as exc:
+                fixed_n_strategy(ch, kind, n_pulses, 0.0, SEC)
+            assert str(exc.value) == f"n_pulses must be >= 1, got {n_pulses}"
+            assert not isinstance(exc.value, InfeasibleError)
 
     def test_derives_the_channel_once(self, monkeypatch):
         distances = []
