@@ -16,7 +16,9 @@ points the screen puts near the minimum, and a golden-section refinement.
 The scalar budget and the screen share the strategies' N_F formulas, one
 solver of the sqrt strategy's sample-limit cubic (its closed-form largest
 root) and one rule, that an N_F which is not a finite float is
-infeasible, so they differ only by numpy-vs-libm rounding of log2 and pow.
+infeasible. The scalar path runs them on Python floats with libm and
+builtins, the screen on arrays with numpy, so the two differ only by
+libm-vs-numpy rounding of log2, pow and (for sqrt) arccos and cos.
 
 plan() is the only entry that takes a distance and a LinkParams: it
 derives the channel once, and every function below it (budget, noise
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,8 +51,9 @@ _NOISE_GRID_STEP = 1e-4
 _NOISE_TOL = 1e-6
 # Grid points whose screened N_F lies within this relative distance of the
 # screened minimum are re-evaluated by the scalar objective. The screen
-# differs from it only by numpy-vs-libm rounding of log2 and pow, ~1e-14
-# relative, so the scalar minimum is always among them.
+# differs from it only by numpy-vs-libm rounding of log2, pow and (for
+# sqrt) arccos and cos, ~1e-14 relative, so the scalar minimum is always
+# among them.
 _SCREEN_MARGIN = 1e-9
 
 
@@ -217,48 +220,73 @@ def strategy_stats(n_pulses: float, p: float, p_hat: float,
                           std_Qhat=std_qhat, mean_Qhat=p_hat)
 
 
-def _sqrt_sample_limit(l_f_bits, a0_bits, p: float, c_f: float):
+class _Ops(NamedTuple):
+    """The elementwise functions the budget formulas and the sqrt solver
+    call: on floats (_FLOAT_OPS) or on arrays (_ARRAY_OPS)."""
+
+    sqrt: Callable
+    arccos: Callable
+    cos: Callable
+    maximum: Callable
+    minimum: Callable
+    where: Callable
+
+
+# libm and builtins: a float call stays on Python floats. The solver passes
+# the value first to max and min, so a nan propagates as through
+# np.maximum and np.minimum.
+_FLOAT_OPS = _Ops(math.sqrt, math.acos, math.cos, max, min,
+                  lambda cond, a, b: a if cond else b)
+_ARRAY_OPS = _Ops(np.sqrt, np.arccos, np.cos, np.maximum, np.minimum,
+                  np.where)
+
+
+def _sqrt_sample_limit(l_f_bits, a0_bits, p: float, c_f: float,
+                       ops: _Ops = _FLOAT_OPS):
     """Largest root x of the sqrt-strategy feasibility equation
 
         x**1.5 - C_F*sqrt(1-p)*x - (l_F + A_0)*sqrt(x)
             + (A_0*C_F/2)*sqrt(1-p) = 0,
 
-    elementwise over float or array requirements (a Python float for
-    float ones); inf where it has no positive root.
+    elementwise over float requirements (with _FLOAT_OPS, a Python float)
+    or array ones (with _ARRAY_OPS); inf where it has no positive root.
 
     In u = sqrt(x) it is the cubic u**3 + ca*u**2 + cb*u + cc with
     cb <= 0 <= cc, so its stationary points lie on either side of u = 0.
     It has a positive root iff it is <= 0 at the right one, u_stat, and
     then it has three real roots: the largest comes from the
     trigonometric form.
+
+    Huge or non-finite requirements overflow r*r*r or give nan, which the
+    caller treats as an infeasible N_F: on floats r*r*r is inf and inf/inf
+    nan, and an array call runs under the screen's np.errstate.
     """
     ca = -c_f * math.sqrt(1.0 - p)
     cb = -(l_f_bits + a0_bits)
     cc = a0_bits * c_f / 2.0 * math.sqrt(1.0 - p)
-    # Huge or non-finite requirements overflow r*r*r or give nan; the
-    # caller treats a non-finite N_F as infeasible.
-    with np.errstate(all="ignore"):
-        u_stat = (-ca + np.sqrt(ca * ca - 3.0 * cb)) / 3.0
-        no_root = ((u_stat + ca) * u_stat + cb) * u_stat + cc > 0.0
-        shift = ca / 3.0
-        p3 = (cb - ca * shift) / 3.0
-        q2 = (cc + shift * (2.0 * shift * shift - cb)) / 2.0
-        r = np.sqrt(-p3)
-        cos_3theta = np.minimum(np.maximum(-q2 / (r * r * r), -1.0), 1.0)
-        u = 2.0 * r * np.cos(np.arccos(cos_3theta) / 3.0) - shift
-        n_lim = np.where(no_root, math.inf, u * u)
-    return n_lim if n_lim.ndim else float(n_lim)
+    u_stat = (-ca + ops.sqrt(ca * ca - 3.0 * cb)) / 3.0
+    no_root = ((u_stat + ca) * u_stat + cb) * u_stat + cc > 0.0
+    shift = ca / 3.0
+    p3 = (cb - ca * shift) / 3.0
+    q2 = (cc + shift * (2.0 * shift * shift - cb)) / 2.0
+    r = ops.sqrt(-p3)
+    cos_3theta = ops.minimum(ops.maximum(-q2 / (r * r * r), -1.0), 1.0)
+    u = 2.0 * r * ops.cos(ops.arccos(cos_3theta) / 3.0) - shift
+    return ops.where(no_root, math.inf, u * u)
 
 
 def _budget_from_requirements(kind: str, p: float, a0_bits, l_f_bits,
                               sec: SecurityParams, g: float = DEFAULT_FRACTION,
-                              sqrt=math.sqrt, maximum=max):
+                              ops: _Ops = _FLOAT_OPS):
     """Real-valued N_F from the two requirements (sample floor, key floor).
 
     Returns (N_F, n_lim); n_lim is None except for 'sqrt'. The scalar
-    budget calls it on floats with libm's sqrt and the builtin max, and the
-    noise screen on arrays with np.sqrt and np.maximum.
+    budget calls it on floats with _FLOAT_OPS (libm and builtins), the
+    noise screen on arrays with _ARRAY_OPS (numpy). On the same
+    requirements the two differ only by libm-vs-numpy rounding of pow and,
+    for sqrt, of arccos and cos.
     """
+    sqrt, maximum = ops.sqrt, ops.maximum
     cf2 = sec.C_F ** 2
     one_p = 1.0 - p
     if kind == FRACTION:
@@ -274,7 +302,7 @@ def _budget_from_requirements(kind: str, p: float, a0_bits, l_f_bits,
             + sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2
         return maximum(n_acc, n_len), None
     if kind == SQRT:
-        n_lim = _sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F)
+        n_lim = _sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F, ops)
         return maximum(4.0 * a0_bits ** 2 / n_lim, n_lim) / p, n_lim
     raise ValueError(f"unknown strategy kind {kind!r}")
 
@@ -322,10 +350,12 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
     where _budget_real raises InfeasibleError.
 
     Its array prelude makes the same feasibility comparisons; the N_F
-    formulas are _budget_from_requirements' own, and a non-finite N_F is
-    infeasible as in the scalar. It differs from the scalar N_F only where
-    numpy's log2 and pow round differently from libm's, ~1e-14 relative:
-    enough to rank noise levels, not to replace the scalar.
+    formulas and the sqrt solver are _budget_from_requirements' own, run
+    with _ARRAY_OPS under this function's np.errstate, and a non-finite
+    N_F is infeasible as in the scalar. It differs from the scalar N_F
+    only where numpy's log2, pow and (for sqrt) arccos and cos round
+    differently from libm's, ~1e-14 relative: enough to rank noise
+    levels, not to replace the scalar.
     """
     p = channel.p
     if p <= 0.0:
@@ -333,7 +363,8 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
     p_flip = channel.P_flip
     p_hat = p_flip + p_extra - 2.0 * p_flip * p_extra
     # p_hat = 0 divides by zero and takes log2(0), and extreme inputs
-    # overflow; the non-finite N_F they give is infeasible.
+    # overflow, the sqrt solver's r*r*r among them; the non-finite N_F they
+    # give is infeasible.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gam = gamma(p_hat, sec)
         a0_bits = (1.0 / (gam * gam)) * (1.0 / p_hat - 1.0)
@@ -343,7 +374,7 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
         l_f_bits = _extraction_floor(m_f, sec) / den
         infeasible = (p_hat <= 0.0) | (p_hat >= sec.Q_t) | (den <= 0.0)
         n_f, _ = _budget_from_requirements(kind, p, a0_bits, l_f_bits, sec, g,
-                                           sqrt=np.sqrt, maximum=np.maximum)
+                                           _ARRAY_OPS)
     return np.where(infeasible | ~np.isfinite(n_f), math.inf, n_f)
 
 

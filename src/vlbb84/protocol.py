@@ -24,7 +24,7 @@ from .extract import extract_key
 from .link_model import (ChannelDerived, LinkParams, SecurityParams,
                          channel_at, check_p_extra, effective_flip,
                          infer_qber)
-from .planner import Plan, Strategy
+from .planner import InfeasibleError, Plan, Strategy
 from .reconcile import MIN_KEY_LEN, cascade
 
 SOURCE_NONE = 0
@@ -35,6 +35,9 @@ SOURCE_DEPOLARIZED = 3
 # RunRecord.to_json_dict omits a final key longer than this many bits
 # unless asked to emit keys.
 KEY_OUTPUT_LIMIT_BITS = 4096
+
+# numpy's binomial sampler takes the pulse count as a C long (int64).
+_MAX_PULSES = 2 ** 63 - 1
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -133,6 +136,10 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
+    if n_pulses > _MAX_PULSES:
+        raise InfeasibleError(
+            "quantum_phase", f"N = {n_pulses} pulses exceeds the sampler's "
+            "limit of 2**63 - 1")
     rng = np.random.default_rng(seed)
     p_det = 1.0 - channel.P_loss * (1.0 - channel.P_DCR)
     n_det = int(rng.binomial(n_pulses, p_det))

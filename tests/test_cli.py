@@ -180,19 +180,23 @@ class TestPlanCommand:
             "error": "invalid",
             "message": "p_extra must be in [0, 1/2), got 0.5"}
 
-    @pytest.mark.parametrize("strategy", ["fraction", "count"])
+    @pytest.mark.parametrize("strategy, stage", [
+        ("fraction", "forecast"), ("count", "forecast"),
+        ("sqrt", "photon_budget"),
+    ], ids=["fraction", "count", "sqrt"])
     @pytest.mark.parametrize("distance", ["1e-150", "1e-300"])
     @pytest.mark.parametrize("cmd", ["plan", "run"])
     def test_forecast_overflow_is_infeasible(self, capsys, cmd, distance,
-                                             strategy):
+                                             strategy, stage):
         # As at d = 0, a link this close without added noise cannot be
-        # planned: here the forecasts of the finite N_F overflow.
+        # planned: fraction's and count's N_F is finite but its forecasts
+        # overflow, and sqrt's budget itself is not a finite float.
         code, out = run_cli(capsys, cmd, "--distance", distance, "--mf",
                             "1000", "--strategy", strategy, "--p-extra", "0")
         assert code == EXIT_INFEASIBLE
         doc = json.loads(out)
         assert doc["error"] == "infeasible"
-        assert doc["stage"] == "forecast"
+        assert doc["stage"] == stage
 
     @pytest.mark.parametrize("extra, stage", [
         ((), "optimal_extra_noise"),
@@ -273,6 +277,25 @@ class TestRunCommand:
         assert json.loads(out) == {
             "error": "invalid",
             "message": "p_extra must be in [0, 1/2), got 0.6"}
+
+    @pytest.mark.parametrize("args, n", [
+        (("--mf", "1000", "--distance", "1e-140", "--strategy", "count",
+          "--p-extra", "0"), None),
+        (("--mf", "1000", "--distance", "1e-20", "--strategy", "sqrt",
+          "--p-extra", "0"), None),
+        (("--distance", "30", "--n", "10000000000000000000"),
+         "10000000000000000000"),
+    ], ids=["planned-count", "planned-sqrt", "fixed-n"])
+    def test_pulses_beyond_int64_are_infeasible(self, capsys, args, n):
+        # The sampler takes N as an int64; the plan itself stays valid.
+        code, out = run_cli(capsys, "run", *args)
+        assert code == EXIT_INFEASIBLE
+        doc = json.loads(out)
+        assert doc["error"] == "infeasible"
+        assert doc["stage"] == "quantum_phase"
+        assert "pulses exceeds the sampler's limit of 2**63 - 1" in doc["message"]
+        if n is not None:
+            assert f"N = {n} pulses" in doc["message"]
 
     def test_out_of_memory_is_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -423,6 +446,18 @@ class TestSweepCommand:
         assert code == EXIT_OK
         rows = read_rows(out_csv)
         assert [r["status"] for r in rows] == ["ok", "infeasible:forecast"]
+
+    def test_pulses_beyond_int64_are_an_infeasible_row(self, capsys, tmp_path):
+        # d = 1e-140 without added noise plans N_F ~ 7e145 pulses, which
+        # the sampler cannot draw: that point is a row, the sweep goes on.
+        out_csv = tmp_path / "sweep.csv"
+        code, _ = run_cli(capsys, "sweep", "--distances", "1e-140,30",
+                          "--mf", "1000", "--strategies", "count",
+                          "--p-extra", "0", "--iterations", "1",
+                          "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = read_rows(out_csv)
+        assert [r["status"] for r in rows] == ["infeasible:quantum_phase", "ok"]
 
     def test_plan_only_sweep(self, capsys, tmp_path):
         out_csv = tmp_path / "plan.csv"

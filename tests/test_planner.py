@@ -10,7 +10,7 @@ from vlbb84 import planner
 from vlbb84.link_model import (ChannelDerived, LinkParams, SecurityParams,
                                channel_at, effective_flip, limit_distance)
 from vlbb84.numerics import binary_entropy, output_length_fixed_point
-from vlbb84.planner import (_NOISE_GRID_STEP, _NOISE_TOL, COUNT,
+from vlbb84.planner import (_ARRAY_OPS, _NOISE_GRID_STEP, _NOISE_TOL, COUNT,
                             DEFAULT_FRACTION, FRACTION, SQRT, STRATEGY_KINDS,
                             InfeasibleError, Strategy,
                             _budget_from_requirements, _budget_real,
@@ -196,6 +196,30 @@ class TestPhotonBudget:
         assert type(n_f) is float
         if kind == SQRT:
             assert type(n_lim) is float
+
+    def test_float_solver_matches_array_solver(self):
+        # The array call, under the screen's np.errstate, is the reference:
+        # on floats the solver gives it to 4 ulps, is non-finite at exactly
+        # the same inputs and returns a Python float.
+        special = [0.0, 1e300, math.inf, math.nan]
+        lf_grid = np.geomspace(7.0, 1e9, 13).tolist() + special
+        a0_grid = np.geomspace(1.0, 1e12, 13).tolist() + special
+        lf_bits, a0_bits = (a.ravel() for a in np.meshgrid(lf_grid, a0_grid))
+        finite = 0
+        for p in np.geomspace(1e-6, 0.5, 9).tolist():
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                ref = _sqrt_sample_limit(lf_bits, a0_bits, p, SEC.C_F,
+                                         _ARRAY_OPS)
+            for lf_v, a0_v, want in zip(lf_bits.tolist(), a0_bits.tolist(),
+                                        ref.tolist()):
+                got = _sqrt_sample_limit(lf_v, a0_v, p, SEC.C_F)
+                case = (lf_v, a0_v, p, got, want)
+                assert type(got) is float, case
+                assert math.isfinite(got) == math.isfinite(want), case
+                if math.isfinite(want):
+                    finite += 1
+                    assert abs(got - want) <= 4 * math.ulp(want), case
+        assert finite > 0
 
     def test_degenerate_collapse_fraction(self):
         # With no accuracy or length requirement the bound collapses to
@@ -555,14 +579,17 @@ class TestPlan:
             with pytest.raises(ValueError, match=message):
                 fixed_n_strategy(ch, kind, 100_000, p_extra, SEC)
 
-    @pytest.mark.parametrize("kind", [FRACTION, COUNT])
+    @pytest.mark.parametrize("kind, stage", [
+        (FRACTION, "forecast"), (COUNT, "forecast"), (SQRT, "photon_budget"),
+    ], ids=[FRACTION, COUNT, SQRT])
     @pytest.mark.parametrize("d", [1e-150, 1e-300])
-    def test_forecast_overflow_is_infeasible(self, d, kind):
-        # Without added noise the flip is ~d, so N_F is finite but the
-        # expected key length squared overflows a float.
+    def test_forecast_overflow_is_infeasible(self, d, kind, stage):
+        # Without added noise the flip is ~d. For fraction and count N_F is
+        # finite but the expected key length squared overflows a float; for
+        # sqrt the sample limit or its budget is not a finite float.
         with pytest.raises(InfeasibleError) as exc:
             plan(d, 1000, kind, LINK, SEC, p_extra=0.0)
-        assert exc.value.stage == "forecast"
+        assert exc.value.stage == stage
 
     def test_huge_forecast_still_plans(self):
         # At d = 1e-140 the forecasts stay within float range: it plans.

@@ -11,7 +11,7 @@ from vlbb84.link_model import (ChannelDerived, LinkParams, SecurityParams,
                                channel_at, effective_flip)
 from vlbb84.numerics import output_length_fixed_point
 from vlbb84.planner import (COUNT, DEFAULT_FRACTION, FRACTION, SQRT,
-                            Strategy, fixed_n_strategy)
+                            InfeasibleError, Strategy, fixed_n_strategy, plan)
 from vlbb84.protocol import (SOURCE_DARK, SOURCE_DEPOLARIZED, SOURCE_NONE,
                              SOURCE_PHOTON, PulseOutcomes, bits_to_hex,
                              controlled_randomization, derive_seed,
@@ -164,6 +164,25 @@ class TestQuantumPhase:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             quantum_phase(0, channel_at(LINK, 0.0), seed=1)
+
+    @pytest.mark.parametrize("n", [2 ** 63, 10 ** 19, 10 ** 146],
+                             ids=["2**63", "1e19", "1e146"])
+    def test_count_beyond_int64_is_infeasible(self, n):
+        # The binomial sampler takes N as an int64: a larger N is a run the
+        # simulator cannot perform, reported with its N.
+        with pytest.raises(InfeasibleError, match=f"N = {n} pulses") as exc:
+            quantum_phase(n, channel_at(LINK, 30.0), seed=1)
+        assert exc.value.stage == "quantum_phase"
+
+    @pytest.mark.parametrize("d, kind", [(1e-140, COUNT), (1e-20, SQRT)])
+    def test_planned_count_beyond_int64_is_infeasible(self, d, kind):
+        # Such a plan is valid; running it is not.
+        the_plan = plan(d, 1000, kind, LINK, SEC, p_extra=0.0)
+        assert the_plan.N_F > 2 ** 63 - 1
+        with pytest.raises(InfeasibleError,
+                           match=f"N = {the_plan.N_F} pulses") as exc:
+            protocol.run_from_plan(the_plan, LINK, SEC, seed=1)
+        assert exc.value.stage == "quantum_phase"
 
     def test_memory_scales_with_detections(self):
         # 1e8 pulses at 65 km is ~650k detections; per-pulse arrays
