@@ -8,8 +8,8 @@ from .link_model import (ChannelDerived, LinkParams, SecurityParams,
 from .numerics import (RootResult, binary_entropy, normal_cdf,
                        output_length_fixed_point, solve_bracketed)
 from .planner import (EstimatorStats, InfeasibleError, Plan, Strategy, a0,
-                      expected_output, fixed_n_strategy, gamma, kbr_stats, l_f,
-                      optimal_extra_noise, photon_budget, plan,
+                      expected_output, fixed_n_strategy, forecast, gamma,
+                      kbr_stats, l_f, optimal_extra_noise, photon_budget, plan,
                       strategy_stats, success_probability)
 from .protocol import (RunRecord, bits_to_hex, controlled_randomization,
                        derive_seed, estimate_parameters, quantum_phase,
@@ -22,8 +22,8 @@ __all__ = [
     "RootResult", "binary_entropy", "normal_cdf",
     "output_length_fixed_point", "solve_bracketed",
     "EstimatorStats", "InfeasibleError", "Plan", "Strategy", "a0",
-    "expected_output", "fixed_n_strategy", "gamma", "kbr_stats", "l_f",
-    "optimal_extra_noise", "photon_budget", "plan", "strategy_stats",
+    "expected_output", "fixed_n_strategy", "forecast", "gamma", "kbr_stats",
+    "l_f", "optimal_extra_noise", "photon_budget", "plan", "strategy_stats",
     "success_probability",
     "RunRecord", "bits_to_hex", "controlled_randomization", "derive_seed",
     "estimate_parameters", "quantum_phase", "run_from_plan", "run_protocol",

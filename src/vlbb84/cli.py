@@ -18,9 +18,8 @@ import numpy as np
 from .link_model import (ChannelDerived, LinkParams, SecurityParams,
                          channel_at, limit_distance)
 from .planner import (DEFAULT_FRACTION, STRATEGY_KINDS, InfeasibleError,
-                      Strategy, expected_output, fixed_n_strategy, kbr_stats,
-                      plan, success_probability)
-from .protocol import derive_seed, run_from_plan, run_protocol
+                      Strategy, fixed_n_strategy, forecast, plan)
+from .protocol import derive_seed, run_protocol
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -79,32 +78,30 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _fixed_n_run(channel: ChannelDerived, kind: str, n_pulses: int,
-                 p_extra: Optional[float], g: float,
-                 sec: SecurityParams) -> tuple[Strategy, float]:
-    """Strategy and noise of a run of n_pulses that plan() did not size.
+def _size(link: LinkParams, sec: SecurityParams, d: float,
+          channel: ChannelDerived, kind: str, args,
+          p_extra: Optional[float]) -> tuple[int, Strategy, float]:
+    """Pulse count, strategy and noise of one request at d, whose link is
+    channel: plan() sizes it with --mf, otherwise it runs --n pulses.
 
-    Without a target there is nothing to optimize the noise for, so an
-    unset p_extra means 0.
+    Without a target there is nothing to optimize the noise for, so at a
+    fixed N an unset p_extra means 0.
     """
+    if args.mf is not None:
+        the_plan = plan(d, args.mf, kind, link, sec, g=args.g, p_extra=p_extra)
+        return the_plan.N_F, the_plan.strategy, the_plan.P_extra_opt
     if p_extra is None:
         p_extra = 0.0
-    return fixed_n_strategy(channel, kind, n_pulses, p_extra, sec, g), p_extra
+    strategy = fixed_n_strategy(channel, kind, args.n, p_extra, sec, args.g)
+    return args.n, strategy, p_extra
 
 
 def cmd_run(args) -> int:
     link, sec = load_config(args.config)
-    p_extra = _parse_p_extra(args.p_extra)
-    if args.n is not None:
-        strategy, p_extra = _fixed_n_run(channel_at(link, args.distance),
-                                         args.strategy, args.n, p_extra,
-                                         args.g, sec)
-        record = run_protocol(link, sec, args.distance, args.n, strategy,
-                              p_extra, args.seed)
-    else:
-        the_plan = plan(args.distance, args.mf, args.strategy, link, sec,
-                        g=args.g, p_extra=p_extra)
-        record = run_from_plan(the_plan, link, sec, args.seed)
+    d = args.distance
+    sizing = _size(link, sec, d, channel_at(link, d), args.strategy, args,
+                   _parse_p_extra(args.p_extra))
+    record = run_protocol(link, sec, d, *sizing, args.seed)
     print(json.dumps(record.to_json_dict(emit_keys=args.emit_keys), indent=2))
     return EXIT_OK
 
@@ -113,22 +110,12 @@ def _sim_point(link: LinkParams, sec: SecurityParams, d: float,
                channel: ChannelDerived, kind: str, args,
                p_extra: Optional[float], seeds: list[int]) -> dict:
     """Simulate one (d, strategy) sweep point, one run per seed, and
-    aggregate its runs; channel is the link at d."""
-    if args.mf is not None:
-        the_plan = plan(d, args.mf, kind, link, sec, g=args.g, p_extra=p_extra)
-        strategy, n_pulses = the_plan.strategy, the_plan.N_F
-        p_extra = the_plan.P_extra_opt
-        m_pred = the_plan.expected_m
-        p_succ = the_plan.P_success
-        kbr_pred = the_plan.expected_kbr
-    else:
-        n_pulses = args.n
-        strategy, p_extra = _fixed_n_run(channel, kind, n_pulses, p_extra,
-                                         args.g, sec)
-        m_pred, std_m = expected_output(channel, n_pulses, strategy, p_extra,
-                                        sec)
-        p_succ = success_probability(channel, n_pulses, strategy, p_extra, sec)
-        kbr_pred, _ = kbr_stats(n_pulses, p_succ, m_pred, std_m)
+    aggregate its runs with the planner's forecast for them; channel is
+    the link at d."""
+    n_pulses, strategy, p_extra = _size(link, sec, d, channel, kind, args,
+                                        p_extra)
+    m_pred, _, p_succ, kbr_pred, _ = forecast(channel, n_pulses, strategy,
+                                              p_extra, sec)
 
     records = [run_protocol(link, sec, d, n_pulses, strategy, p_extra, seed)
                for seed in seeds]

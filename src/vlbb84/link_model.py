@@ -234,6 +234,4 @@ def limit_distance(link: LinkParams, sec: SecurityParams) -> Optional[float]:
         return lo
     if f(LIMIT_SEARCH_MAX_KM) < 0.0:
         return None
-    root = solve_bracketed(f, lo, LIMIT_SEARCH_MAX_KM, tol=1e-12,
-                           max_iter=200)
-    return root.value
+    return solve_bracketed(f, lo, LIMIT_SEARCH_MAX_KM).value

@@ -6,6 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# Cap on solve_bracketed's bisection steps. A bracket of width w meets the
+# width tolerance tol within log2(w / tol) steps: 48 for limit_distance's.
+_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class RootResult:
@@ -28,9 +32,9 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12,
-                    max_iter: int = 200) -> RootResult:
-    """Bisect f on [lo, hi] until |f| <= tol or the interval width <= tol.
+def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
+    """Bisect f on [lo, hi] until |f| <= tol or the interval width <= tol,
+    for at most _MAX_ITER steps.
 
     f(lo) and f(hi) must differ in sign (a zero endpoint counts as a root).
     """
@@ -46,7 +50,7 @@ def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12,
             f"f(lo)={flo}, f(hi)={fhi}"
         )
     mid, fmid = lo, flo
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if abs(fmid) <= tol or (hi - lo) <= tol:
@@ -58,7 +62,7 @@ def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12,
     return RootResult(mid, fmid, iterations)
 
 
-def output_length_fixed_point(k: float, eps_max: float = 0.01) -> int:
+def output_length_fixed_point(k: float, eps_max: float) -> int:
     """Largest integer m with m <= k - 6 - 4*log2(m / eps_max); 0 if none.
 
     This is the saturation point of the extraction budget. The budget

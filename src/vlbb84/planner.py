@@ -536,6 +536,29 @@ def kbr_stats(n_pulses: int, p_success: float, mean_m: float,
     return mean, math.sqrt(var) / n_pulses
 
 
+def forecast(channel: ChannelDerived, n_pulses: int, strategy: Strategy,
+             p_extra: float, sec: SecurityParams
+             ) -> tuple[int, float, float, float, float]:
+    """What a run of n_pulses on this channel should deliver.
+
+    Returns (mean_m, std_m, P_success, kbr_mean, kbr_std): the final key
+    length's mean and standard deviation, the probability of surviving
+    parameter estimation, and the key bit rate's mean and standard
+    deviation. Near d = 0, or at a huge N, a finite N can still give a
+    key length whose square overflows a float: like an overflowing
+    budget, that is infeasible.
+    """
+    try:
+        mean_m, std_m = expected_output(channel, n_pulses, strategy, p_extra,
+                                        sec)
+        p_succ = success_probability(channel, n_pulses, strategy, p_extra, sec)
+        kbr_mean, kbr_std = kbr_stats(n_pulses, p_succ, mean_m, std_m)
+    except OverflowError:
+        raise InfeasibleError("forecast", "the key-length forecasts at N_F = "
+                              f"{n_pulses:.3e} overflow a float") from None
+    return mean_m, std_m, p_succ, kbr_mean, kbr_std
+
+
 def plan(d: float, m_f: int, kind: str, link: LinkParams,
          sec: SecurityParams, g: float = DEFAULT_FRACTION,
          p_extra: Optional[float] = None) -> Plan:
@@ -555,15 +578,8 @@ def plan(d: float, m_f: int, kind: str, link: LinkParams,
         channel, m_f, kind, p_extra, sec, g)
     strategy = _resolve_strategy(kind, a0_bits, n_lim, g)
     n_f = math.ceil(n_f_real)
-    # Near d = 0 a finite N_F can still give a key length whose square
-    # overflows a float: like an overflowing budget, that is infeasible.
-    try:
-        mean_m, std_m = expected_output(channel, n_f, strategy, p_extra, sec)
-        p_succ = success_probability(channel, n_f, strategy, p_extra, sec)
-        kbr_mean, kbr_std = kbr_stats(n_f, p_succ, mean_m, std_m)
-    except OverflowError:
-        raise InfeasibleError("forecast", "the key-length forecasts at N_F = "
-                              f"{n_f_real:.3e} overflow a float") from None
+    mean_m, std_m, p_succ, kbr_mean, kbr_std = forecast(
+        channel, n_f, strategy, p_extra, sec)
     return Plan(strategy=strategy, N_F=n_f, P_extra_opt=p_extra,
                 l_F=l_f_bits, A_0=a0_bits, n_lim=n_lim,
                 expected_m=mean_m, expected_m_std=std_m,

@@ -133,6 +133,9 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
     (1 - P_loss) P_DCR and P_loss P_DCR. The five fair coins of a
     detection (Alice's key bit, both bases, Bob's noise bit and the
     dark-first coin) are the low five bits of one uniform random byte.
+
+    An N the sampler cannot draw is infeasible: above 2**63 - 1 pulses,
+    or with more detections than fit in memory.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
@@ -148,9 +151,14 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
     # p_det = 0 (e.g. eta_e = 0 at d = 0) gives n_det = 0 and no division.
     photon_cut = (1.0 - channel.P_loss) / p_det if n_det else 0.0
     photon_only_cut = photon_cut * (1.0 - channel.P_DCR)
-    category = rng.random(n_det)
-    depolarized = rng.random(n_det) < channel.P_depolar
-    coins = np.frombuffer(rng.bytes(n_det), dtype=np.uint8)
+    try:
+        category = rng.random(n_det)
+        depolarized = rng.random(n_det) < channel.P_depolar
+        coins = np.frombuffer(rng.bytes(n_det), dtype=np.uint8)
+    except MemoryError:
+        raise InfeasibleError(
+            "quantum_phase", f"N = {n_pulses} pulses give n_det = {n_det} "
+            "detections, more than fit in memory") from None
     k_a = coins & 1
     b_a = (coins >> 1) & 1
     b_b = (coins >> 2) & 1

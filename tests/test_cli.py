@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -297,6 +298,18 @@ class TestRunCommand:
         if n is not None:
             assert f"N = {n} pulses" in doc["message"]
 
+    def test_detections_beyond_memory_are_infeasible(self, capsys):
+        # N fits int64, but its ~2.8e17 detections do not fit memory; numpy
+        # refuses the allocation at once.
+        code, out = run_cli(capsys, "run", "--distance", "30",
+                            "--n", str(2 ** 63 - 1))
+        assert code == EXIT_INFEASIBLE
+        doc = json.loads(out)
+        assert doc["error"] == "infeasible"
+        assert doc["stage"] == "quantum_phase"
+        assert f"N = {2 ** 63 - 1} pulses give n_det = " in doc["message"]
+        assert doc["message"].endswith("detections, more than fit in memory")
+
     def test_out_of_memory_is_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 22.6 GiB")
@@ -459,6 +472,29 @@ class TestSweepCommand:
         rows = read_rows(out_csv)
         assert [r["status"] for r in rows] == ["infeasible:quantum_phase", "ok"]
 
+    @pytest.mark.parametrize("strategy", ["fraction", "count", "sqrt"])
+    def test_fixed_n_forecast_overflow_is_an_infeasible_row(
+            self, capsys, tmp_path, strategy):
+        # The forecast at this N squares a key length beyond float range,
+        # the same rule that makes such a plan infeasible.
+        out_csv = tmp_path / "huge.csv"
+        code, _ = run_cli(capsys, "sweep", "--distances", "30",
+                          "--n", str(10 ** 160), "--strategies", strategy,
+                          "--iterations", "1", "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = read_rows(out_csv)
+        assert [r["status"] for r in rows] == ["infeasible:forecast"]
+
+    def test_detections_beyond_memory_are_infeasible_rows(self, capsys,
+                                                          tmp_path):
+        out_csv = tmp_path / "sweep.csv"
+        code, _ = run_cli(capsys, "sweep", "--distances", "30,40",
+                          "--n", str(2 ** 63 - 1), "--iterations", "1",
+                          "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = read_rows(out_csv)
+        assert [r["status"] for r in rows] == ["infeasible:quantum_phase"] * 2
+
     def test_plan_only_sweep(self, capsys, tmp_path):
         out_csv = tmp_path / "plan.csv"
         code, _ = run_cli(capsys, "sweep", "--distances", "10,30",
@@ -468,3 +504,81 @@ class TestSweepCommand:
         rows = read_rows(out_csv)
         assert len(rows) == 6
         assert all(int(r["N_F"]) >= 1 for r in rows)
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# CLI outputs frozen bit for bit: a sha256 prefix of the whole output (run's
+# JSON, sweep's CSV) and a few fields to read a mismatch by. A change that
+# moves simulator outputs on purpose re-freezes these and says so in
+# CHANGES.md.
+#
+# run --distance d <mode> --strategy s --seed 3 --emit-keys:
+# (digest, N, m, abort_cause).
+FROZEN_RUNS = {
+    ("--mf", "1000", "5", "fraction"): ("0ee0c61e7ede68cf", 64016, 1290, None),
+    ("--mf", "1000", "5", "count"): ("185ad6f16933327e", 54934, 1193, None),
+    ("--mf", "1000", "5", "sqrt"): ("e4c6037c44934abb", 54253, 1124, None),
+    ("--mf", "1000", "30", "fraction"): ("90c2aae18bd256b6", 201052, 1292,
+                                         None),
+    ("--mf", "1000", "30", "count"): ("a0b630a1186d5e4f", 172698, 1188, None),
+    ("--mf", "1000", "30", "sqrt"): ("6cd8bd814fc27dd5", 170524, 1130, None),
+    ("--mf", "1000", "65", "fraction"): ("8da04aa37898c635", 1571881, 1084,
+                                         None),
+    ("--mf", "1000", "65", "count"): ("ac72bb2801128859", 1412280, 1078,
+                                      None),
+    ("--mf", "1000", "65", "sqrt"): ("22ad809a06a4be0a", 1404440, 1079, None),
+    ("--n", "200000", "5", "fraction"): ("1c69ec7f1d178276", 200000, 6143,
+                                         None),
+    ("--n", "200000", "5", "count"): ("55387d941c80b7ec", 200000, 4632, None),
+    ("--n", "200000", "5", "sqrt"): ("6d74dc510c866f68", 200000, 4597, None),
+    ("--n", "200000", "30", "fraction"): ("909c872e1b10bfc9", 200000, 1554,
+                                          None),
+    ("--n", "200000", "30", "count"): ("89d218dac7a5f8d9", 200000, 1456,
+                                       None),
+    ("--n", "200000", "30", "sqrt"): ("42fa1749d9cd0431", 200000, 1454, None),
+    ("--n", "200000", "65", "fraction"): ("8cb60b59c15ca29d", 200000, 88,
+                                          None),
+    ("--n", "200000", "65", "count"): ("efed85eab8edd2c5", 200000, 54, None),
+    ("--n", "200000", "65", "sqrt"): ("64addba0be1253eb", 200000, 54, None),
+}
+
+# sweep --distances 5,30,65 <mode> --strategies fraction,count,sqrt
+# --iterations 2 --seed 7: (digest of the CSV, (N, status) per row).
+FROZEN_SWEEPS = {
+    ("--mf", "1000"): ("b2746b1298928bdd", [
+        ("64016", "ok"), ("54934", "ok"), ("54253", "ok"),
+        ("201052", "ok"), ("172698", "ok"), ("170524", "ok"),
+        ("1571881", "ok"), ("1412280", "ok"), ("1404440", "ok")]),
+    ("--n", "200000"): ("ba57ca24271519d8", [
+        ("200000", "ok"), ("200000", "ok"), ("200000", "ok"),
+        ("200000", "ok"), ("200000", "ok"), ("200000", "ok"),
+        ("200000", "ok"), ("", "infeasible:strategy_stats"),
+        ("", "infeasible:strategy_stats")]),
+}
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize("mode, value, d, strategy", list(FROZEN_RUNS))
+    def test_run(self, capsys, mode, value, d, strategy):
+        code, out = run_cli(capsys, "run", "--distance", d, mode, value,
+                            "--strategy", strategy, "--seed", "3",
+                            "--emit-keys")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (digest(out.encode()), doc["N"], doc["m"],
+                doc["abort_cause"]) == FROZEN_RUNS[mode, value, d, strategy]
+
+    @pytest.mark.parametrize("mode, value", list(FROZEN_SWEEPS))
+    def test_sweep(self, capsys, tmp_path, mode, value):
+        out_csv = tmp_path / "sweep.csv"
+        code, _ = run_cli(capsys, "sweep", "--distances", "5,30,65", mode,
+                          value, "--strategies", "fraction,count,sqrt",
+                          "--iterations", "2", "--seed", "7",
+                          "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = [(r["N"], r["status"]) for r in read_rows(out_csv)]
+        assert (digest(out_csv.read_bytes()), rows) == FROZEN_SWEEPS[mode,
+                                                                     value]

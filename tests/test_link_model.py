@@ -181,6 +181,10 @@ class TestLimitDistance:
         d_lim = limit_distance(LINK, SEC)
         assert abs(channel_at(LINK, d_lim).P_flip - SEC.Q_t) <= 1e-9
 
+    def test_threshold_below_any_flip(self):
+        # The flip already exceeds Q_t at the search's lower end.
+        assert limit_distance(LINK, SecurityParams(Q_t=1e-20)) == 1e-9
+
     def test_noiseless_link_has_no_limit(self):
         quiet = LinkParams(R_depolar=0.0, R_DCR=0.0)
         assert limit_distance(quiet, SEC) is None
@@ -191,6 +195,22 @@ class TestLimitDistance:
             lambda q: 1.0 - (1.0 + SEC.f_max) * binary_entropy(q),
             1e-9, 0.49, tol=1e-12)
         assert abs(root.value - SEC.Q_t) <= 5e-4
+
+
+# (params class, field, value, message) of every one-sided range check.
+OUT_OF_RANGE_FIELDS = [
+    *[(LinkParams, name, -1.0, f"{name} must be >= 0, got -1.0")
+      for name in ("R", "R_depolar", "R_DCR", "DD", "DT", "GD_A", "GD_B")],
+    (LinkParams, "C", 0.0, "C must be > 0, got 0.0"),
+    (LinkParams, "C", -3.0, "C must be > 0, got -3.0"),
+    (LinkParams, "v_f", 0.0, "v_f must be > 0, got 0.0"),
+    (SecurityParams, "f_max", 0.99, "f_max must be >= 1, got 0.99"),
+    (SecurityParams, "eps_max", 0.0, "eps_max must be in (0, 1), got 0.0"),
+    (SecurityParams, "eps_max", 1.0, "eps_max must be in (0, 1), got 1.0"),
+    (SecurityParams, "C_F", 0.0, "C_F must be > 0, got 0.0"),
+    (SecurityParams, "eps", 0.0, "eps must be > 0, got 0.0"),
+    (SecurityParams, "eps", -0.1, "eps must be > 0, got -0.1"),
+]
 
 
 class TestJsonLoading:
@@ -244,6 +264,15 @@ class TestJsonLoading:
         assert str(exc.value) == "LinkParams document must be a JSON object"
         with pytest.raises(ValueError, match="^SecurityParams document"):
             SecurityParams.from_json(text)
+
+    @pytest.mark.parametrize(
+        "cls, name, value, message", OUT_OF_RANGE_FIELDS,
+        ids=[f"{cls.__name__}.{name}={value}"
+             for cls, name, value, _ in OUT_OF_RANGE_FIELDS])
+    def test_out_of_range_field_rejected(self, cls, name, value, message):
+        with pytest.raises(ValueError) as exc:
+            cls(**{name: value})
+        assert str(exc.value) == message
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

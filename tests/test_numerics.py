@@ -82,6 +82,10 @@ class TestSolveBracketed:
     def test_root_at_endpoint(self):
         assert solve_bracketed(lambda x: x, 0.0, 1.0).value == 0.0
 
+    def test_root_at_upper_endpoint(self):
+        assert solve_bracketed(lambda x: x - 1.0, 0.0, 1.0) == RootResult(
+            1.0, 0.0, 0)
+
 
 class TestOutputLengthFixedPoint:
     @pytest.mark.parametrize("k", [-10.0, 0.0, 3.0, 6.0])
@@ -146,4 +150,4 @@ class TestOutputLengthFixedPoint:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            output_length_fixed_point(math.inf)
+            output_length_fixed_point(math.inf, 0.01)

@@ -16,7 +16,7 @@ from vlbb84.planner import (_ARRAY_OPS, _NOISE_GRID_STEP, _NOISE_TOL, COUNT,
                             _budget_from_requirements, _budget_real,
                             _max_extra_noise, _screen_budget,
                             _sqrt_sample_limit, a0, expected_output,
-                            fixed_n_strategy, gamma, kbr_stats, l_f,
+                            fixed_n_strategy, forecast, gamma, kbr_stats, l_f,
                             optimal_extra_noise, photon_budget, plan,
                             strategy_stats, success_probability)
 from vlbb84.protocol import derive_seed, run_protocol
@@ -47,6 +47,13 @@ class TestA0:
     def test_half(self):
         g = gamma(0.5, SEC)
         assert a0(0.5, SEC) == pytest.approx(1.0 / g ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("p_hat", [1.0, 1.5])
+    def test_rejects_p_hat_of_one_or_more(self, p_hat):
+        with pytest.raises(ValueError) as exc:
+            a0(p_hat, SEC)
+        assert str(exc.value) == f"p_hat must be in (0, 1), got {p_hat}"
+        assert not isinstance(exc.value, InfeasibleError)
 
     def test_shape(self):
         # a0 blows up toward 0 and decays on the tail, but is not globally
@@ -101,6 +108,17 @@ class TestStrategyStats:
         assert stats.mean_Qhat == 0.05
         assert stats.std_Qhat == pytest.approx(math.sqrt(0.05 * 0.95 / 1000),
                                                rel=1e-12)
+
+    def test_rejects_fewer_than_one_pulse(self):
+        with pytest.raises(ValueError) as exc:
+            strategy_stats(0.5, 0.06, 0.05, Strategy(COUNT, 10.0))
+        assert str(exc.value) == "n_pulses must be >= 1, got 0.5"
+
+    @pytest.mark.parametrize("p", [0.0, -0.1, 0.6])
+    def test_rejects_p_outside_half(self, p):
+        with pytest.raises(ValueError) as exc:
+            strategy_stats(1e5, p, 0.05, Strategy(COUNT, 10.0))
+        assert str(exc.value) == f"p must be in (0, 1/2], got {p}"
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
@@ -591,6 +609,32 @@ class TestPlan:
             plan(d, 1000, kind, LINK, SEC, p_extra=0.0)
         assert exc.value.stage == stage
 
+    @pytest.mark.parametrize("p_extra, stage, message", [
+        (0.01, "photon_budget", "link delivers no signal (p = 0)"),
+        (None, "optimal_extra_noise", "no feasible noise level"),
+    ], ids=["given-noise", "noise-search"])
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_dark_link_is_infeasible(self, kind, p_extra, stage, message):
+        # No photon leaves the source, so even at d = 0 nothing is sifted.
+        dark = LinkParams(eta_e=0.0)
+        with pytest.raises(InfeasibleError) as exc:
+            plan(0.0, 1000, kind, dark, SEC, p_extra=p_extra)
+        assert exc.value.stage == stage
+        assert str(exc.value) == f"{stage}: {message}"
+
+    def test_unknown_kind_rejected(self):
+        # A malformed request, with or without the noise search.
+        for p_extra in (None, 0.01):
+            with pytest.raises(ValueError) as exc:
+                plan(30.0, 1000, "other", LINK, SEC, p_extra=p_extra)
+            assert str(exc.value) == "unknown strategy kind 'other'"
+            assert not isinstance(exc.value, InfeasibleError)
+        with pytest.raises(ValueError) as exc:
+            fixed_n_strategy(channel_at(LINK, 30.0), "other", 100_000, 0.0,
+                             SEC)
+        assert str(exc.value) == "unknown strategy kind 'other'"
+        assert not isinstance(exc.value, InfeasibleError)
+
     def test_huge_forecast_still_plans(self):
         # At d = 1e-140 the forecasts stay within float range: it plans.
         result = plan(1e-140, 1000, COUNT, LINK, SEC, p_extra=0.0)
@@ -633,6 +677,29 @@ class TestPlan:
                          result.P_extra_opt, derive_seed(404, i)).m >= 1000
             for i in range(100))
         assert hits >= 95
+
+
+class TestForecast:
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_is_the_plans_forecast(self, kind):
+        # plan() forecasts through forecast(), so on a plan's own inputs
+        # the two agree bit for bit.
+        result = plan(30.0, 1000, kind, LINK, SEC)
+        assert forecast(channel_at(LINK, 30.0), result.N_F, result.strategy,
+                        result.P_extra_opt, SEC) == (
+            result.expected_m, result.expected_m_std, result.P_success,
+            result.expected_kbr, result.kbr_std)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_overflow_is_infeasible(self, kind):
+        # The expected key length at this N squares beyond float range.
+        ch = channel_at(LINK, 30.0)
+        strategy = fixed_n_strategy(ch, kind, 10 ** 160, 0.0, SEC)
+        with pytest.raises(InfeasibleError) as exc:
+            forecast(ch, 10 ** 160, strategy, 0.0, SEC)
+        assert exc.value.stage == "forecast"
+        assert str(exc.value) == ("forecast: the key-length forecasts at "
+                                  "N_F = 1.000e+160 overflow a float")
 
 
 # plan(d, 1000, kind, LINK, SEC), frozen bit for bit: strategy param, N_F,
@@ -699,8 +766,10 @@ class TestFrozenForecasts:
         strategy = fixed_n_strategy(ch, kind, n_pulses, 0.0, SEC,
                                     DEFAULT_FRACTION)
         assert strategy == Strategy(kind, param)
-        forecast = expected_output(ch, n_pulses, strategy, 0.0, SEC)
-        assert forecast == (2629, std_m)
+        m_stats = expected_output(ch, n_pulses, strategy, 0.0, SEC)
+        assert m_stats == (2629, std_m)
         p_succ = success_probability(ch, n_pulses, strategy, 0.0, SEC)
         assert p_succ == 1.0
-        assert kbr_stats(n_pulses, p_succ, *forecast) == (0.005258, kbr_std)
+        assert kbr_stats(n_pulses, p_succ, *m_stats) == (0.005258, kbr_std)
+        assert forecast(ch, n_pulses, strategy, 0.0, SEC) == (
+            2629, std_m, 1.0, 0.005258, kbr_std)

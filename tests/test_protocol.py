@@ -184,6 +184,17 @@ class TestQuantumPhase:
             protocol.run_from_plan(the_plan, LINK, SEC, seed=1)
         assert exc.value.stage == "quantum_phase"
 
+    def test_detections_beyond_memory_are_infeasible(self):
+        # N fits int64, but numpy refuses at once to allocate its ~2.8e17
+        # detections: a run the simulator cannot perform, with N and n_det.
+        n = 2 ** 63 - 1
+        with pytest.raises(InfeasibleError,
+                           match=f"^quantum_phase: N = {n} pulses give "
+                                 r"n_det = \d+ detections, more than fit in "
+                                 "memory$") as exc:
+            quantum_phase(n, channel_at(LINK, 30.0), seed=1)
+        assert exc.value.stage == "quantum_phase"
+
     def test_memory_scales_with_detections(self):
         # 1e8 pulses at 65 km is ~650k detections; per-pulse arrays
         # would need gigabytes.
@@ -317,6 +328,13 @@ class TestEstimateParameters:
         _, _, _, _, rem_a, rem_b = estimate_parameters(
             a, b, strategy, 0.0, SEC, seed=8)
         assert len(rem_a) == len(rem_b) == 400
+
+    def test_unequal_keys_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^sifted keys must have equal length$"):
+            estimate_parameters(np.zeros(5, dtype=np.uint8),
+                                np.zeros(4, dtype=np.uint8),
+                                Strategy(COUNT, 1.0), 0.0, SEC, seed=12)
 
     def test_clamped_inference_flag(self):
         key = np.random.default_rng(9).integers(0, 2, 1000, dtype=np.uint8)
