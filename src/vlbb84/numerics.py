@@ -14,8 +14,6 @@ _MAX_ITER = 200
 @dataclass(frozen=True)
 class RootResult:
     value: float
-    residual: float
-    iterations: int
 
 
 def binary_entropy(x: float) -> float:
@@ -41,16 +39,15 @@ def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
-        return RootResult(lo, 0.0, 0)
+        return RootResult(lo)
     if fhi == 0.0:
-        return RootResult(hi, 0.0, 0)
+        return RootResult(hi)
     if flo * fhi > 0.0:
         raise ValueError(
             f"interval [{lo}, {hi}] does not bracket a root: "
             f"f(lo)={flo}, f(hi)={fhi}"
         )
-    mid, fmid = lo, flo
-    for iterations in range(1, _MAX_ITER + 1):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if abs(fmid) <= tol or (hi - lo) <= tol:
@@ -59,7 +56,7 @@ def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
             lo, flo = mid, fmid
         else:
             hi = mid
-    return RootResult(mid, fmid, iterations)
+    return RootResult(mid)
 
 
 def output_length_fixed_point(k: float, eps_max: float) -> int:

@@ -112,7 +112,6 @@ class EstimatorStats:
     std_L: float         # its standard deviation, bits
     mean_sample: float   # expected estimation sample size E[g(Y)*Y], bits
     std_Qhat: float      # standard deviation of the observed error rate
-    mean_Qhat: float     # its mean (the effective flip probability)
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ def strategy_stats(n_pulses: float, p: float, p_hat: float,
             f"nonpositive sample ({sample:.3f}) or key length ({mean_l:.3f})")
     std_qhat = math.sqrt(p_hat * (1.0 - p_hat) / sample)
     return EstimatorStats(mean_L=mean_l, std_L=std_l, mean_sample=sample,
-                          std_Qhat=std_qhat, mean_Qhat=p_hat)
+                          std_Qhat=std_qhat)
 
 
 class _Ops(NamedTuple):
@@ -469,6 +468,22 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     return e_opt
 
 
+def _sci(n: int) -> str:
+    """n >= 1 as f"{n:.3e}" writes it, for an int of any size (no float).
+
+    Four significant digits, rounded half to even.
+    """
+    exponent = len(str(n)) - 1
+    scale = 10 ** max(exponent - 3, 0)
+    mantissa, rest = divmod(n, scale)
+    if 2 * rest > scale or (2 * rest == scale and mantissa % 2):
+        mantissa += 1
+    if mantissa == 10 ** 4:
+        mantissa, exponent = 10 ** 3, exponent + 1
+    digits = str(mantissa).ljust(4, "0")
+    return f"{digits[0]}.{digits[1:]}e{exponent:+03d}"
+
+
 def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
                      p_extra: float, sec: SecurityParams,
                      g: float = DEFAULT_FRACTION) -> Strategy:
@@ -480,11 +495,16 @@ def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
     check_p_extra(p_extra)
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
+    try:
+        n_sifted = n_pulses * channel.p
+    except OverflowError:
+        raise InfeasibleError("fixed_n_strategy", f"N = {_sci(n_pulses)} "
+                              "pulses overflow a float") from None
     # The fraction rule has no A_0 to compute, and none exists at a zero
     # effective flip (d = 0 without noise).
     a0_bits = (0.0 if kind == FRACTION
                else a0(effective_flip(channel.P_flip, p_extra), sec))
-    return _resolve_strategy(kind, a0_bits, n_pulses * channel.p, g)
+    return _resolve_strategy(kind, a0_bits, n_sifted, g)
 
 
 def success_probability(channel: ChannelDerived, n_pulses: int,
@@ -555,7 +575,7 @@ def forecast(channel: ChannelDerived, n_pulses: int, strategy: Strategy,
         kbr_mean, kbr_std = kbr_stats(n_pulses, p_succ, mean_m, std_m)
     except OverflowError:
         raise InfeasibleError("forecast", "the key-length forecasts at N_F = "
-                              f"{n_pulses:.3e} overflow a float") from None
+                              f"{_sci(n_pulses)} overflow a float") from None
     return mean_m, std_m, p_succ, kbr_mean, kbr_std
 
 

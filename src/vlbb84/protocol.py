@@ -153,7 +153,13 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
     photon_only_cut = photon_cut * (1.0 - channel.P_DCR)
     try:
         category = rng.random(n_det)
-        depolarized = rng.random(n_det) < channel.P_depolar
+        photon = category < photon_cut
+        dark = category >= photon_only_cut
+        # The depolarization uniforms reuse the category buffer, freed
+        # once compared: the same draws in the same order, with at most
+        # one array of doubles alive at a time.
+        depolarized = rng.random(out=category) < channel.P_depolar
+        del category
         coins = np.frombuffer(rng.bytes(n_det), dtype=np.uint8)
     except MemoryError:
         raise InfeasibleError(
@@ -165,8 +171,6 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
     noise_bit = (coins >> 3) & 1
     dark_first = (coins & 16) != 0
 
-    photon = category < photon_cut
-    dark = category >= photon_only_cut
     dark_registered = dark & (~photon | dark_first)
     depolarized &= ~dark_registered
     basis_match = b_a == b_b

@@ -7,30 +7,31 @@ and every correction re-queues the earlier-pass blocks that contain the
 flipped bit (the cascade effect).
 
 Both keys are local to the simulation, so a parity comparison only needs
-where the keys disagree. Each pass keeps its disagreement array
-a[order] ^ b[order] in pass order; pass 0's order is the identity and is
-never built.
+where the keys disagree, and nothing depends on where the agreeing bits
+of a pass go.
 
-- One `np.bitwise_xor.reduceat` over it gives the pass's top-level block
-  parity mismatches.
-- Pass 0 has no earlier pass to cascade into, and its blocks are
-  disjoint, so its searches cannot affect each other. They run in
-  lockstep: one `searchsorted` per round over the sorted disagreement
-  positions halves every odd block at once.
-- Any later search takes the disagreement positions of its block once;
-  a left half [start, mid) has a parity mismatch exactly when it holds an
-  odd number of them, which `bisect` counts.
-- A correction always flips a bit that currently disagrees. So each pass
-  after the first maps only the key indices that disagree when it is
-  built to their pass positions; a correction pops the flipped bit from
-  every map, clears it in every pass's array and toggles block
-  `position // size` of that pass.
-- Cascade stops at agreement. The disagreements left are counted after
-  pass 0 and after each later pass drains. Once none are left, every
-  block of every later pass is even: such a pass discloses its top-level
-  parities and searches nothing, so it draws no permutation and builds
-  no arrays. The generator is local to one call, so the draws it skips
-  feed nothing else.
+- Pass 0 runs in natural order. Its blocks are disjoint and there is no
+  earlier pass to cascade into, so its searches cannot affect each other.
+  They run in lockstep: one `np.bitwise_xor.reduceat` over a ^ b finds
+  the odd blocks, and one `searchsorted` per round over the sorted
+  disagreement positions halves every odd block at once.
+- A later pass that starts with r disagreeing bits draws only their r
+  pass positions (`_draw_positions`) and gives them to the disagreeing
+  key indices in ascending order. A uniform permutation of the n bits,
+  restricted to those r, is exactly such a uniform ordered sample, so the
+  pass behaves as a full reshuffle would. It builds nothing of length n.
+- Every built pass keeps, for each block that holds a disagreement, the
+  sorted pass positions of its disagreements. A block is odd when that
+  count is odd. A search bisects the short list: a left half
+  [start, mid) has a parity mismatch exactly when it holds an odd number
+  of them.
+- A correction always flips a bit that currently disagrees. It removes
+  that bit from its block in every built pass and re-queues each block
+  that turned odd.
+- Cascade stops at agreement. A pass that starts with the keys equal
+  has every block even: it discloses its top-level parities, searches
+  nothing and draws nothing. The generator is local to one call, so the
+  draws it skips feed nothing else.
 
 Leakage rule: every parity Alice discloses, a top-level block or the left
 half of a search step, counts as one leaked bit. A half she has already
@@ -114,6 +115,34 @@ def _search_first_pass(diff: np.ndarray, size: int,
     return lo, halves
 
 
+def _draw_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:
+    """r distinct positions in [0, n), as a uniformly random ordered sample.
+
+    Floyd's algorithm picks the set: for j = n - r, ..., n - 1 it draws t
+    uniform in [0, j] and takes t, or j when t is already taken. By
+    induction on j every subset of r positions is equally likely
+    (Bentley and Floyd, "A sample of brilliance", CACM 30(9), 1987). A
+    uniform shuffle of that set then makes each of its r! orders equally
+    likely, so every ordered sample has probability (n - r)! / n!. Time
+    and memory are O(r), whatever r / n.
+    """
+    taken: dict[int, None] = {}     # an insertion-ordered set
+    highs = np.arange(n - r + 1, n + 1)
+    for j, t in zip(range(n - r, n), rng.integers(0, highs).tolist()):
+        taken[j if t in taken else t] = None
+    positions = np.fromiter(taken, dtype=np.int64, count=r)
+    rng.shuffle(positions)
+    return positions.tolist()
+
+
+def _by_block(positions, size: int) -> dict[int, list[int]]:
+    """Group ascending positions by block (position // size)."""
+    blocks: dict[int, list[int]] = {}
+    for pos in positions:
+        blocks.setdefault(pos // size, []).append(pos)
+    return blocks
+
+
 def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
             seed: int) -> ReconcileResult:
     """Reconcile key_b against key_a, assuming error rate around q_ref.
@@ -137,13 +166,14 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     k1 = math.ceil(BLOCK_COEFF / q_floor)
 
     sizes = [k1 * 2 ** pi for pi in range(CASCADE_PASSES)]  # block size
-    # Per pass, from pass 1 on (pass 0 is the identity, None here):
-    orders: list = [None]       # pass position -> key index
-    positions: list = [None]    # disagreeing key index -> pass position
-    diffs: list[np.ndarray] = []        # per pass: a ^ b in pass order
-    odd: list[list[bool]] = []          # per pass: current parity mismatch
+    # Per built pass: each block's sorted disagreement positions, and from
+    # pass 1 on the maps between a disagreeing key index and its pass
+    # position (pass 0 is the identity, None here).
+    blocks: list[dict[int, list[int]]] = []
+    pos_of: list = [None]       # disagreeing key index -> pass position
+    key_at: list = [None]       # pass position -> key index
     asked = [bytearray(n) for _ in range(CASCADE_PASSES)]  # halves by mid
-    leak = [0] * CASCADE_PASSES
+    leak = [-(-n // size) for size in sizes]    # top-level parities
     searches = [0] * CASCADE_PASSES
     heap: list[tuple[int, int, int]] = []   # (size, pass, block); lazy entries
 
@@ -151,13 +181,13 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
         start = bi * sizes[pi]
         heapq.heappush(heap, (min(sizes[pi], n - start), pi, bi))
 
-    def binary_search(pi: int, start: int, end: int) -> int:
+    def binary_search(pi: int, bi: int) -> int:
         # The block holds an odd number of disagreements; halve until one
         # is isolated. Only the left half's parity is asked, the right is
-        # implied. `where` holds the block's disagreement offsets from
-        # block_start; where[lo:hi] are the ones inside [start, end).
-        block_start = start
-        where = diffs[pi][start:end].nonzero()[0].tolist()
+        # implied. where[lo:hi] are the disagreements inside [start, end).
+        where = blocks[pi][bi]
+        start = bi * sizes[pi]
+        end = min(start + sizes[pi], n)
         seen = asked[pi]
         lo, hi = 0, len(where)
         while end - start > 1:
@@ -165,12 +195,12 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
             if not seen[mid]:
                 seen[mid] = 1
                 leak[pi] += 1
-            cut = bisect_left(where, mid - block_start, lo, hi)
+            cut = bisect_left(where, mid, lo, hi)
             if (cut - lo) % 2:
                 end, hi = mid, cut
             else:
                 start, lo = mid, cut
-        return start if pi == 0 else int(orders[pi][start])
+        return start if pi == 0 else key_at[pi][start]
 
     def drain_odd_blocks() -> None:
         # Repeatedly correct the smallest currently-odd block over all
@@ -178,57 +208,47 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
         # skipped lazily.
         while heap:
             _, pi, bi = heapq.heappop(heap)
-            if not odd[pi][bi]:
+            if not len(blocks[pi][bi]) % 2:
                 continue
             searches[pi] += 1
-            start = bi * sizes[pi]
-            flipped = binary_search(pi, start, min(start + sizes[pi], n))
-            for pj in range(len(diffs)):
-                pos = positions[pj].pop(flipped) if pj else flipped
-                diffs[pj][pos] = False
+            flipped = binary_search(pi, bi)
+            diff[flipped] = False
+            for pj in range(len(blocks)):
+                pos = pos_of[pj].pop(flipped) if pj else flipped
                 bj = pos // sizes[pj]
-                odd[pj][bj] = not odd[pj][bj]
-                if odd[pj][bj]:
+                where = blocks[pj][bj]
+                del where[bisect_left(where, pos)]
+                if len(where) % 2:
                     mark_odd(pj, bj)
 
-    # Pass 0 runs in natural order, so diffs[0] is a ^ b for Bob's current
-    # key; each later pass starts from it, permuted. The lockstep search
-    # leaves no pass-0 block odd.
+    # diff is a ^ b for Bob's current key. The lockstep search leaves no
+    # pass-0 block odd.
     diff = (a ^ b).view(bool)
     found, halves = _search_first_pass(
         diff, k1, np.frombuffer(asked[0], dtype=np.uint8))
     diff[found] = False
-    diffs.append(diff)
-    odd.append([False] * -(-n // k1))
-    leak[0] = len(odd[0]) + halves
+    leak[0] += halves
     searches[0] = len(found)
-    remaining = np.count_nonzero(diff)
+    disagree = np.flatnonzero(diff).tolist()    # ascending key indices
+    blocks.append(_by_block(disagree, k1))
 
     for pi in range(1, CASCADE_PASSES):
-        if not remaining:
-            # Every block of this pass is even: it discloses its
-            # top-level parities and searches nothing.
-            leak[pi] = -(-n // sizes[pi])
-            continue
-        order = rng.permutation(n)
-        diff = diffs[0][order]
-        disagree = np.flatnonzero(diff)
-        orders.append(order)
-        positions.append(dict(zip(order[disagree].tolist(),
-                                  disagree.tolist())))
-        diffs.append(diff)
-        starts = np.arange(0, n, sizes[pi])
-        block_odd = np.bitwise_xor.reduceat(diff, starts)
-        odd.append(block_odd.tolist())
-        leak[pi] = len(starts)
-        for bi in np.flatnonzero(block_odd).tolist():
-            mark_odd(pi, bi)
+        if not disagree:
+            break
+        drawn = _draw_positions(rng, n, len(disagree))
+        pos_of.append(dict(zip(disagree, drawn)))
+        key_at.append(dict(zip(drawn, disagree)))
+        blocks.append(_by_block(sorted(drawn), sizes[pi]))
+        for bi, block in blocks[pi].items():
+            if len(block) % 2:
+                mark_odd(pi, bi)
         drain_odd_blocks()
-        remaining = len(positions[pi])
+        # A dict keeps insertion order, so its keys stay ascending.
+        disagree = list(pos_of[pi])
 
     n_exp = sum(leak)
-    return ReconcileResult(corrected_B=a ^ diffs[0], n_exp=n_exp,
+    return ReconcileResult(corrected_B=a ^ diff, n_exp=n_exp,
                            f_realized=n_exp / (n * binary_entropy(q_floor)),
-                           verified=not diffs[0].any(),
+                           verified=not disagree,
                            leak_per_pass=tuple(leak),
                            searches_per_pass=tuple(searches))

@@ -298,6 +298,16 @@ class TestRunCommand:
         if n is not None:
             assert f"N = {n} pulses" in doc["message"]
 
+    @pytest.mark.parametrize("strategy", ["fraction", "count", "sqrt"])
+    def test_pulses_beyond_float_are_infeasible(self, capsys, strategy):
+        code, out = run_cli(capsys, "run", "--distance", "30",
+                            "--n", str(10 ** 400), "--strategy", strategy)
+        assert code == EXIT_INFEASIBLE
+        assert json.loads(out) == {
+            "error": "infeasible", "stage": "fixed_n_strategy",
+            "message": "fixed_n_strategy: N = 1.000e+400 pulses overflow a "
+                       "float"}
+
     def test_detections_beyond_memory_are_infeasible(self, capsys):
         # N fits int64, but its ~2.8e17 detections do not fit memory; numpy
         # refuses the allocation at once.
@@ -485,6 +495,17 @@ class TestSweepCommand:
         rows = read_rows(out_csv)
         assert [r["status"] for r in rows] == ["infeasible:forecast"]
 
+    def test_fixed_n_beyond_float_is_an_infeasible_row(self, capsys, tmp_path):
+        out_csv = tmp_path / "huge.csv"
+        code, _ = run_cli(capsys, "sweep", "--distances", "30",
+                          "--n", str(10 ** 400), "--strategies",
+                          "fraction,count,sqrt", "--iterations", "1",
+                          "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = read_rows(out_csv)
+        assert [r["status"] for r in rows] == [
+            "infeasible:fixed_n_strategy"] * 3
+
     def test_detections_beyond_memory_are_infeasible_rows(self, capsys,
                                                           tmp_path):
         out_csv = tmp_path / "sweep.csv"
@@ -510,39 +531,71 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-# CLI outputs frozen bit for bit: a sha256 prefix of the whole output (run's
-# JSON, sweep's CSV) and a few fields to read a mismatch by. A change that
-# moves simulator outputs on purpose re-freezes these and says so in
-# CHANGES.md.
+# CLI outputs frozen bit for bit: a sha256 prefix of the output and a few
+# fields to read a mismatch by. A change that moves simulator outputs on
+# purpose re-freezes these and says so in CHANGES.md.
 #
-# run --distance d <mode> --strategy s --seed 3 --emit-keys:
-# (digest, N, m, abort_cause).
+# run --distance d <mode> --strategy s --seed 3 --emit-keys, in two parts:
+# (digest of the JSON without CASCADE_FIELDS, N, m, abort_cause), then the
+# values of CASCADE_FIELDS. Cascade's random stream moves only those three:
+# the extractor hashes Alice's key, so no key and no other field depends on
+# it.
+CASCADE_FIELDS = ("n_exp", "f_realized", "verified")
 FROZEN_RUNS = {
-    ("--mf", "1000", "5", "fraction"): ("0ee0c61e7ede68cf", 64016, 1290, None),
-    ("--mf", "1000", "5", "count"): ("185ad6f16933327e", 54934, 1193, None),
-    ("--mf", "1000", "5", "sqrt"): ("e4c6037c44934abb", 54253, 1124, None),
-    ("--mf", "1000", "30", "fraction"): ("90c2aae18bd256b6", 201052, 1292,
-                                         None),
-    ("--mf", "1000", "30", "count"): ("a0b630a1186d5e4f", 172698, 1188, None),
-    ("--mf", "1000", "30", "sqrt"): ("6cd8bd814fc27dd5", 170524, 1130, None),
-    ("--mf", "1000", "65", "fraction"): ("8da04aa37898c635", 1571881, 1084,
-                                         None),
-    ("--mf", "1000", "65", "count"): ("ac72bb2801128859", 1412280, 1078,
-                                      None),
-    ("--mf", "1000", "65", "sqrt"): ("22ad809a06a4be0a", 1404440, 1079, None),
-    ("--n", "200000", "5", "fraction"): ("1c69ec7f1d178276", 200000, 6143,
-                                         None),
-    ("--n", "200000", "5", "count"): ("55387d941c80b7ec", 200000, 4632, None),
-    ("--n", "200000", "5", "sqrt"): ("6d74dc510c866f68", 200000, 4597, None),
-    ("--n", "200000", "30", "fraction"): ("909c872e1b10bfc9", 200000, 1554,
-                                          None),
-    ("--n", "200000", "30", "count"): ("89d218dac7a5f8d9", 200000, 1456,
-                                       None),
-    ("--n", "200000", "30", "sqrt"): ("42fa1749d9cd0431", 200000, 1454, None),
-    ("--n", "200000", "65", "fraction"): ("8cb60b59c15ca29d", 200000, 88,
-                                          None),
-    ("--n", "200000", "65", "count"): ("efed85eab8edd2c5", 200000, 54, None),
-    ("--n", "200000", "65", "sqrt"): ("64addba0be1253eb", 200000, 54, None),
+    ("--mf", "1000", "5", "fraction"): (
+        ("d479db5e6d15880e", 64016, 1290, None),
+        (357, 1.8965605113931712, True)),
+    ("--mf", "1000", "5", "count"): (
+        ("ba87884cdafb9aa0", 54934, 1193, None),
+        (122, 0.7597941882927235, True)),
+    ("--mf", "1000", "5", "sqrt"): (
+        ("3b4234eb0e0232b6", 54253, 1124, None),
+        (159, 1.2914070881382391, True)),
+    ("--mf", "1000", "30", "fraction"): (
+        ("f11e974930d88a73", 201052, 1292, None),
+        (347, 1.22192499040699, True)),
+    ("--mf", "1000", "30", "count"): (
+        ("dd2d3f6291487ca7", 172698, 1188, None),
+        (205, 1.5602122904416635, True)),
+    ("--mf", "1000", "30", "sqrt"): (
+        ("1da0e8f7506222df", 170524, 1130, None),
+        (194, 0.8648098644974743, True)),
+    ("--mf", "1000", "65", "fraction"): (
+        ("fc52d93a0c1aaa45", 1571881, 1084, None),
+        (1323, 1.2596050109061263, True)),
+    ("--mf", "1000", "65", "count"): (
+        ("b9498ce03bc5c53f", 1412280, 1078, None),
+        (1254, 1.4283493423157665, True)),
+    ("--mf", "1000", "65", "sqrt"): (
+        ("c3cb1107a08b4712", 1404440, 1079, None),
+        (1244, 1.0830622907328686, True)),
+    ("--n", "200000", "5", "fraction"): (
+        ("bf05a3765f8a4e0a", 200000, 6143, None),
+        (81, 0.9122034239138082, True)),
+    ("--n", "200000", "5", "count"): (
+        ("b9b8bd680a87c94b", 200000, 4632, None),
+        (47, 0.6065299064342334, True)),
+    ("--n", "200000", "5", "sqrt"): (
+        ("6f6282edea91f482", 200000, 4597, None),
+        (69, 1.4707689192816786, True)),
+    ("--n", "200000", "30", "fraction"): (
+        ("d7aa51cba64112f8", 200000, 1554, None),
+        (208, 2.2838774871337497, True)),
+    ("--n", "200000", "30", "count"): (
+        ("306cfb956daad93f", 200000, 1456, None),
+        (165, 1.023410844558327, True)),
+    ("--n", "200000", "30", "sqrt"): (
+        ("d45397f0ab40b000", 200000, 1454, None),
+        (176, 1.1767798535079161, True)),
+    ("--n", "200000", "65", "fraction"): (
+        ("55efa05b39ae2035", 200000, 88, None),
+        (181, 1.000542189998551, True)),
+    ("--n", "200000", "65", "count"): (
+        ("5642059b29b8b870", 200000, 54, None),
+        (149, 1.3158335180820533, True)),
+    ("--n", "200000", "65", "sqrt"): (
+        ("ff11c385b26bada3", 200000, 54, None),
+        (149, 1.3158335180820533, True)),
 }
 
 # sweep --distances 5,30,65 <mode> --strategies fraction,count,sqrt
@@ -568,8 +621,13 @@ class TestFrozenOutputs:
                             "--emit-keys")
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert (digest(out.encode()), doc["N"], doc["m"],
-                doc["abort_cause"]) == FROZEN_RUNS[mode, value, d, strategy]
+        # The output is the canonical dump of its document, so the digest
+        # below covers every byte but the Cascade values.
+        assert out == json.dumps(doc, indent=2) + "\n"
+        cascade = tuple(doc.pop(name) for name in CASCADE_FIELDS)
+        assert ((digest(json.dumps(doc, indent=2).encode()), doc["N"],
+                 doc["m"], doc["abort_cause"]), cascade) == FROZEN_RUNS[
+            mode, value, d, strategy]
 
     @pytest.mark.parametrize("mode, value", list(FROZEN_SWEEPS))
     def test_sweep(self, capsys, tmp_path, mode, value):

@@ -73,7 +73,7 @@ class TestSolveBracketed:
     def test_sqrt2(self):
         res = solve_bracketed(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
         assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-7)
-        assert abs(res.residual) <= 1e-6
+        assert abs(res.value * res.value - 2.0) <= 1e-6
 
     def test_non_bracketing(self):
         with pytest.raises(ValueError):
@@ -83,8 +83,7 @@ class TestSolveBracketed:
         assert solve_bracketed(lambda x: x, 0.0, 1.0).value == 0.0
 
     def test_root_at_upper_endpoint(self):
-        assert solve_bracketed(lambda x: x - 1.0, 0.0, 1.0) == RootResult(
-            1.0, 0.0, 0)
+        assert solve_bracketed(lambda x: x - 1.0, 0.0, 1.0) == RootResult(1.0)
 
 
 class TestOutputLengthFixedPoint:

@@ -105,7 +105,6 @@ class TestStrategyStats:
 
     def test_qhat_moments(self):
         stats = strategy_stats(2e5, 0.06, 0.05, Strategy(COUNT, 1000.0))
-        assert stats.mean_Qhat == 0.05
         assert stats.std_Qhat == pytest.approx(math.sqrt(0.05 * 0.95 / 1000),
                                                rel=1e-12)
 
@@ -290,7 +289,7 @@ class TestPhotonBudget:
                     assert stats.mean_sample >= a0(ph, SEC) * (1 - 1e-9)
                     n_mean = n_f * ch.p
                     assert strategy.sample_size(round(n_mean)) <= n_mean / 2 + 1
-                    assert stats.std_Qhat / stats.mean_Qhat <= \
+                    assert stats.std_Qhat / ph <= \
                         gamma(ph, SEC) * (1 + 1e-9)
 
 
@@ -650,6 +649,14 @@ class TestPlan:
             assert str(exc.value) == f"n_pulses must be >= 1, got {n_pulses}"
             assert not isinstance(exc.value, InfeasibleError)
 
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_fixed_n_beyond_float_is_infeasible(self, kind):
+        with pytest.raises(InfeasibleError) as exc:
+            fixed_n_strategy(channel_at(LINK, 30.0), kind, 10 ** 400, 0.0, SEC)
+        assert exc.value.stage == "fixed_n_strategy"
+        assert str(exc.value) == ("fixed_n_strategy: N = 1.000e+400 pulses "
+                                  "overflow a float")
+
     def test_derives_the_channel_once(self, monkeypatch):
         distances = []
 
@@ -700,6 +707,15 @@ class TestForecast:
         assert exc.value.stage == "forecast"
         assert str(exc.value) == ("forecast: the key-length forecasts at "
                                   "N_F = 1.000e+160 overflow a float")
+
+    def test_overflow_message_beyond_float(self):
+        # The message writes N without converting it to a float.
+        ch = channel_at(LINK, 30.0)
+        strategy = fixed_n_strategy(ch, COUNT, 10 ** 160, 0.0, SEC)
+        with pytest.raises(InfeasibleError) as exc:
+            forecast(ch, 10 ** 400, strategy, 0.0, SEC)
+        assert str(exc.value) == ("forecast: the key-length forecasts at "
+                                  "N_F = 1.000e+400 overflow a float")
 
 
 # plan(d, 1000, kind, LINK, SEC), frozen bit for bit: strategy param, N_F,

@@ -208,6 +208,21 @@ class TestQuantumPhase:
         assert 0 < len(k_a) < 10 ** 6
         assert peak < 64 * 2 ** 20
 
+    def test_peak_per_sifted_bit(self):
+        # ~300k sifted bits at 30 km; the stage holds a few bytes per
+        # detection, two detections per sifted bit.
+        n = 2 * 10 ** 7
+        tracemalloc.start()
+        try:
+            _, _, b_a, b_b = quantum_phase(n, channel_at(LINK, 30.0),
+                                           seed=derive_seed(18, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sifted = int(np.count_nonzero(b_a == b_b))
+        assert sifted > 10 ** 5
+        assert peak <= 32 * sifted
+
     @pytest.mark.parametrize("d", [5.0, 30.0, 65.0])
     def test_matches_per_pulse_reference(self, d):
         n = 2_000_000

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from vlbb84.link_model import SecurityParams
 from vlbb84.numerics import binary_entropy
 from vlbb84.reconcile import (BLOCK_COEFF, CASCADE_PASSES, MIN_KEY_LEN,
-                              cascade, leakage_upper_bound)
+                              _draw_positions, cascade, leakage_upper_bound)
 
 SEC = SecurityParams()
 
@@ -26,13 +26,40 @@ class ReferenceResult:
     searches_per_pass: tuple[int, ...]  # binary searches run per pass
 
 
+def drawn_order(rng: np.random.Generator, disagree: np.ndarray, n: int,
+                fill: np.random.Generator | None = None) -> np.ndarray:
+    """A later pass's full order, built from cascade's position draw.
+
+    The disagreeing key indices (ascending) go to the drawn positions. The
+    agreeing ones fill the other positions in ascending order, or in a
+    random order from `fill`, a generator unrelated to the pass draws.
+    """
+    order = np.empty(n, dtype=np.int64)
+    drawn = _draw_positions(rng, n, len(disagree))
+    order[drawn] = disagree
+    free = np.ones(n, dtype=bool)
+    free[drawn] = False
+    agree = np.setdiff1d(np.arange(n), disagree)
+    order[free] = agree if fill is None else fill.permutation(agree)
+    return order
+
+
+def permuted_order(rng: np.random.Generator, disagree: np.ndarray,
+                   n: int) -> np.ndarray:
+    """A later pass's full order as a uniform permutation of the key."""
+    return rng.permutation(n)
+
+
 def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
-                      seed: int) -> ReferenceResult:
+                      seed: int, pass_order=drawn_order) -> ReferenceResult:
     """Oracle: Cascade that gathers both keys and asks every parity.
 
     Each top-level block and each binary-search step reduces a[order] and
     b[order] over its range, and a correction finds the flipped bit's
-    block in every pass through a position-to-block table.
+    block in every pass through a position-to-block table. Each pass
+    after the first takes its order from pass_order(rng, disagree, n),
+    where disagree holds the key indices where the keys differ as it
+    starts.
     """
     n = len(key_a)
     if len(key_b) != n:
@@ -102,7 +129,8 @@ def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
 
     for pi in range(CASCADE_PASSES):
         size = k1 * (2 ** pi)
-        order = np.arange(n) if pi == 0 else rng.permutation(n)
+        order = (np.arange(n) if pi == 0 else
+                 pass_order(rng, np.flatnonzero(a != b), n))
         orders.append(order)
         ranges = [(s, min(s + size, n)) for s in range(0, n, size)]
         blocks.append(ranges)
@@ -306,6 +334,68 @@ class TestMatchesReference:
         assert_matches_reference(a, b, q_ref, seed + 1)
 
 
+class TestPassOrder:
+    """A later pass needs only where its disagreeing bits go."""
+
+    def test_draw_is_uniform_ordered_sample(self):
+        # All 12 ordered pairs from 4 positions, 12,000 draws: each count
+        # is 1000 in expectation with sd ~29.
+        rng = np.random.default_rng(1600)
+        counts = {}
+        for _ in range(12_000):
+            pair = tuple(_draw_positions(rng, 4, 2))
+            counts[pair] = counts.get(pair, 0) + 1
+        assert len(counts) == 12
+        assert all(abs(c - 1000) <= 5 * 29 for c in counts.values())
+
+    @pytest.mark.parametrize("n, r", [(1, 0), (1, 1), (16, 16), (1000, 0),
+                                      (1000, 999), (100_000, 3000)])
+    def test_draw_is_distinct_and_in_range(self, n, r):
+        drawn = _draw_positions(np.random.default_rng(1601), n, r)
+        assert len(drawn) == len(set(drawn)) == r
+        assert all(0 <= pos < n for pos in drawn)
+
+    def test_agreeing_fill_is_irrelevant(self):
+        # The oracle gathers every bit of every pass, so it sees the
+        # agreeing bits too; where they land changes no reported value.
+        cases = [(1000, 20, 0.02), (3000, 90, 0.03), (2000, 600, 0.3),
+                 (800, 24, 0.01), (4096, 60, 0.01)]
+        for i, (l, errors, q) in enumerate(cases):
+            a, b = keys_with_exact_errors(l, errors, seed=1700 + i)
+            want = reference_cascade(a, b, q, 1800 + i)
+            fill = np.random.default_rng(1900 + i)
+            got = reference_cascade(
+                a, b, q, 1800 + i,
+                pass_order=lambda rng, disagree, n: drawn_order(
+                    rng, disagree, n, fill))
+            assert np.array_equal(got.corrected_B, want.corrected_B)
+            assert (got.n_exp, got.f_realized, got.verified,
+                    got.leak_per_pass, got.searches_per_pass) == (
+                want.n_exp, want.f_realized, want.verified,
+                want.leak_per_pass, want.searches_per_pass)
+
+    @pytest.mark.parametrize("l, errors, q_ref", [
+        (2000, 24, 0.012), (1000, 60, 0.06), (800, 24, 0.01)])
+    def test_same_distribution_as_full_permutation(self, l, errors, q_ref):
+        # The same oracle with full permutations (the stream before the
+        # position draw) and with drawn positions, 250 seeds each: per-pass
+        # mean leakage and the verified count agree within 4 standard
+        # errors of their difference. (800, 24, 0.01) verifies ~70%.
+        a, b = keys_with_exact_errors(l, errors, seed=l)
+        runs = 250
+        stats = []
+        for pass_order in (permuted_order, drawn_order):
+            res = [reference_cascade(a, b, q_ref, 2000 + s, pass_order)
+                   for s in range(runs)]
+            stats.append(np.array([r.leak_per_pass + (r.verified,)
+                                   for r in res], dtype=float))
+        old, new = stats
+        se = np.sqrt((old.var(axis=0, ddof=1) + new.var(axis=0, ddof=1))
+                     / runs)
+        assert np.all(np.abs(old.mean(axis=0) - new.mean(axis=0))
+                      <= 4 * se)
+
+
 def passes_starting_with_disagreement(res) -> int:
     """Passes after the first that begin while Bob's key still differs.
 
@@ -323,7 +413,8 @@ def passes_starting_with_disagreement(res) -> int:
 class TestStopAtAgreement:
     @pytest.fixture
     def draws(self, monkeypatch):
-        """Counts `permutation` calls on the generators cascade makes."""
+        """Records every call on the generators cascade makes, as
+        (method, args); a pass's position draw starts with `integers`."""
         calls = []
         real = np.random.default_rng
 
@@ -331,26 +422,31 @@ class TestStopAtAgreement:
             def __init__(self, rng):
                 self.rng = rng
 
-            def permutation(self, *args, **kwargs):
-                calls.append(args)
-                return self.rng.permutation(*args, **kwargs)
-
             def __getattr__(self, name):
-                return getattr(self.rng, name)
+                method = getattr(self.rng, name)
+
+                def record(*args, **kwargs):
+                    calls.append((name, args))
+                    return method(*args, **kwargs)
+                return record
 
         monkeypatch.setattr(np.random, "default_rng",
                             lambda *args, **kwargs: Spy(real(*args, **kwargs)))
         return calls
 
     def test_equal_keys_draw_nothing(self, draws):
-        for l in (MIN_KEY_LEN, 1000, 4099):
-            a, b = keys_with_exact_errors(l, 0, seed=l)
+        keys = [keys_with_exact_errors(l, 0, seed=l)
+                for l in (MIN_KEY_LEN, 1000, 4099)]
+        draws.clear()
+        for a, b in keys:
             assert cascade(a, b, 0.05, seed=2).verified
         assert draws == []
 
     def test_single_error_draws_nothing(self, draws):
-        for l in (64, 1000, 126_000):
-            a, b = keys_with_exact_errors(l, 1, seed=l + 1)
+        keys = [keys_with_exact_errors(l, 1, seed=l + 1)
+                for l in (64, 1000, 126_000)]
+        draws.clear()
+        for a, b in keys:
             assert cascade(a, b, 0.015, seed=3).verified
         assert draws == []
 
@@ -362,8 +458,11 @@ class TestStopAtAgreement:
             a, b = keys_with_exact_errors(l, errors, seed=1400 + i)
             before = len(draws)
             res = cascade(a, b, q, seed=1500 + i)
-            assert all(args == (l,) for args in draws[before:])
-            assert len(draws) - before <= passes_starting_with_disagreement(res)
+            # Each draw bounds its j-th value by l - r + j, up to l.
+            highs = [args[1] for name, args in draws[before:]
+                     if name == "integers"]
+            assert all(len(high) and high[-1] == l for high in highs)
+            assert len(highs) <= passes_starting_with_disagreement(res)
 
 
 class TestInputValidation:
