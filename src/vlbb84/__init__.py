@@ -1,12 +1,12 @@
 """Variable-length BB84: photon-budget planning plus an event-level
 protocol simulator for non-ideal fiber links."""
 
-from .extract import ExtractResult, extract_key, secure_length, toeplitz_extract
+from .extract import extract_key, secure_length, toeplitz_extract
 from .link_model import (ChannelDerived, LinkParams, SecurityParams,
                          channel_at, effective_flip, infer_qber,
                          limit_distance)
-from .numerics import (RootResult, binary_entropy, normal_cdf,
-                       output_length_fixed_point, solve_bracketed)
+from .numerics import (binary_entropy, normal_cdf, output_length_fixed_point,
+                       solve_bracketed)
 from .planner import (EstimatorStats, InfeasibleError, Plan, Strategy, a0,
                       expected_output, fixed_n_strategy, forecast, gamma,
                       kbr_stats, l_f, optimal_extra_noise, photon_budget, plan,
@@ -19,8 +19,8 @@ from .reconcile import ReconcileResult, cascade, leakage_upper_bound
 __all__ = [
     "ChannelDerived", "LinkParams", "SecurityParams", "channel_at",
     "effective_flip", "infer_qber", "limit_distance",
-    "RootResult", "binary_entropy", "normal_cdf",
-    "output_length_fixed_point", "solve_bracketed",
+    "binary_entropy", "normal_cdf", "output_length_fixed_point",
+    "solve_bracketed",
     "EstimatorStats", "InfeasibleError", "Plan", "Strategy", "a0",
     "expected_output", "fixed_n_strategy", "forecast", "gamma", "kbr_stats",
     "l_f", "optimal_extra_noise", "photon_budget", "plan", "strategy_stats",
@@ -29,7 +29,7 @@ __all__ = [
     "estimate_parameters", "quantum_phase", "run_from_plan", "run_protocol",
     "sift",
     "ReconcileResult", "cascade", "leakage_upper_bound",
-    "ExtractResult", "extract_key", "secure_length", "toeplitz_extract",
+    "extract_key", "secure_length", "toeplitz_extract",
 ]
 
 __version__ = "0.1.0"

@@ -15,19 +15,10 @@ S <= l+m-2, so none of the lags read wraps. S is the smallest
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .link_model import SecurityParams
 from .numerics import binary_entropy, output_length_fixed_point
-
-
-@dataclass(frozen=True)
-class ExtractResult:
-    final_key: np.ndarray
-    k_bound: float
-    seed_bits: np.ndarray
 
 
 def secure_length(l: int, p_hat: float, sec: SecurityParams) -> tuple[float, int]:
@@ -84,14 +75,14 @@ def toeplitz_extract(input_bits: np.ndarray, seed_bits: np.ndarray,
 
 
 def extract_key(input_bits: np.ndarray, p_hat: float, sec: SecurityParams,
-                rng: np.random.Generator) -> ExtractResult:
-    """Compute the secure length for input_bits and extract the final key
-    with a seed drawn from the shared run generator."""
+                seed: int) -> tuple[np.ndarray, float]:
+    """Compute the secure bits k for input_bits and extract the final key
+    with a Toeplitz seed drawn from default_rng(seed); returns
+    (final_key, k)."""
     l = len(input_bits)
     k, m = secure_length(l, p_hat, sec)
     if m == 0:
-        return ExtractResult(final_key=np.zeros(0, dtype=np.uint8),
-                             k_bound=k, seed_bits=np.zeros(0, dtype=np.uint8))
-    seed_bits = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
-    return ExtractResult(final_key=toeplitz_extract(input_bits, seed_bits, m),
-                         k_bound=k, seed_bits=seed_bits)
+        return np.zeros(0, dtype=np.uint8), k
+    seed_bits = np.random.default_rng(seed).integers(0, 2, l + m - 1,
+                                                     dtype=np.uint8)
+    return toeplitz_extract(input_bits, seed_bits, m), k

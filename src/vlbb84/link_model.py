@@ -234,4 +234,4 @@ def limit_distance(link: LinkParams, sec: SecurityParams) -> Optional[float]:
         return lo
     if f(LIMIT_SEARCH_MAX_KM) < 0.0:
         return None
-    return solve_bracketed(f, lo, LIMIT_SEARCH_MAX_KM).value
+    return solve_bracketed(f, lo, LIMIT_SEARCH_MAX_KM)

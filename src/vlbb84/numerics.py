@@ -4,16 +4,10 @@ finding, and the implicit output-length equation of privacy amplification."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Cap on solve_bracketed's bisection steps. A bracket of width w meets the
 # width tolerance tol within log2(w / tol) steps: 48 for limit_distance's.
 _MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class RootResult:
-    value: float
 
 
 def binary_entropy(x: float) -> float:
@@ -30,7 +24,7 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
+def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Bisect f on [lo, hi] until |f| <= tol or the interval width <= tol,
     for at most _MAX_ITER steps.
 
@@ -39,9 +33,9 @@ def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
-        return RootResult(lo)
+        return lo
     if fhi == 0.0:
-        return RootResult(hi)
+        return hi
     if flo * fhi > 0.0:
         raise ValueError(
             f"interval [{lo}, {hi}] does not bracket a root: "
@@ -56,7 +50,7 @@ def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-12) -> RootResult:
             lo, flo = mid, fmid
         else:
             hi = mid
-    return RootResult(mid)
+    return mid
 
 
 def output_length_fixed_point(k: float, eps_max: float) -> int:

@@ -116,9 +116,9 @@ class RunRecord:
 
 
 def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
-                  ) -> tuple[np.ndarray, PulseOutcomes, np.ndarray, np.ndarray]:
-    """Simulate N pulses; returns (k_A, outcomes, b_A, b_B), one entry per
-    detected pulse (undetected pulses cannot be sifted and are not drawn).
+                  ) -> tuple[np.ndarray, PulseOutcomes]:
+    """Simulate N pulses; returns (k_A, outcomes), one entry per detected
+    pulse (undetected pulses cannot be sifted and are not drawn).
 
     Per pulse, independently: the photon survives with 1 - P_loss and a
     dark count fires with P_DCR; when both occur the dark count is
@@ -166,14 +166,14 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
             "quantum_phase", f"N = {n_pulses} pulses give n_det = {n_det} "
             "detections, more than fit in memory") from None
     k_a = coins & 1
-    b_a = (coins >> 1) & 1
-    b_b = (coins >> 2) & 1
+    # Alice's and Bob's bases are compared at once and never kept, so
+    # neither is alive at the stage's peak.
+    basis_match = ((coins >> 1) & 1) == ((coins >> 2) & 1)
     noise_bit = (coins >> 3) & 1
     dark_first = (coins & 16) != 0
 
     dark_registered = dark & (~photon | dark_first)
     depolarized &= ~dark_registered
-    basis_match = b_a == b_b
 
     # Selections are arithmetic, not masked assignment or np.where: on
     # random masks those branch per element and cost several times more.
@@ -185,20 +185,18 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
 
     outcomes = PulseOutcomes(detection_source=source, basis_match=basis_match,
                              bob_bit=bob_bit)
-    return k_a, outcomes, b_a, b_b
+    return k_a, outcomes
 
 
-def sift(k_a: np.ndarray, b_a: np.ndarray, b_b: np.ndarray,
-         outcomes: PulseOutcomes) -> tuple[np.ndarray, np.ndarray]:
+def sift(k_a: np.ndarray, outcomes: PulseOutcomes
+         ) -> tuple[np.ndarray, np.ndarray]:
     """Keep the detected events measured in matching bases."""
-    n = len(k_a)
-    if not (len(b_a) == len(b_b) == len(outcomes.bob_bit) == n):
+    if not len(k_a) == len(outcomes.basis_match) == len(outcomes.bob_bit):
         raise ValueError("sift inputs must have equal length")
     # Index arrays: boolean-mask indexing on a random mask branches per
     # element and costs several times more.
-    keep = np.flatnonzero(b_a == b_b)
-    return (np.asarray(k_a, dtype=np.uint8)[keep],
-            np.asarray(outcomes.bob_bit, dtype=np.uint8)[keep])
+    keep = np.flatnonzero(outcomes.basis_match)
+    return k_a[keep], outcomes.bob_bit[keep]
 
 
 def controlled_randomization(key: np.ndarray, p_extra: float,
@@ -257,8 +255,9 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
     channel = channel_at(link, d)
     sub = [derive_seed(seed, i) for i in range(5)]
 
-    k_a, outcomes, b_a, b_b = quantum_phase(n_pulses, channel, sub[0])
-    sifted_a, sifted_b = sift(k_a, b_a, b_b, outcomes)
+    # No name holds the per-detection arrays, so they are freed once sift
+    # returns instead of adding to the peak of Cascade and extraction.
+    sifted_a, sifted_b = sift(*quantum_phase(n_pulses, channel, sub[0]))
     sifted_b = controlled_randomization(sifted_b, p_extra, sub[1])
     n_sifted = len(sifted_a)
     t_quantum = n_pulses * channel.s + channel.tau + channel.window + link.DD
@@ -285,10 +284,8 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
         verified = rec.verified
         # The extractor input length is bounded a priori from the link
         # model, not from the realized leakage.
-        ext = extract_key(rem_a, p_hat, sec, np.random.default_rng(sub[4]))
-        k_bound = ext.k_bound
-        m = len(ext.final_key)
-        final_key = ext.final_key
+        final_key, k_bound = extract_key(rem_a, p_hat, sec, sub[4])
+        m = len(final_key)
 
     return RunRecord(N=n_pulses, n_sifted=n_sifted, sample_size=sample_size,
                      Q_hat=q_hat, Q_inferred=q_inf, q_inferred_clamped=clamped,

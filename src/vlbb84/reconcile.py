@@ -37,8 +37,8 @@ Leakage rule: every parity Alice discloses, a top-level block or the left
 half of a search step, counts as one leaked bit. A half she has already
 disclosed is not counted again. Within one block's search tree each split
 point `mid` belongs to exactly one node, and a pass's blocks are disjoint,
-so (pass, mid) names a half; each pass records its disclosed halves in a
-bitmap indexed by `mid`. Top-level blocks and search halves of a pass
+so (pass, mid) names a half; each built pass records its disclosed halves
+in a bitmap indexed by `mid`. Top-level blocks and search halves of a pass
 never coincide, so each pass leaks its block count plus its distinct
 search halves.
 """
@@ -172,7 +172,7 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     blocks: list[dict[int, list[int]]] = []
     pos_of: list = [None]       # disagreeing key index -> pass position
     key_at: list = [None]       # pass position -> key index
-    asked = [bytearray(n) for _ in range(CASCADE_PASSES)]  # halves by mid
+    asked = [bytearray(n)]      # per built pass: its disclosed halves by mid
     leak = [-(-n // size) for size in sizes]    # top-level parities
     searches = [0] * CASCADE_PASSES
     heap: list[tuple[int, int, int]] = []   # (size, pass, block); lazy entries
@@ -238,6 +238,7 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
         drawn = _draw_positions(rng, n, len(disagree))
         pos_of.append(dict(zip(disagree, drawn)))
         key_at.append(dict(zip(drawn, disagree)))
+        asked.append(bytearray(n))
         blocks.append(_by_block(sorted(drawn), sizes[pi]))
         for bi, block in blocks[pi].items():
             if len(block) % 2:

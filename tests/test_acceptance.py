@@ -30,8 +30,8 @@ def test_c01_c02_event_level_qber_and_sift_fraction():
     for i, d in enumerate((10.0, 25.0, 50.0)):
         t0 = time.perf_counter()
         ch = channel_at(LINK, d)
-        k_a, outcomes, b_a, b_b = quantum_phase(n, ch, derive_seed(BASE_SEED, i))
-        keep = outcomes.detected & (b_a == b_b)
+        k_a, outcomes = quantum_phase(n, ch, derive_seed(BASE_SEED, i))
+        keep = outcomes.detected & outcomes.basis_match
         n_sift = int(keep.sum())
 
         mismatch = float((k_a[keep] != outcomes.bob_bit[keep]).mean())
@@ -55,9 +55,9 @@ def test_c03_threshold_consistency():
     root = solve_bracketed(
         lambda q: 1.0 - (1.0 + SEC.f_max) * binary_entropy(q),
         1e-9, 0.49, tol=1e-12)
-    assert abs(root.value - 0.091) <= 5e-4
-    print(f"[PASS] criterion 3: root {root.value:.6f}, "
-          f"|root - 0.091| = {abs(root.value - 0.091):.2e}")
+    assert abs(root - 0.091) <= 5e-4
+    print(f"[PASS] criterion 3: root {root:.6f}, "
+          f"|root - 0.091| = {abs(root - 0.091):.2e}")
 
 
 def test_c04_fixed_n_curve_matches_theory():

@@ -194,7 +194,7 @@ class TestLimitDistance:
         root = solve_bracketed(
             lambda q: 1.0 - (1.0 + SEC.f_max) * binary_entropy(q),
             1e-9, 0.49, tol=1e-12)
-        assert abs(root.value - SEC.Q_t) <= 5e-4
+        assert abs(root - SEC.Q_t) <= 5e-4
 
 
 # (params class, field, value, message) of every one-sided range check.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vlbb84.numerics import (RootResult, binary_entropy, normal_cdf,
+from vlbb84.numerics import (binary_entropy, normal_cdf,
                              output_length_fixed_point, solve_bracketed)
 
 
@@ -67,23 +67,23 @@ class TestNormalCdf:
 class TestSolveBracketed:
     def test_linear(self):
         res = solve_bracketed(lambda x: x - 1.0, 0.0, 2.0, tol=1e-10)
-        assert isinstance(res, RootResult)
-        assert res.value == pytest.approx(1.0, abs=1e-9)
+        assert isinstance(res, float)
+        assert res == pytest.approx(1.0, abs=1e-9)
 
     def test_sqrt2(self):
         res = solve_bracketed(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
-        assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-7)
-        assert abs(res.value * res.value - 2.0) <= 1e-6
+        assert res == pytest.approx(math.sqrt(2.0), abs=1e-7)
+        assert abs(res * res - 2.0) <= 1e-6
 
     def test_non_bracketing(self):
         with pytest.raises(ValueError):
             solve_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_root_at_endpoint(self):
-        assert solve_bracketed(lambda x: x, 0.0, 1.0).value == 0.0
+        assert solve_bracketed(lambda x: x, 0.0, 1.0) == 0.0
 
     def test_root_at_upper_endpoint(self):
-        assert solve_bracketed(lambda x: x - 1.0, 0.0, 1.0) == RootResult(1.0)
+        assert solve_bracketed(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
 
 class TestOutputLengthFixedPoint:

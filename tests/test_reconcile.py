@@ -565,7 +565,7 @@ class TestCascadeMemory:
         finally:
             tracemalloc.stop()
         assert res.verified
-        assert peak <= 48 * l
+        assert peak <= 7 * l
 
 
 class TestLeakageUpperBound:
