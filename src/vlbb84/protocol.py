@@ -264,6 +264,9 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
 
     q_hat, q_inf, clamped, abort_cause, rem_a, rem_b = estimate_parameters(
         sifted_a, sifted_b, strategy, p_extra, sec, sub[2])
+    # Each stage's inputs are dropped once read, so they add nothing to
+    # the peak of the stages after it.
+    del sifted_a, sifted_b
     sample_size = n_sifted - len(rem_a)
     l = len(rem_a)
     if abort_cause is None and l < MIN_KEY_LEN:
@@ -279,9 +282,11 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
     final_key: Optional[np.ndarray] = None
     if not aborted:
         rec = cascade(rem_a, rem_b, q_hat, sub[3])
+        del rem_b
         n_exp = rec.n_exp
         f_realized = rec.f_realized
         verified = rec.verified
+        del rec     # its corrected_B is never extracted from
         # The extractor input length is bounded a priori from the link
         # model, not from the realized leakage.
         final_key, k_bound = extract_key(rem_a, p_hat, sec, sub[4])

@@ -14,20 +14,29 @@ of a pass go.
   earlier pass to cascade into, so its searches cannot affect each other.
   They run in lockstep: one `np.bitwise_xor.reduceat` over a ^ b finds
   the odd blocks, and one `searchsorted` per round over the sorted
-  disagreement positions halves every odd block at once.
+  disagreement positions halves every odd block at once. A block leaves
+  the live set in the round it reaches one bit.
 - A later pass that starts with r disagreeing bits draws only their r
   pass positions (`_draw_positions`) and gives them to the disagreeing
   key indices in ascending order. A uniform permutation of the n bits,
   restricted to those r, is exactly such a uniform ordered sample, so the
   pass behaves as a full reshuffle would. It builds nothing of length n.
-- Every built pass keeps, for each block that holds a disagreement, the
+- Each disagreeing key bit has one record: its position in every built
+  pass, starting with its key index. Every built pass maps a position to
+  its record and keeps, for each block that holds a disagreement, the
   sorted pass positions of its disagreements. A block is odd when that
   count is odd. A search bisects the short list: a left half
   [start, mid) has a parity mismatch exactly when it holds an odd number
-  of them.
-- A correction always flips a bit that currently disagrees. It removes
-  that bit from its block in every built pass and re-queues each block
-  that turned odd.
+  of them. Once a range holds a single disagreement, the search follows
+  it down without bisecting.
+- The drain corrects the smallest odd block over the built passes, in
+  the order (size, pass, block), each heap entry encoded as one integer
+  (`_heap_entry`). A correction always flips a bit that currently
+  disagrees. It removes the bit's record and the bit from its block in
+  every built pass, and queues each block that turned odd. A first-pass
+  block that a later-pass correction reopens is searched at once unless
+  the heap holds a smaller entry: that is the block the heap would give
+  next. The corrections are written to a ^ b once, at the end.
 - Cascade stops at agreement. A pass that starts with the keys equal
   has every block even: it discloses its top-level parities, searches
   nothing and draws nothing. The generator is local to one call, so the
@@ -92,8 +101,10 @@ def _search_first_pass(diff: np.ndarray, size: int,
 
     diff is a ^ b in natural order, as bools. Each round halves every
     block still longer than one bit, the same halves a search of one block
-    at a time would ask, and marks their split points in `asked`. Returns
-    the key index each search isolates and the number of halves asked.
+    at a time would ask, and marks their split points in `asked`. A block
+    that has reached one bit leaves the live set in the round it does so.
+    Returns the key index each search isolates and the number of halves
+    asked.
     """
     n = len(diff)
     errors = np.flatnonzero(diff)
@@ -101,18 +112,24 @@ def _search_first_pass(diff: np.ndarray, size: int,
     lo = starts[np.bitwise_xor.reduceat(diff, starts)]
     hi = np.minimum(lo + size, n)
     below = np.searchsorted(errors, lo)     # disagreements before lo
+    found = []
     halves = 0
-    while (live := np.flatnonzero(hi - lo > 1)).size:
-        start, end, before = lo[live], hi[live], below[live]
-        mid = start + (end - start + 1) // 2
+    while lo.size:
+        length = hi - lo
+        if length.min() == 1:
+            live = length > 1
+            found.append(lo[~live])
+            lo, hi, below = lo[live], hi[live], below[live]
+            continue
+        mid = (lo + hi + 1) >> 1
         asked[mid] = 1
-        halves += live.size
+        halves += lo.size
         cut = np.searchsorted(errors, mid)
-        left = (cut - before) % 2 == 1
-        hi[live] = np.where(left, mid, end)
-        lo[live] = np.where(left, start, mid)
-        below[live] = np.where(left, before, cut)
-    return lo, halves
+        left = (cut - below) % 2 == 1
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        below = np.where(left, below, cut)
+    return np.concatenate(found) if found else lo, halves
 
 
 def _draw_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:
@@ -143,6 +160,93 @@ def _by_block(positions, size: int) -> dict[int, list[int]]:
     return blocks
 
 
+def _heap_entry(n: int, size: int, pi: int, bi: int) -> int:
+    """Block bi of pass pi (block size `size`) as one heap integer,
+    ((its length * CASCADE_PASSES + pi) * (n + 1) + bi), which sorts as
+    (length, pass, block) does."""
+    return (min(size, n - bi * size) * CASCADE_PASSES + pi) * (n + 1) + bi
+
+
+def _drain(heap: list[int], n: int, sizes: list[int],
+           blocks: list[dict[int, list[int]]],
+           at: list[dict[int, list[int]]], asked: list[bytearray],
+           leak: list[int], searches: list[int], fixed: list[int]) -> None:
+    """Correct the smallest currently-odd block over the built passes
+    until none is odd.
+
+    heap holds `_heap_entry` integers; entries whose block turned even in
+    the meantime are skipped lazily. Each corrected key index is appended
+    to `fixed`.
+    """
+    span = n + 1
+    while heap:
+        code = heapq.heappop(heap)
+        while code >= 0:
+            rest, bi = divmod(code, span)
+            size, pi = divmod(rest, CASCADE_PASSES)
+            where = blocks[pi][bi]
+            if not len(where) % 2:
+                break
+            # Halve until one disagreement is isolated. Only the left
+            # half's parity is asked, the right is implied. where[lo:hi]
+            # are the disagreements inside [start, end).
+            searches[pi] += 1
+            seen = asked[pi]
+            start = bi * sizes[pi]
+            end = start + size
+            lo, hi = 0, len(where)
+            asks = 0
+            while hi - lo > 1:
+                mid = (start + end + 1) >> 1
+                if not seen[mid]:
+                    seen[mid] = 1
+                    asks += 1
+                cut = bisect_left(where, mid, lo, hi)
+                if (cut - lo) % 2:
+                    end, hi = mid, cut
+                else:
+                    start, lo = mid, cut
+            # One disagreement is left: follow it down without bisecting.
+            pos = where[lo]
+            while end - start > 1:
+                mid = (start + end + 1) >> 1
+                if not seen[mid]:
+                    seen[mid] = 1
+                    asks += 1
+                if pos < mid:
+                    end = mid
+                else:
+                    start = mid
+            leak[pi] += asks
+            del where[lo]
+            # Drop the corrected bit's record from every pass's map and the
+            # bit from its block in every other pass, and queue each block
+            # that turned odd.
+            record = at[pi][pos]
+            fixed.append(record[0])
+            code = -1
+            for pj, pos in enumerate(record):
+                del at[pj][pos]
+                if pj == pi:
+                    continue
+                full = sizes[pj]
+                bj = pos // full
+                where = blocks[pj][bj]
+                del where[bisect_left(where, pos)]
+                if len(where) % 2:
+                    # _heap_entry(n, full, pj, bj), inlined
+                    entry = ((min(full, n - bj * full) * CASCADE_PASSES + pj)
+                             * span + bj)
+                    if pj:
+                        heapq.heappush(heap, entry)
+                    else:
+                        code = entry
+            if code >= 0:
+                # A first-pass block that a later pass reopened is searched
+                # next unless the heap holds a smaller entry.
+                code = heapq.heappushpop(heap, code)
+
+
 def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
             seed: int) -> ReconcileResult:
     """Reconcile key_b against key_a, assuming error rate around q_ref.
@@ -166,90 +270,44 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     k1 = math.ceil(BLOCK_COEFF / q_floor)
 
     sizes = [k1 * 2 ** pi for pi in range(CASCADE_PASSES)]  # block size
-    # Per built pass: each block's sorted disagreement positions, and from
-    # pass 1 on the maps between a disagreeing key index and its pass
-    # position (pass 0 is the identity, None here).
-    blocks: list[dict[int, list[int]]] = []
-    pos_of: list = [None]       # disagreeing key index -> pass position
-    key_at: list = [None]       # pass position -> key index
-    asked = [bytearray(n)]      # per built pass: its disclosed halves by mid
     leak = [-(-n // size) for size in sizes]    # top-level parities
     searches = [0] * CASCADE_PASSES
-    heap: list[tuple[int, int, int]] = []   # (size, pass, block); lazy entries
 
-    def mark_odd(pi: int, bi: int) -> None:
-        start = bi * sizes[pi]
-        heapq.heappush(heap, (min(sizes[pi], n - start), pi, bi))
-
-    def binary_search(pi: int, bi: int) -> int:
-        # The block holds an odd number of disagreements; halve until one
-        # is isolated. Only the left half's parity is asked, the right is
-        # implied. where[lo:hi] are the disagreements inside [start, end).
-        where = blocks[pi][bi]
-        start = bi * sizes[pi]
-        end = min(start + sizes[pi], n)
-        seen = asked[pi]
-        lo, hi = 0, len(where)
-        while end - start > 1:
-            mid = start + (end - start + 1) // 2
-            if not seen[mid]:
-                seen[mid] = 1
-                leak[pi] += 1
-            cut = bisect_left(where, mid, lo, hi)
-            if (cut - lo) % 2:
-                end, hi = mid, cut
-            else:
-                start, lo = mid, cut
-        return start if pi == 0 else key_at[pi][start]
-
-    def drain_odd_blocks() -> None:
-        # Repeatedly correct the smallest currently-odd block over all
-        # passes so far; entries that turned even in the meantime are
-        # skipped lazily.
-        while heap:
-            _, pi, bi = heapq.heappop(heap)
-            if not len(blocks[pi][bi]) % 2:
-                continue
-            searches[pi] += 1
-            flipped = binary_search(pi, bi)
-            diff[flipped] = False
-            for pj in range(len(blocks)):
-                pos = pos_of[pj].pop(flipped) if pj else flipped
-                bj = pos // sizes[pj]
-                where = blocks[pj][bj]
-                del where[bisect_left(where, pos)]
-                if len(where) % 2:
-                    mark_odd(pj, bj)
-
-    # diff is a ^ b for Bob's current key. The lockstep search leaves no
-    # pass-0 block odd.
+    # diff is a ^ b. The lockstep search leaves no pass-0 block odd.
     diff = (a ^ b).view(bool)
+    asked = [bytearray(n)]      # per built pass: its disclosed halves by mid
     found, halves = _search_first_pass(
         diff, k1, np.frombuffer(asked[0], dtype=np.uint8))
     diff[found] = False
     leak[0] += halves
     searches[0] = len(found)
-    disagree = np.flatnonzero(diff).tolist()    # ascending key indices
-    blocks.append(_by_block(disagree, k1))
 
+    # One record per disagreeing key bit: its position in each built pass,
+    # starting with its key index. A dict keeps insertion order, so records
+    # stays in ascending key order, the order the drawn positions go in.
+    records = {key: [key] for key in np.flatnonzero(diff).tolist()}
+    at = [records]              # per built pass: position -> record
+    blocks = [_by_block(records, k1)]   # per built pass: sorted positions
+    fixed: list[int] = []       # key indices corrected after pass 0
     for pi in range(1, CASCADE_PASSES):
-        if not disagree:
+        if not records:
             break
-        drawn = _draw_positions(rng, n, len(disagree))
-        pos_of.append(dict(zip(disagree, drawn)))
-        key_at.append(dict(zip(drawn, disagree)))
+        drawn = _draw_positions(rng, n, len(records))
+        for record, pos in zip(records.values(), drawn):
+            record.append(pos)
+        at.append(dict(zip(drawn, records.values())))
         asked.append(bytearray(n))
-        blocks.append(_by_block(sorted(drawn), sizes[pi]))
-        for bi, block in blocks[pi].items():
-            if len(block) % 2:
-                mark_odd(pi, bi)
-        drain_odd_blocks()
-        # A dict keeps insertion order, so its keys stay ascending.
-        disagree = list(pos_of[pi])
+        size = sizes[pi]
+        blocks.append(_by_block(sorted(drawn), size))
+        heap = [_heap_entry(n, size, pi, bi)
+                for bi, where in blocks[pi].items() if len(where) % 2]
+        heapq.heapify(heap)
+        _drain(heap, n, sizes, blocks, at, asked, leak, searches, fixed)
+    diff[fixed] = False
 
     n_exp = sum(leak)
     return ReconcileResult(corrected_B=a ^ diff, n_exp=n_exp,
                            f_realized=n_exp / (n * binary_entropy(q_floor)),
-                           verified=not disagree,
+                           verified=not records,
                            leak_per_pass=tuple(leak),
                            searches_per_pass=tuple(searches))

@@ -198,7 +198,9 @@ class TestQuantumPhase:
 
     def test_memory_scales_with_detections(self):
         # 1e8 pulses at 65 km is ~650k detections; per-pulse arrays
-        # would need gigabytes.
+        # would need gigabytes. A first, untraced call imports
+        # numpy.random, which numpy loads lazily.
+        quantum_phase(1, channel_at(LINK, 65.0), seed=0)
         tracemalloc.start()
         try:
             k_a, _ = quantum_phase(10 ** 8, channel_at(LINK, 65.0),
@@ -462,7 +464,7 @@ class TestRunProtocol:
         finally:
             tracemalloc.stop()
         assert r.m >= 100_000
-        assert peak <= 50 * r.n_sifted
+        assert peak <= 45 * r.n_sifted
 
     @pytest.mark.parametrize("kind, p_extra, cause", [
         (COUNT, 0.0, "key-too-short"),

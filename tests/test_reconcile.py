@@ -324,6 +324,30 @@ class TestMatchesReference:
         assert res.searches_per_pass == (1, 1, 0, 0)
         assert res.leak_per_pass[2:] == top_level_parities_per_pass(l, q)[2:]
 
+    def test_truncated_block_before_reopened_first_pass_block(self):
+        # l = 55 and k1 = 8: the second pass's last block [48, 55) has 7
+        # bits, fewer than a first-pass block. The errors pair up in
+        # first-pass blocks 0 and 2, so the first pass corrects none. The
+        # seed draws all four second-pass positions into that last block,
+        # which stays even, and puts key index 1 alone in the third pass's
+        # shorter last block [32, 55). Correcting it reopens first-pass
+        # block 0 and makes the 7-bit block odd, which the heap searches
+        # first.
+        l, q, seed = 55, 0.1, 30947
+        k1 = math.ceil(BLOCK_COEFF / q)
+        assert k1 == 8 and l % (2 * k1) == 7
+        a, _ = keys_with_exact_errors(l, 0, seed=1400)
+        b = a.copy()
+        b[[1, 5, 17, 20]] ^= 1
+        rng = np.random.default_rng(seed)
+        assert min(_draw_positions(rng, l, 4)) >= 48
+        third = _draw_positions(rng, l, 4)
+        assert [pos >= 32 for pos in third] == [True, False, False, False]
+        res = assert_matches_reference(a, b, q, seed)
+        # The second pass holds errors only in its last block, so each of
+        # its searches is of that block.
+        assert res.searches_per_pass[1] > 0
+
     @given(st.integers(min_value=MIN_KEY_LEN, max_value=5000),
            st.floats(min_value=0.0, max_value=0.5),
            st.floats(min_value=0.0, max_value=0.49),
