@@ -12,13 +12,14 @@ The chain is: accuracy condition -> sample-size floor A_0, target length
 -> post-sifting requirement l_F, strategy moments -> N_F lower bounds,
 then a search over the artificial noise to minimize N_F: one numpy
 screen of the whole noise grid, an exact scalar re-check of the grid
-points the screen puts near the minimum, and a golden-section refinement.
-The scalar budget and the screen share the strategies' N_F formulas, one
-solver of the sqrt strategy's sample-limit cubic (its closed-form largest
-root) and one rule, that an N_F which is not a finite float is
-infeasible. The scalar path runs them on Python floats with libm and
-builtins, the screen on arrays with numpy, so the two differ only by
-libm-vs-numpy rounding of log2, pow and (for sqrt) arccos and cos.
+points the screen puts near the minimum, and a golden-section refinement
+that evaluates one new noise level per step. The scalar budget and the
+screen share the strategies' N_F formulas, one solver of the sqrt
+strategy's sample-limit cubic (its closed-form largest root) and one
+rule, that an N_F which is not a finite float is infeasible. The scalar
+path runs them on Python floats with libm and builtins, the screen on
+arrays with numpy, so the two differ only by libm-vs-numpy rounding of
+log2, pow and (for sqrt) arccos and cos.
 
 plan() is the only entry that takes a distance and a LinkParams: it
 derives the channel once, and every function below it (budget, noise
@@ -423,7 +424,9 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     then the scalar objective re-evaluates the points the screen puts
     within _SCREEN_MARGIN of its minimum. The first of them with the
     smallest scalar N_F is the grid minimum: the point a scalar scan of
-    every grid point would pick. The refinement is scalar.
+    every grid point would pick. The refinement is a scalar golden-section
+    search on the two grid steps around it: each step keeps the surviving
+    interior point with its N_F and evaluates only the new one.
     """
     if channel.P_flip >= sec.Q_t:
         raise InfeasibleError(
@@ -455,13 +458,17 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     lo = max((best_i - 1) * _NOISE_GRID_STEP, 0.0)
     hi = min((best_i + 1) * _NOISE_GRID_STEP, e_max)
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
     while hi - lo > _NOISE_TOL:
-        x1 = hi - ratio * (hi - lo)
-        x2 = lo + ratio * (hi - lo)
-        if objective(x1) <= objective(x2):
-            hi = x2
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = objective(x1)
         else:
-            lo = x1
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = objective(x2)
     e_opt = 0.5 * (lo + hi)
     if objective(0.0) <= objective(e_opt):
         return 0.0

@@ -549,7 +549,7 @@ FROZEN_RUNS = {
         ("ba87884cdafb9aa0", 54934, 1193, None),
         (122, 0.7597941882927235, True)),
     ("--mf", "1000", "5", "sqrt"): (
-        ("3b4234eb0e0232b6", 54253, 1124, None),
+        ("72debb01e4a32e22", 54253, 1124, None),
         (159, 1.2914070881382391, True)),
     ("--mf", "1000", "30", "fraction"): (
         ("f11e974930d88a73", 201052, 1292, None),
