@@ -1,0 +1,50 @@
+"""What bench/ needs of the program, checked in tier-1.
+
+The benchmark times the program's stages by wrapping module attributes
+from outside and calls the program positionally, so a refactor can break
+it without failing a test under tests/. bench/spans.py is read, never
+imported, so this leaves no file under bench/.
+"""
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from vlbb84 import LinkParams, SecurityParams, channel_at, planner, protocol
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def load_spans() -> types.ModuleType:
+    # Registered first: its dataclasses look their module up by name.
+    spans = sys.modules["bench_spans"] = types.ModuleType("bench_spans")
+    exec(compile(SPANS_PATH.read_text(), str(SPANS_PATH), "exec"),
+         spans.__dict__)
+    return spans
+
+
+STAGES = load_spans().STAGES
+
+
+@pytest.mark.parametrize("module, function",
+                         [stage[:2] for stage in STAGES],
+                         ids=[".".join(stage[:2]) for stage in STAGES])
+def test_every_timed_stage_exists(module, function):
+    assert callable(getattr(importlib.import_module(f"vlbb84.{module}"),
+                            function, None))
+
+
+def test_plan_and_run_take_the_bench_positional_calls():
+    link, sec = LinkParams(), SecurityParams()
+    the_plan = planner.plan(30.0, 1000, "count", link, sec)
+    record = protocol.run_from_plan(the_plan, link, sec, 7)
+    assert record.N == the_plan.N_F
+    assert record.m >= 1000
+
+
+def test_quantum_phase_outcomes_count_detections():
+    result = protocol.quantum_phase(10_000, channel_at(LinkParams(), 5.0), 3)
+    assert int(result[1].detected.sum()) > 0

@@ -199,6 +199,16 @@ class TestPlanCommand:
         assert doc["error"] == "infeasible"
         assert doc["stage"] == stage
 
+    def test_forecast_overflow_message(self, capsys):
+        # The message names the N_F whose forecasts overflow.
+        code, out = run_cli(capsys, "plan", "--distance", "1e-150", "--mf",
+                            "1000", "--strategy", "count", "--p-extra", "0")
+        assert code == EXIT_INFEASIBLE
+        assert json.loads(out) == {
+            "error": "infeasible", "stage": "forecast",
+            "message": "forecast: the key-length forecasts at N_F = "
+                       "7.452e+155 overflow a float"}
+
     @pytest.mark.parametrize("extra, stage", [
         ((), "optimal_extra_noise"),
         (("--p-extra", "0.01"), "photon_budget"),
@@ -612,6 +622,36 @@ FROZEN_SWEEPS = {
         ("", "infeasible:strategy_stats")]),
 }
 
+# plan --distance d --mf 1000 --strategy s [--p-extra x]: (digest of the
+# JSON, N_F, expected_m).
+FROZEN_PLAN_DOCS = {
+    ("5", "fraction", None): ("2485e00e0e5435a5", 64016, 1290),
+    ("5", "count", None): ("5c17443a018977ba", 54934, 1116),
+    ("5", "sqrt", None): ("8f11de4f71576281", 54253, 1091),
+    ("30", "fraction", None): ("6065684ef14c4c9b", 201052, 1290),
+    ("30", "count", None): ("66c417e358435622", 172698, 1118),
+    ("30", "sqrt", None): ("abdd6ec11b3757bb", 170524, 1092),
+    ("65", "fraction", None): ("40ee43ba93752907", 1571881, 1046),
+    ("65", "count", None): ("c4086473718711c3", 1412280, 1066),
+    ("65", "sqrt", None): ("e2ca1cfb9fea49ec", 1404440, 1057),
+    ("30", "fraction", "0.01"): ("0a352a6eb179cb54", 201056, 1286),
+    ("30", "count", "0.01"): ("a9bbf4bf0813c9ef", 183041, 1104),
+    ("30", "sqrt", "0.01"): ("0996ad67ec181860", 181082, 1084),
+}
+
+# sweep --plan-only --distances 2,10,30,50,70,78 --mf 100000
+# --strategies fraction,count,sqrt: (digest of the CSV, (N_F, status) per
+# row). 78 km lies past d_lim.
+FROZEN_PLAN_SWEEP = ("a7e9704e3122eed5", [
+    ("2808185", "ok"), ("2000291", "ok"), ("1999948", "ok"),
+    ("4275167", "ok"), ("2922864", "ok"), ("2922563", "ok"),
+    ("12432951", "ok"), ("8376788", "ok"), ("8376473", "ok"),
+    ("41195957", "ok"), ("27668793", "ok"), ("27668185", "ok"),
+    ("267101550", "ok"), ("178621725", "ok"), ("178620830", "ok"),
+    ("", "infeasible:optimal_extra_noise"),
+    ("", "infeasible:optimal_extra_noise"),
+    ("", "infeasible:optimal_extra_noise")])
+
 
 class TestFrozenOutputs:
     @pytest.mark.parametrize("mode, value, d, strategy", list(FROZEN_RUNS))
@@ -640,3 +680,22 @@ class TestFrozenOutputs:
         rows = [(r["N"], r["status"]) for r in read_rows(out_csv)]
         assert (digest(out_csv.read_bytes()), rows) == FROZEN_SWEEPS[mode,
                                                                      value]
+
+    @pytest.mark.parametrize("d, strategy, p_extra", list(FROZEN_PLAN_DOCS))
+    def test_plan(self, capsys, d, strategy, p_extra):
+        extra = () if p_extra is None else ("--p-extra", p_extra)
+        code, out = run_cli(capsys, "plan", "--distance", d, "--mf", "1000",
+                            "--strategy", strategy, *extra)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (digest(out.encode()), doc["N_F"], doc["expected_m"]) == (
+            FROZEN_PLAN_DOCS[d, strategy, p_extra])
+
+    def test_plan_only_sweep(self, capsys, tmp_path):
+        out_csv = tmp_path / "plan.csv"
+        code, _ = run_cli(capsys, "sweep", "--plan-only", "--distances",
+                          "2,10,30,50,70,78", "--mf", "100000", "--strategies",
+                          "fraction,count,sqrt", "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = [(r["N_F"], r["status"]) for r in read_rows(out_csv)]
+        assert (digest(out_csv.read_bytes()), rows) == FROZEN_PLAN_SWEEP
