@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .numerics import solve_bracketed
@@ -138,7 +138,7 @@ class ChannelDerived:
     s_lim: float        # synchronization lower bound on s, s
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 def channel_at(link: LinkParams, d: float) -> ChannelDerived:

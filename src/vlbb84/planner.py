@@ -30,7 +30,7 @@ ChannelDerived instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -117,8 +117,11 @@ class EstimatorStats:
 
 @dataclass(frozen=True)
 class Plan:
-    """Sizing output for one (distance, m_F, strategy) request."""
+    """Sizing output for one (distance, m_F, strategy) request; its fields
+    are the keys of its JSON document, in order."""
 
+    d: float
+    m_F: int
     strategy: Strategy
     N_F: int
     P_extra_opt: float
@@ -127,28 +130,12 @@ class Plan:
     n_lim: Optional[float]      # sqrt strategy only
     expected_m: int
     expected_m_std: float
-    expected_kbr: float
-    kbr_std: float
+    expected_KBR: float
+    KBR_std: float
     P_success: float
-    d: float
-    m_F: int
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "m_F": self.m_F,
-            "strategy": {"kind": self.strategy.kind, "param": self.strategy.param},
-            "N_F": self.N_F,
-            "P_extra_opt": self.P_extra_opt,
-            "l_F": self.l_F,
-            "A_0": self.A_0,
-            "n_lim": self.n_lim,
-            "expected_m": self.expected_m,
-            "expected_m_std": self.expected_m_std,
-            "expected_KBR": self.expected_kbr,
-            "KBR_std": self.kbr_std,
-            "P_success": self.P_success,
-        }
+        return asdict(self)
 
 
 def gamma(p_hat: float, sec: SecurityParams) -> float:
@@ -475,22 +462,6 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     return e_opt
 
 
-def _sci(n: int) -> str:
-    """n >= 1 as f"{n:.3e}" writes it, for an int of any size (no float).
-
-    Four significant digits, rounded half to even.
-    """
-    exponent = len(str(n)) - 1
-    scale = 10 ** max(exponent - 3, 0)
-    mantissa, rest = divmod(n, scale)
-    if 2 * rest > scale or (2 * rest == scale and mantissa % 2):
-        mantissa += 1
-    if mantissa == 10 ** 4:
-        mantissa, exponent = 10 ** 3, exponent + 1
-    digits = str(mantissa).ljust(4, "0")
-    return f"{digits[0]}.{digits[1:]}e{exponent:+03d}"
-
-
 def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
                      p_extra: float, sec: SecurityParams,
                      g: float = DEFAULT_FRACTION) -> Strategy:
@@ -505,8 +476,13 @@ def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
     try:
         n_sifted = n_pulses * channel.p
     except OverflowError:
-        raise InfeasibleError("fixed_n_strategy", f"N = {_sci(n_pulses)} "
-                              "pulses overflow a float") from None
+        # Decimal writes an int of any size without converting it to float;
+        # it is imported here, on the overflow path only, to keep it out of
+        # start-up.
+        from decimal import Decimal
+        raise InfeasibleError(
+            "fixed_n_strategy",
+            f"N = {Decimal(n_pulses):.3e} pulses overflow a float") from None
     # The fraction rule has no A_0 to compute, and none exists at a zero
     # effective flip (d = 0 without noise).
     a0_bits = (0.0 if kind == FRACTION
@@ -581,8 +557,10 @@ def forecast(channel: ChannelDerived, n_pulses: int, strategy: Strategy,
         p_succ = success_probability(channel, n_pulses, strategy, p_extra, sec)
         kbr_mean, kbr_std = kbr_stats(n_pulses, p_succ, mean_m, std_m)
     except OverflowError:
-        raise InfeasibleError("forecast", "the key-length forecasts at N_F = "
-                              f"{_sci(n_pulses)} overflow a float") from None
+        from decimal import Decimal     # see fixed_n_strategy
+        raise InfeasibleError(
+            "forecast", "the key-length forecasts at N_F = "
+            f"{Decimal(n_pulses):.3e} overflow a float") from None
     return mean_m, std_m, p_succ, kbr_mean, kbr_std
 
 
@@ -607,8 +585,7 @@ def plan(d: float, m_f: int, kind: str, link: LinkParams,
     n_f = math.ceil(n_f_real)
     mean_m, std_m, p_succ, kbr_mean, kbr_std = forecast(
         channel, n_f, strategy, p_extra, sec)
-    return Plan(strategy=strategy, N_F=n_f, P_extra_opt=p_extra,
-                l_F=l_f_bits, A_0=a0_bits, n_lim=n_lim,
+    return Plan(d=d, m_F=m_f, strategy=strategy, N_F=n_f,
+                P_extra_opt=p_extra, l_F=l_f_bits, A_0=a0_bits, n_lim=n_lim,
                 expected_m=mean_m, expected_m_std=std_m,
-                expected_kbr=kbr_mean, kbr_std=kbr_std,
-                P_success=p_succ, d=d, m_F=m_f)
+                expected_KBR=kbr_mean, KBR_std=kbr_std, P_success=p_succ)

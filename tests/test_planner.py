@@ -726,7 +726,7 @@ class TestForecast:
         assert forecast(channel_at(LINK, 30.0), result.N_F, result.strategy,
                         result.P_extra_opt, SEC) == (
             result.expected_m, result.expected_m_std, result.P_success,
-            result.expected_kbr, result.kbr_std)
+            result.expected_KBR, result.KBR_std)
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     def test_overflow_is_infeasible(self, kind):
