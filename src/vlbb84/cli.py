@@ -164,7 +164,7 @@ def cmd_sweep(args, link: LinkParams, sec: SecurityParams) -> int:
     if iterations is None:
         iterations = (DEFAULT_ITERATIONS_PLANNED if args.mf is not None
                       else DEFAULT_ITERATIONS_FIXED_N)
-    if iterations < 1:
+    if iterations < 1 and not args.plan_only:    # a plan-only sweep runs none
         raise ValueError("iterations must be >= 1")
     for kind in strategies:
         if kind not in STRATEGY_KINDS:

@@ -11,6 +11,12 @@ taken as a circular product of S >= l+m-1 points by real FFT. Of the
 wrapped term k+S only if k+S <= 2l+m-3; for k >= l-1 that needs
 S <= l+m-2, so none of the lags read wraps. S is the smallest
 2^a * 3^b * 5^c at or above l+m-1, a length the FFT handles fast.
+
+At l ~ 1e5 touching fresh pages costs about as much as the arithmetic:
+each first write to a newly mapped page faults. So the inverse transform
+writes into the input's spectrum, whose pages the product has just
+touched, and the precision check subtracts and takes the absolute value
+in place instead of allocating two more m-sized arrays.
 """
 
 from __future__ import annotations
@@ -65,11 +71,17 @@ def toeplitz_extract(input_bits: np.ndarray, seed_bits: np.ndarray,
     # convolution of seed with the reversed input at lags l-1 .. l+m-2.
     size = _fft_length(l + m - 1)
     spectrum = np.fft.rfft(seed.astype(np.float64), size)
-    spectrum *= np.fft.rfft(x[::-1].astype(np.float64), size)
-    conv = np.fft.irfft(spectrum, size)[l - 1:l + m - 1]
+    other = np.fft.rfft(x[::-1].astype(np.float64), size)
+    spectrum *= other
+    # The input's spectrum is dead after the product; its size//2 + 1
+    # complex values hold >= size doubles, odd or even size.
+    conv = np.fft.irfft(spectrum, size, out=other.view(np.float64)[:size])
+    conv = conv[l - 1:l + m - 1]
     del spectrum    # not needed while rounding; frees 8 B per FFT point
     rounded = np.rint(conv)
-    if np.max(np.abs(conv - rounded)) > 0.25:
+    conv -= rounded     # conv is not read again: check the error in place
+    np.abs(conv, out=conv)
+    if conv.max() > 0.25:
         raise ArithmeticError("FFT convolution lost integer precision")
     return (rounded[::-1].astype(np.int64) & 1).astype(np.uint8)
 
@@ -83,6 +95,10 @@ def extract_key(input_bits: np.ndarray, p_hat: float, sec: SecurityParams,
     k, m = secure_length(l, p_hat, sec)
     if m == 0:
         return np.zeros(0, dtype=np.uint8), k
-    seed_bits = np.random.default_rng(seed).integers(0, 2, l + m - 1,
-                                                     dtype=np.uint8)
+    # The same bits as integers(0, 2, l + m - 1, dtype=np.uint8), drawn
+    # faster: that draw takes the top bit of each byte of the generator's
+    # 32-bit words, low byte first (Lemire's method never rejects on
+    # [0, 2)), and bytes() packs the same words little-endian.
+    seed_bits = np.frombuffer(np.random.default_rng(seed).bytes(l + m - 1),
+                              np.uint8) >> 7
     return toeplitz_extract(input_bits, seed_bits, m), k

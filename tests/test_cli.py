@@ -536,6 +536,17 @@ class TestSweepCommand:
         assert len(rows) == 6
         assert all(int(r["N_F"]) >= 1 for r in rows)
 
+    def test_plan_only_ignores_iterations(self, capsys, tmp_path):
+        # A plan-only sweep runs nothing, so --iterations 0 is not an error
+        # and writes the same CSV as the default.
+        default_csv, zero_csv = tmp_path / "default.csv", tmp_path / "zero.csv"
+        argv = ("sweep", "--plan-only", "--distances", "30", "--mf", "1000")
+        assert run_cli(capsys, *argv, "--out", str(default_csv))[0] == EXIT_OK
+        code, _ = run_cli(capsys, *argv, "--iterations", "0",
+                          "--out", str(zero_csv))
+        assert code == EXIT_OK
+        assert zero_csv.read_bytes() == default_csv.read_bytes()
+
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]

@@ -105,7 +105,31 @@ class TestToeplitzExtract:
         assert np.array_equal(toeplitz_extract(x, seed, m),
                               dense_toeplitz(x, seed, m))
 
-    @pytest.mark.parametrize("l, m", [(125_834, 100_697), (125_835, 100_697)])
+    @pytest.mark.parametrize("l, m", [
+        (2000, 1376),   # l+m-1 = 3375 = 15^3
+        (3375, 1),      # m = 1 at the same length
+        (1688, 1688),   # m = l at the same length
+        (3500, 2576),   # l+m-1 = 6075 = 3^5 * 5^2
+        (6075, 1),
+        (3038, 3038),
+    ])
+    def test_odd_fft_lengths_match_dense_oracle(self, l, m):
+        # An odd S leaves size//2 + 1 complex values, which must still
+        # hold the S doubles of the inverse transform.
+        assert _fft_length(l + m - 1) == l + m - 1
+        assert (l + m - 1) % 2 == 1
+        rng = np.random.default_rng(8)
+        x = rng.integers(0, 2, l, dtype=np.uint8)
+        seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
+        assert np.array_equal(toeplitz_extract(x, seed, m),
+                              dense_toeplitz(x, seed, m))
+
+    @pytest.mark.parametrize("l, m", [
+        (125_834, 100_697),
+        (125_835, 100_697),
+        (50_000, 34_376),   # l+m-1 = 84375 = 3^3 * 5^5, an odd S
+        (50_001, 34_375),
+    ])
     def test_largest_sums_are_exact(self, l, m):
         # All-ones input and seed: every output bit sums l products, the
         # largest integer the convolution can produce, so it is l % 2.
@@ -172,6 +196,17 @@ class TestToeplitzMemory:
         assert peak <= 40 * l
 
 
+def test_numpy_floor_has_fft_out():
+    # toeplitz_extract passes out= to numpy.fft, which numpy takes from 2.0.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml",
+              "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    floors = [d.split(">=", 1)[1] for d in deps if d.startswith("numpy>=")]
+    assert len(floors) == 1
+    assert tuple(int(v) for v in floors[0].split(".")[:2]) >= (2, 0)
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency.
     src = Path(vlbb84.__file__).resolve().parents[1]
@@ -184,6 +219,29 @@ def test_cli_import_loads_no_scipy():
 
 
 class TestExtractKey:
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 - 1])
+    def test_seed_bits_match_integer_draw(self, seed, monkeypatch):
+        # extract_key draws its Toeplitz seed as the top bit of each random
+        # byte, which must stay the stream of integers(0, 2, n, uint8); a
+        # numpy release that changes either draw fails here. m = 1 makes
+        # the seed as long as the input.
+        drawn = []
+
+        def spy(input_bits, seed_bits, m):
+            drawn.append(seed_bits)
+            return np.zeros(m, dtype=np.uint8)
+
+        monkeypatch.setattr("vlbb84.extract.secure_length",
+                            lambda l, p_hat, sec: (float(l), 1))
+        monkeypatch.setattr("vlbb84.extract.toeplitz_extract", spy)
+        for n in [*range(1, 71), 3399, 216_499]:
+            extract_key(np.zeros(n, dtype=np.uint8), 0.0, SEC, seed)
+            want = np.random.default_rng(seed).integers(0, 2, n,
+                                                        dtype=np.uint8)
+            got = drawn.pop()
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want), n
+
     def test_round_trip_sizing(self):
         rng = np.random.default_rng(5)
         x = rng.integers(0, 2, 3066, dtype=np.uint8)
