@@ -13,10 +13,25 @@ S <= l+m-2, so none of the lags read wraps. S is the smallest
 2^a * 3^b * 5^c at or above l+m-1, a length the FFT handles fast.
 
 At l ~ 1e5 touching fresh pages costs about as much as the arithmetic:
-each first write to a newly mapped page faults. So the inverse transform
-writes into the input's spectrum, whose pages the product has just
-touched, and the precision check subtracts and takes the absolute value
-in place instead of allocating two more m-sized arrays.
+each first write to a newly mapped page faults. So each call allocates
+one float64 work array of 4*(S//2+1) + l doubles, and every step runs
+in views of it; the only other allocation is the m-byte output:
+
+    region A, 2*(S//2+1) doubles: the seed's spectrum; after the
+        precision check, the output parities as int64
+    region B, 2*(S//2+1) doubles: the seed's l+m-1 doubles, staged for
+        its rfft; then the input's spectrum; then the inverse transform
+    region C, l doubles: the reversed input as doubles; then the rounded
+        lags l-1 .. l+m-2
+
+The precision check subtracts and takes the absolute value in place.
+One array rather than several matters with glibc's malloc: freeing an
+mmap'd chunk raises its dynamic mmap threshold to that chunk's size, and
+its trim threshold to twice that. Once a work array of several MB has
+been freed, the run's smaller arrays come from the heap, which is no
+longer trimmed between runs, so a long run of keys stops faulting fresh
+pages. glibc caps that threshold at 32 MB, so work arrays above it
+(l of about 9e5 and up) are mapped and faulted anew on each call.
 """
 
 from __future__ import annotations
@@ -70,20 +85,29 @@ def toeplitz_extract(input_bits: np.ndarray, seed_bits: np.ndarray,
     # output[i] = XOR_j seed[m-1-i+j] * x[j]: a correlation, i.e. the
     # convolution of seed with the reversed input at lags l-1 .. l+m-2.
     size = _fft_length(l + m - 1)
-    spectrum = np.fft.rfft(seed.astype(np.float64), size)
-    other = np.fft.rfft(x[::-1].astype(np.float64), size)
+    span = 2 * (size // 2 + 1)      # doubles per spectrum, >= size
+    work = np.empty(2 * span + l, dtype=np.float64)
+    spectrum = work[:span].view(np.complex128)
+    other = work[span:2 * span].view(np.complex128)
+    doubles = work[2 * span:]
+    staged = work[span:span + l + m - 1]    # the seed, until other is written
+    staged[...] = seed
+    np.fft.rfft(staged, size, out=spectrum)
+    doubles[...] = x[::-1]
+    np.fft.rfft(doubles, size, out=other)
     spectrum *= other
-    # The input's spectrum is dead after the product; its size//2 + 1
-    # complex values hold >= size doubles, odd or even size.
-    conv = np.fft.irfft(spectrum, size, out=other.view(np.float64)[:size])
+    # The input's spectrum is dead after the product.
+    conv = np.fft.irfft(spectrum, size, out=work[span:span + size])
     conv = conv[l - 1:l + m - 1]
-    del spectrum    # not needed while rounding; frees 8 B per FFT point
-    rounded = np.rint(conv)
+    rounded = np.rint(conv, out=doubles[:m])
     conv -= rounded     # conv is not read again: check the error in place
     np.abs(conv, out=conv)
     if conv.max() > 0.25:
         raise ArithmeticError("FFT convolution lost integer precision")
-    return (rounded[::-1].astype(np.int64) & 1).astype(np.uint8)
+    parity = work[:m].view(np.int64)    # the seed's spectrum is dead too
+    parity[...] = rounded[::-1]
+    parity &= 1
+    return parity.astype(np.uint8)
 
 
 def extract_key(input_bits: np.ndarray, p_hat: float, sec: SecurityParams,

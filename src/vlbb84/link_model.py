@@ -117,6 +117,16 @@ class SecurityParams:
             raise ValueError(f"C_F must be > 0, got {self.C_F}")
         if self.eps <= 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
+        # gamma = eps * (1 + alpha * 10**(-beta * p_hat)) is monotone in
+        # p_hat, so it is positive on [0, 1/2] iff it is at both ends; beta
+        # >= -600 keeps the power a float there.
+        if self.beta < -600.0:
+            raise ValueError(f"beta must be >= -600, got {self.beta}")
+        if self.alpha * max(1.0, 10.0 ** (-self.beta / 2.0)) <= -1.0:
+            raise ValueError(
+                "alpha and beta must keep 1 + alpha * 10**(-beta * p_hat) > 0 "
+                f"for p_hat in [0, 1/2], got alpha={self.alpha}, "
+                f"beta={self.beta}")
 
     from_json = classmethod(_from_json)
 

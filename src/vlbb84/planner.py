@@ -154,7 +154,12 @@ def a0(p_hat: float, sec: SecurityParams) -> float:
     if p_hat >= 1.0:
         raise ValueError(f"p_hat must be in (0, 1), got {p_hat}")
     g = gamma(p_hat, sec)
-    return (1.0 / (g * g)) * (1.0 / p_hat - 1.0)
+    try:
+        return (1.0 / (g * g)) * (1.0 / p_hat - 1.0)
+    except ZeroDivisionError:
+        raise InfeasibleError(
+            "a0", f"accuracy gamma = {g:.3e} squared underflows to 0 at "
+            f"p_hat = {p_hat:.6g}") from None
 
 
 def _extraction_floor(m_f: int, sec: SecurityParams) -> float:
@@ -487,6 +492,8 @@ def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
     # effective flip (d = 0 without noise).
     a0_bits = (0.0 if kind == FRACTION
                else a0(effective_flip(channel.P_flip, p_extra), sec))
+    if a0_bits == math.inf:
+        raise InfeasibleError("a0", "accuracy floor A_0 overflows a float")
     return _resolve_strategy(kind, a0_bits, n_sifted, g)
 
 

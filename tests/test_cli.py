@@ -251,6 +251,32 @@ class TestRunCommand:
         withkey = json.loads(out)
         assert len(withkey["final_key"]) == math.ceil(withkey["m"] / 8) * 2
 
+    @pytest.mark.parametrize("strategy", ["count", "sqrt"])
+    @pytest.mark.parametrize("request_args", [
+        ("run", "--n", "100000"), ("plan", "--mf", "1000", "--p-extra", "0"),
+    ], ids=["run-fixed-n", "plan-fixed-noise"])
+    def test_underflowing_accuracy_names_a0(self, capsys, tmp_path,
+                                            request_args, strategy):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"security": {"eps": 1e-300}}))
+        code, out = run_cli(capsys, *request_args, "--distance", "30",
+                            "--strategy", strategy, "--config", str(cfg))
+        assert code == EXIT_INFEASIBLE
+        doc = json.loads(out)
+        assert (doc["error"], doc["stage"]) == ("infeasible", "a0")
+
+    def test_alpha_beta_zeroing_gamma_is_invalid(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"security": {"alpha": -1, "beta": 0}}))
+        code, out = run_cli(capsys, "run", "--n", "100000", "--distance",
+                            "30", "--strategy", "count", "--config", str(cfg))
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {
+            "error": "invalid",
+            "message": "alpha and beta must keep 1 + alpha * 10**(-beta * "
+                       "p_hat) > 0 for p_hat in [0, 1/2], got alpha=-1.0, "
+                       "beta=0.0"}
+
     def test_no_wall_clock_option(self, capsys):
         # A run reports no wall time, so there is no flag to ask for it.
         code, out = run_cli(capsys, "run", "--distance", "25", "--n", "20000",

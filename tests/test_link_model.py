@@ -274,6 +274,33 @@ class TestJsonLoading:
             cls(**{name: value})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (-1.0, 0.0), (-1.0, 20.0), (-2.0, 0.0), (-0.5, -0.61), (-1e-3, -6.1),
+    ])
+    def test_alpha_beta_that_zero_gamma_rejected(self, alpha, beta):
+        # gamma = eps * (1 + alpha * 10**(-beta * p_hat)) must stay > 0 on
+        # p_hat in [0, 1/2], or the accuracy floor divides by gamma^2 = 0.
+        with pytest.raises(ValueError) as exc:
+            SecurityParams(alpha=alpha, beta=beta)
+        assert str(exc.value) == (
+            "alpha and beta must keep 1 + alpha * 10**(-beta * p_hat) > 0 "
+            f"for p_hat in [0, 1/2], got alpha={alpha}, beta={beta}")
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (3.0, 20.0), (0.0, -600.0), (5.0, -10.0), (-0.999, 0.0),
+        (-0.5, -0.6), (-1e-3, -5.9), (-0.9, 1e6),
+    ])
+    def test_alpha_beta_keeping_gamma_positive_accepted(self, alpha, beta):
+        sec = SecurityParams(alpha=alpha, beta=beta)
+        for i in range(101):
+            assert 1.0 + sec.alpha * 10.0 ** (-sec.beta * i / 200) > 0.0
+
+    def test_beta_overflowing_gamma_rejected(self):
+        # 10**(-beta * p_hat) must stay a float on p_hat in [0, 1/2].
+        with pytest.raises(ValueError) as exc:
+            SecurityParams(alpha=0.0, beta=-601.0)
+        assert str(exc.value) == "beta must be >= -600, got -601.0"
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             LinkParams.from_json({"eta_e": 1.2})

@@ -66,6 +66,31 @@ class TestA0:
         assert a0(0.048, SEC) > a0(0.024, SEC)  # the interior bump
 
 
+class TestAccuracyUnderflow:
+    def test_a0_names_itself_when_gamma_squared_underflows(self):
+        sec = SecurityParams(eps=1e-300)
+        with pytest.raises(InfeasibleError) as exc:
+            a0(0.011, sec)
+        assert exc.value.stage == "a0"
+        assert str(exc.value) == ("a0: accuracy gamma = 2.808e-300 squared "
+                                  "underflows to 0 at p_hat = 0.011")
+
+    @pytest.mark.parametrize("kind", [COUNT, SQRT])
+    @pytest.mark.parametrize("eps, message", [
+        (1e-300, "a0: accuracy gamma = 2.804e-300 squared underflows to 0 "
+                 "at p_hat = 0.0110464"),
+        (1e-160, "a0: accuracy floor A_0 overflows a float"),
+    ])
+    def test_fixed_n_strategy_names_a0(self, kind, eps, message):
+        # gamma^2 is 0 at eps = 1e-300 and subnormal at 1e-160, where
+        # 1 / gamma^2 is inf.
+        with pytest.raises(InfeasibleError) as exc:
+            fixed_n_strategy(channel_at(LINK, 30.0), kind, 100_000, 0.0,
+                             SecurityParams(eps=eps))
+        assert exc.value.stage == "a0"
+        assert str(exc.value) == message
+
+
 class TestLf:
     def test_reference(self):
         assert l_f(1000, 0.05, SEC) == pytest.approx(3065.2, abs=0.5)
@@ -132,6 +157,21 @@ class TestStrategyStats:
         assert Strategy(COUNT, 4000.0).sample_size(100) == 50
         assert Strategy(FRACTION, 1e-4).sample_size(100) == 1
         assert Strategy(SQRT, 2.0).sample_size(100) == 20
+
+
+class TestSampleSizeRounding:
+    # Exact halves round up, on every rule; 2.5 and 3.5 also tell half-up
+    # from rounding half to even.
+    @pytest.mark.parametrize("strategy, n, size", [
+        (Strategy(COUNT, 2.5), 100, 3),
+        (Strategy(COUNT, 3.5), 100, 4),
+        (Strategy(COUNT, 2.4999999), 100, 2),
+        (Strategy(FRACTION, 0.25), 10, 3),    # 2.5
+        (Strategy(SQRT, 0.5), 25, 3),         # 0.5 * 5 = 2.5
+        (Strategy(SQRT, 0.75), 36, 5),        # 0.75 * 6 = 4.5
+    ])
+    def test_exact_half_rounds_up(self, strategy, n, size):
+        assert strategy.sample_size(n) == size
 
 
 class TestPhotonBudget:
@@ -543,6 +583,22 @@ class TestSuccessProbability:
         se_emp = math.sqrt(max(rate * (1 - rate), 1e-6) / 500)
         se_pred = math.sqrt(p_succ * (1 - p_succ) / 500)
         assert abs(rate - (1 - p_succ)) <= 3 * math.hypot(se_emp, se_pred)
+
+
+class TestSuccessProbabilityClosedForm:
+    def test_randomized_run_against_closed_form(self):
+        # An independent evaluation at P_extra > 0, where the inferred QBER's
+        # spread is the observed one divided by 1 - 2 P_extra: dropping that
+        # factor reads 0.807 here.
+        ch = channel_at(LINK, 76.0)
+        n, g, p_extra = 2_000_000, 1 / 3, 0.02
+        p_hat = ch.P_flip + p_extra - 2.0 * ch.P_flip * p_extra
+        sigma_observed = math.sqrt(p_hat * (1.0 - p_hat) / (g * n * ch.p))
+        z = (SEC.Q_t - ch.P_flip) * (1.0 - 2.0 * p_extra) / sigma_observed
+        want = 0.5 * math.erfc(-z / math.sqrt(2.0))
+        got = success_probability(ch, n, Strategy(FRACTION, g), p_extra, SEC)
+        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(0.798, abs=5e-4)
 
 
 class TestExpectedOutput:

@@ -255,6 +255,43 @@ class TestQuantumPhase:
             assert abs(fast[name] - ref[name]) <= 4 * math.hypot(se_fast, se_ref), name
 
 
+class TestBusyLink:
+    # Lossless devices and high dark-count and depolarizing rates: at 30 km
+    # a photon and a dark count share a window in ~15% of pulses, where the
+    # reference link has ~2e-4.
+    LINK = LinkParams(eta_e=1.0, eta_d=1.0, R_DCR=1e5, R_depolar=1e4)
+
+    def test_source_codes_are_defined(self):
+        # A registered dark count yields a uniform bit and is never also
+        # depolarized: every detection has exactly one source.
+        ch = channel_at(self.LINK, 30.0)
+        _, outcomes = quantum_phase(200_000, ch, derive_seed(19, 0))
+        assert set(np.unique(outcomes.detection_source).tolist()) == {
+            SOURCE_PHOTON, SOURCE_DARK, SOURCE_DEPOLARIZED}
+
+    def test_dark_count_registers_first_half_the_time(self):
+        # When a photon and a dark count share a window, the dark count is
+        # registered first with probability 1/2. Never registering it first
+        # moves the dark fraction of detections from ~0.75 to ~0.64.
+        n = 200_000
+        ch = channel_at(self.LINK, 30.0)
+        assert (1.0 - ch.P_loss) * ch.P_DCR > 0.1
+        k_a, outcomes = quantum_phase(n, ch, derive_seed(19, 1))
+        source = outcomes.detection_source
+        p_det = 1.0 - ch.P_loss * (1.0 - ch.P_DCR)
+        dark = ch.P_DCR * (ch.P_loss + (1.0 - ch.P_loss) / 2.0) / p_det
+        theory = {SOURCE_DARK: dark,
+                  SOURCE_DEPOLARIZED: (1.0 - dark) * ch.P_depolar,
+                  SOURCE_PHOTON: (1.0 - dark) * (1.0 - ch.P_depolar)}
+        for code, theta in theory.items():
+            se = math.sqrt(theta * (1.0 - theta) / len(source))
+            assert abs(float((source == code).mean()) - theta) <= 4 * se, code
+        keep = outcomes.basis_match
+        qber = float((k_a[keep] != outcomes.bob_bit[keep]).mean())
+        se = math.sqrt(ch.P_flip * (1.0 - ch.P_flip) / int(keep.sum()))
+        assert abs(qber - ch.P_flip) <= 4 * se
+
+
 class TestSift:
     def test_hand_traced_example(self):
         k_a = np.array([0, 1], dtype=np.uint8)
