@@ -122,11 +122,19 @@ class SecurityParams:
         # >= -600 keeps the power a float there.
         if self.beta < -600.0:
             raise ValueError(f"beta must be >= -600, got {self.beta}")
-        if self.alpha * max(1.0, 10.0 ** (-self.beta / 2.0)) <= -1.0:
+        ends = (self.alpha, self.alpha * 10.0 ** (-self.beta / 2.0))
+        if min(ends) <= -1.0:
             raise ValueError(
                 "alpha and beta must keep 1 + alpha * 10**(-beta * p_hat) > 0 "
                 f"for p_hat in [0, 1/2], got alpha={self.alpha}, "
                 f"beta={self.beta}")
+        # The accuracy floor divides by gamma^2, which must stay finite.
+        largest = self.eps * (1.0 + max(ends))
+        if not math.isfinite(largest * largest):
+            raise ValueError(
+                "eps, alpha and beta must keep gamma = eps * (1 + alpha * "
+                "10**(-beta * p_hat)) squared finite for p_hat in [0, 1/2], "
+                f"got eps={self.eps}, alpha={self.alpha}, beta={self.beta}")
 
     from_json = classmethod(_from_json)
 

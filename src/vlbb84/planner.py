@@ -494,6 +494,10 @@ def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
                else a0(effective_flip(channel.P_flip, p_extra), sec))
     if a0_bits == math.inf:
         raise InfeasibleError("a0", "accuracy floor A_0 overflows a float")
+    if kind == SQRT and n_sifted == 0.0:
+        raise InfeasibleError(
+            "fixed_n_strategy", "the sqrt rule B = A_0 / sqrt(N*p) needs "
+            "sifted bits, and the link delivers none (p = 0)")
     return _resolve_strategy(kind, a0_bits, n_sifted, g)
 
 

@@ -277,6 +277,37 @@ class TestRunCommand:
                        "p_hat) > 0 for p_hat in [0, 1/2], got alpha=-1.0, "
                        "beta=0.0"}
 
+    def test_alpha_overflowing_gamma_is_invalid(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"security": {"alpha": 1e300,
+                                                "beta": -600}}))
+        for request in (("plan", "--mf", "1000"), ("run", "--n", "100000")):
+            code, out = run_cli(capsys, *request, "--distance", "30",
+                                "--strategy", "count", "--config", str(cfg))
+            assert code == EXIT_ERROR
+            assert json.loads(out) == {
+                "error": "invalid",
+                "message": "eps, alpha and beta must keep gamma = eps * (1 + "
+                           "alpha * 10**(-beta * p_hat)) squared finite for "
+                           "p_hat in [0, 1/2], got eps=0.1, alpha=1e+300, "
+                           "beta=-600.0"}
+
+    def test_fixed_n_sqrt_without_signal_is_infeasible(self, capsys,
+                                                        tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"link": {"eta_d": 0, "R_DCR": 0}}))
+        request = ("run", "--n", "100000", "--distance", "30", "--p-extra",
+                   "0.01", "--config", str(cfg))
+        code, out = run_cli(capsys, *request, "--strategy", "sqrt")
+        assert code == EXIT_INFEASIBLE
+        doc = json.loads(out)
+        assert (doc["error"], doc["stage"]) == ("infeasible",
+                                                "fixed_n_strategy")
+        for kind in ("fraction", "count"):
+            code, out = run_cli(capsys, *request, "--strategy", kind)
+            assert code == EXIT_OK
+            assert json.loads(out)["abort_cause"] == "no-signal"
+
     def test_no_wall_clock_option(self, capsys):
         # A run reports no wall time, so there is no flag to ask for it.
         code, out = run_cli(capsys, "run", "--distance", "25", "--n", "20000",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vlbb84
-from vlbb84.extract import (_fft_length, extract_key, secure_length,
+from vlbb84.extract import (_fft_length, _low_rows, extract_key, secure_length,
                             toeplitz_extract)
 from vlbb84.link_model import SecurityParams
 from vlbb84.numerics import output_length_fixed_point
@@ -143,10 +143,12 @@ class TestToeplitzExtract:
         (125_835, 100_697),
         (50_000, 34_376),   # l+m-1 = 84375 = 3^3 * 5^5, an odd S
         (50_001, 34_375),
+        (2 ** 20 - 1, 2 ** 20 - 1),     # the largest l for b = 20
     ])
     def test_largest_sums_are_exact(self, l, m):
         # All-ones input and seed: every output bit sums l products, the
-        # largest integer the convolution can produce, so it is l % 2.
+        # largest integer the convolution can produce, so it is l % 2. The
+        # packed sum l + 2^b * l is then the largest for its scale too.
         x = np.ones(l, dtype=np.uint8)
         seed = np.ones(l + m - 1, dtype=np.uint8)
         out = toeplitz_extract(x, seed, m)
@@ -166,6 +168,8 @@ class TestToeplitzExtract:
     @pytest.mark.parametrize("l, m", [
         (105_046, 100_739),     # the extraction sizes of long_keys ops
         (125_780, 100_654),
+        (1_250_000, 1_000_000),     # a planned m_F = 1e6 run at 30 km
+        (1_250_000, 999_999),       # an odd m: h = g + 1
     ])
     def test_long_inputs_match_plain_fft(self, l, m):
         rng = np.random.default_rng(l)
@@ -173,6 +177,43 @@ class TestToeplitzExtract:
         seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
         assert np.array_equal(toeplitz_extract(x, seed, m),
                               plain_fft_toeplitz(x, seed, m))
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 7, 64, 257, 2049])
+    @pytest.mark.parametrize("rows", ["one", "two", "odd", "all"])
+    def test_halves_match_dense_oracle(self, l, rows):
+        # The low half takes h = ceil(m/2) rows and the high half the other
+        # g; an odd m leaves h = g + 1, m = 1 leaves the high half empty.
+        m = {"one": 1, "two": min(2, l), "odd": l - (l + 1) % 2,
+             "all": l}[rows]
+        assert _low_rows(l, m) == (m + 1) // 2
+        rng = np.random.default_rng([l, m])
+        x = rng.integers(0, 2, l, dtype=np.uint8)
+        seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
+        assert np.array_equal(toeplitz_extract(x, seed, m),
+                              dense_toeplitz(x, seed, m))
+
+    def test_rows_split_below_the_packing_limit_only(self):
+        # The product packs while l < 2^23; from there every row goes to
+        # the low half and the high window is empty.
+        for m in (1, 2, 3, 1000, 2 ** 23 - 1):
+            assert _low_rows(2 ** 23 - 1, m) == (m + 1) // 2
+        for l in (2 ** 23, 2 ** 23 + 1, 12_500_000, 10 ** 8):
+            for m in (1, 2, 3, 1000):
+                assert _low_rows(l, m) == m
+
+    def test_unpacked_product_matches_dense_oracle(self, monkeypatch):
+        # Above the packing limit the same code runs with an empty high
+        # window; a limit of 0 runs it at sizes the dense oracle reaches.
+        monkeypatch.setattr("vlbb84.extract._PACK_BITS", 0)
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            l = int(rng.integers(1, 200))
+            m = int(rng.integers(1, l + 1))
+            assert _low_rows(l, m) == m
+            x = rng.integers(0, 2, l, dtype=np.uint8)
+            seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
+            assert np.array_equal(toeplitz_extract(x, seed, m),
+                                  dense_toeplitz(x, seed, m))
 
     def test_fft_length_is_smallest_5_smooth(self):
         def smooth(k):
@@ -212,9 +253,9 @@ class TestToeplitzExtract:
 class TestToeplitzMemory:
     def test_peak_per_input_bit(self):
         # A planned m_F = 1e6 run at 30 km hashes l ~ 1.25M bits to ~1M.
-        # The work array (two spectra and one float64 copy of the input)
-        # and the output peak at ~37.6 B per input bit; holding a second
-        # array through the rounding reads ~48.
+        # The work array (two spectra of the l + m/2 - 1 point product and
+        # one float64 copy of the input) and the output peak at ~31.5 B
+        # per input bit; unpacked spectra of l + m - 1 points read ~37.6.
         l, m = 1_250_000, 1_000_000
         rng = np.random.default_rng(17)
         x = rng.integers(0, 2, l, dtype=np.uint8)
@@ -229,7 +270,7 @@ class TestToeplitzMemory:
         finally:
             tracemalloc.stop()
         assert len(out) == m
-        assert peak <= 38 * l
+        assert peak <= 32 * l
 
 
 FAULTS_PER_RUN = """

@@ -301,6 +301,30 @@ class TestJsonLoading:
             SecurityParams(alpha=0.0, beta=-601.0)
         assert str(exc.value) == "beta must be >= -600, got -601.0"
 
+    @pytest.mark.parametrize("eps, alpha, beta", [
+        (0.1, 1e300, -600.0), (0.1, 1e155, -1.0), (0.1, 1e200, 0.0),
+        (1e200, 3.0, 20.0), (1e155, -0.5, 0.0),
+    ])
+    def test_gamma_overflowing_its_square_rejected(self, eps, alpha, beta):
+        # The accuracy floor is 1/gamma^2 * (1/p_hat - 1); an infinite
+        # gamma^2 makes it 0, a count constant no strategy accepts.
+        with pytest.raises(ValueError) as exc:
+            SecurityParams(eps=eps, alpha=alpha, beta=beta)
+        assert str(exc.value) == (
+            "eps, alpha and beta must keep gamma = eps * (1 + alpha * "
+            "10**(-beta * p_hat)) squared finite for p_hat in [0, 1/2], "
+            f"got eps={eps}, alpha={alpha}, beta={beta}")
+
+    @pytest.mark.parametrize("eps, alpha, beta", [
+        (0.1, 1e150, 0.0), (0.1, 1e-150, -600.0), (1e150, -0.5, 20.0),
+        (1e-300, 3.0, 20.0),
+    ])
+    def test_gamma_with_finite_square_accepted(self, eps, alpha, beta):
+        sec = SecurityParams(eps=eps, alpha=alpha, beta=beta)
+        for i in range(101):
+            g = sec.eps * (1.0 + sec.alpha * 10.0 ** (-sec.beta * i / 200))
+            assert math.isfinite(g * g)
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             LinkParams.from_json({"eta_e": 1.2})
