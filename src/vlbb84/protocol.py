@@ -9,8 +9,15 @@ Only detected pulses can reach the sifted key, and at most a few percent
 of pulses are detected, so the sampler never materializes the N pulses:
 it draws the detection count n_det ~ Binomial(N, p_det) and then samples
 the events of those n_det detections alone, in O(n_det) time and memory.
-Every probability it uses comes from the primitives P_loss, P_DCR and
-P_depolar, never from the derived p or P_flip.
+Of those, only the fair coins are drawn per detection. Dark counts and
+depolarizations are rare (0.3-2.2% of detections at 5-30 km on the
+reference link), so each is drawn as a Bernoulli process through its
+successes: a binomial count, then a uniform subset of the detections of
+that size (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X;
+Floyd's sample, Bentley and Floyd, CACM 30(9), 1987). Controlled
+randomization draws its flips the same way. Every probability the
+sampler uses comes from the primitives P_loss, P_DCR and P_depolar,
+never from the derived p or P_flip.
 """
 
 from __future__ import annotations
@@ -115,6 +122,14 @@ class RunRecord:
         return doc
 
 
+def _subset(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
+    """The successes of n Bernoulli(q) trials, as int64 positions in
+    [0, n) in no particular order: a Binomial(n, q) count, then a uniform
+    subset of that size."""
+    return rng.choice(n, int(rng.binomial(n, q)), replace=False,
+                      shuffle=False)
+
+
 def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
                   ) -> tuple[np.ndarray, PulseOutcomes]:
     """Simulate N pulses; returns (k_A, outcomes), one entry per detected
@@ -127,12 +142,22 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
     (uniform bit); otherwise Bob reads Alice's bit when bases match and a
     uniform bit when they differ.
 
-    A pulse is detected with p_det = 1 - P_loss * (1 - P_DCR). The number
-    of detections is drawn first; each detection is then photon only,
-    photon and dark, or dark only in proportion to (1 - P_loss)(1 - P_DCR),
-    (1 - P_loss) P_DCR and P_loss P_DCR. The five fair coins of a
-    detection (Alice's key bit, both bases, Bob's noise bit and the
-    dark-first coin) are the low five bits of one uniform random byte.
+    A pulse is detected with p_det = 1 - P_loss * (1 - P_DCR). The draws,
+    in order:
+
+    1. the detection count n_det ~ Binomial(N, p_det);
+    2. one uniform byte per detection, whose bits 0 to 4 are its fair
+       coins: Alice's key bit, both bases, Bob's noise bit and the
+       dark-first coin;
+    3. the detections holding a dark count: each does with probability
+       P_DCR / p_det, drawn as a Binomial(n_det, P_DCR / p_det) count and
+       a uniform subset of that size;
+    4. one uniform per dark detection: its photon also survived with
+       probability 1 - P_loss (a detection without a dark count holds a
+       photon);
+    5. the depolarization candidates: a Binomial(n_det, P_depolar) count
+       and a uniform subset of that size. A depolarization applies only
+       where the photon is registered.
 
     An N the sampler cannot draw is infeasible: above 2**63 - 1 pulses,
     or with more detections than fit in memory.
@@ -146,42 +171,49 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
     rng = np.random.default_rng(seed)
     p_det = 1.0 - channel.P_loss * (1.0 - channel.P_DCR)
     n_det = int(rng.binomial(n_pulses, p_det))
-    # Given a detection, a uniform u below photon_only_cut is a lone
-    # photon, u >= photon_cut a lone dark count, and the band between both.
-    # p_det = 0 (e.g. eta_e = 0 at d = 0) gives n_det = 0 and no division.
-    photon_cut = (1.0 - channel.P_loss) / p_det if n_det else 0.0
-    photon_only_cut = photon_cut * (1.0 - channel.P_DCR)
     try:
-        category = rng.random(n_det)
-        photon = category < photon_cut
-        dark = category >= photon_only_cut
-        # The depolarization uniforms reuse the category buffer, freed
-        # once compared: the same draws in the same order, with at most
-        # one array of doubles alive at a time.
-        depolarized = rng.random(out=category) < channel.P_depolar
-        del category
-        coins = np.frombuffer(rng.bytes(n_det), dtype=np.uint8)
+        # One uniform byte per detection: the bytes of raw 64-bit words,
+        # read little-endian on any host, several times faster than a
+        # bounded draw.
+        coins = rng.bit_generator.random_raw((n_det + 7) // 8).astype(
+            "<u8", copy=False).view(np.uint8)[:n_det]
     except MemoryError:
         raise InfeasibleError(
             "quantum_phase", f"N = {n_pulses} pulses give n_det = {n_det} "
             "detections, more than fit in memory") from None
+    # p_det = 0 (e.g. eta_e = 0 at d = 0) gives n_det = 0 and no division;
+    # at P_loss = 1 the ratio can round past 1.
+    dark = _subset(rng, n_det, min(1.0, channel.P_DCR / p_det)
+                   if n_det else 0.0)
+    with_photon = rng.random(len(dark)) < 1.0 - channel.P_loss
+    depolarized = _subset(rng, n_det, channel.P_depolar)
+    dark_registered = dark[~with_photon | ((coins[dark] & 16) != 0)]
+
     k_a = coins & 1
-    # Alice's and Bob's bases are compared at once and never kept, so
-    # neither is alive at the stage's peak.
-    basis_match = ((coins >> 1) & 1) == ((coins >> 2) & 1)
-    noise_bit = (coins >> 3) & 1
-    dark_first = (coins & 16) != 0
+    # Alice's and Bob's bases are compared at once and never kept. On a
+    # basis mismatch Bob reads his noise bit (bit 3), an arithmetic
+    # selection: a masked assignment or np.where on a random mask branches
+    # per element. In-place operations and an early free keep about four
+    # bytes per detection alive at the stage's peak.
+    mismatch = coins >> 1
+    mismatch ^= coins >> 2
+    mismatch &= 1
+    bob_bit = coins >> 3
+    bob_bit ^= coins
+    bob_bit &= mismatch
+    bob_bit ^= k_a
+    # A registered dark count and a depolarized photon read the noise bit
+    # whatever the bases.
+    random_outcome = np.concatenate((depolarized, dark_registered))
+    bob_bit[random_outcome] = (coins[random_outcome] >> 3) & 1
+    del coins
+    basis_match = mismatch == 0
+    del mismatch
 
-    dark_registered = dark & (~photon | dark_first)
-    depolarized &= ~dark_registered
-
-    # Selections are arithmetic, not masked assignment or np.where: on
-    # random masks those branch per element and cost several times more.
-    source = (SOURCE_PHOTON
-              + dark_registered * np.uint8(SOURCE_DARK - SOURCE_PHOTON)
-              + depolarized * np.uint8(SOURCE_DEPOLARIZED - SOURCE_PHOTON))
-    random_outcome = dark_registered | depolarized | ~basis_match
-    bob_bit = k_a ^ ((noise_bit ^ k_a) & random_outcome)
+    source = np.full(n_det, SOURCE_PHOTON, dtype=np.uint8)
+    source[depolarized] = SOURCE_DEPOLARIZED
+    # Written last: a registered dark count is never a depolarized photon.
+    source[dark_registered] = SOURCE_DARK
 
     outcomes = PulseOutcomes(detection_source=source, basis_match=basis_match,
                              bob_bit=bob_bit)
@@ -201,15 +233,15 @@ def sift(k_a: np.ndarray, outcomes: PulseOutcomes
 
 def controlled_randomization(key: np.ndarray, p_extra: float,
                              seed: int) -> np.ndarray:
-    """Flip each bit independently with probability p_extra."""
+    """Flip each bit independently with probability p_extra: a copy of
+    the key with a uniform subset of Binomial(len(key), p_extra) positions
+    flipped."""
     if not 0.0 <= p_extra <= 0.5:
         raise ValueError(f"p_extra must be in [0, 1/2], got {p_extra}")
-    key = np.asarray(key, dtype=np.uint8)
-    if p_extra == 0.0:
-        return key.copy()
-    rng = np.random.default_rng(seed)
-    flips = rng.random(len(key)) < p_extra
-    return key ^ flips.astype(np.uint8)
+    key = np.array(key, dtype=np.uint8)
+    if p_extra > 0.0:
+        key[_subset(np.random.default_rng(seed), len(key), p_extra)] ^= 1
+    return key
 
 
 def estimate_parameters(sifted_a: np.ndarray, sifted_b: np.ndarray,

@@ -621,69 +621,69 @@ def digest(data: bytes) -> str:
 CASCADE_FIELDS = ("n_exp", "f_realized", "verified")
 FROZEN_RUNS = {
     ("--mf", "1000", "5", "fraction"): (
-        ("d479db5e6d15880e", 64016, 1290, None),
-        (357, 1.8965605113931712, True)),
+        ("ca9ec29d0e899bd7", 64016, 1280, None),
+        (285, 1.0469952130029567, True)),
     ("--mf", "1000", "5", "count"): (
-        ("ba87884cdafb9aa0", 54934, 1193, None),
-        (122, 0.7597941882927235, True)),
+        ("0989479b18cea387", 54934, 1101, None),
+        (171, 1.219685777892257, True)),
     ("--mf", "1000", "5", "sqrt"): (
-        ("72debb01e4a32e22", 54253, 1124, None),
-        (159, 1.2914070881382391, True)),
+        ("d6e625a8ca30f474", 54253, 1080, None),
+        (142, 0.7295384535939694, True)),
     ("--mf", "1000", "30", "fraction"): (
-        ("f11e974930d88a73", 201052, 1292, None),
-        (347, 1.22192499040699, True)),
+        ("a43f8ff92d91b40d", 201052, 1281, None),
+        (300, 1.0578226499574324, True)),
     ("--mf", "1000", "30", "count"): (
-        ("dd2d3f6291487ca7", 172698, 1188, None),
-        (205, 1.5602122904416635, True)),
+        ("8ce9c7e029a8ea40", 172698, 1107, None),
+        (174, 1.0998218608856931, True)),
     ("--mf", "1000", "30", "sqrt"): (
-        ("1da0e8f7506222df", 170524, 1130, None),
-        (194, 0.8648098644974743, True)),
+        ("aeb43002e9b47d16", 170524, 1082, None),
+        (197, 1.2737247145180963, True)),
     ("--mf", "1000", "65", "fraction"): (
-        ("fc52d93a0c1aaa45", 1571881, 1084, None),
-        (1323, 1.2596050109061263, True)),
+        ("adc339810dcf91bf", 1571881, 1050, None),
+        (1203, 1.3282968146114753, True)),
     ("--mf", "1000", "65", "count"): (
-        ("b9498ce03bc5c53f", 1412280, 1078, None),
-        (1254, 1.4283493423157665, True)),
+        ("4c7b31fca072a992", 1412280, 1071, None),
+        (1160, 1.0450964926555806, True)),
     ("--mf", "1000", "65", "sqrt"): (
-        ("c3cb1107a08b4712", 1404440, 1079, None),
-        (1244, 1.0830622907328686, True)),
+        ("51100745a5a919d9", 1404440, 1062, None),
+        (1090, 1.1065799465811872, True)),
     ("--n", "200000", "5", "fraction"): (
-        ("bf05a3765f8a4e0a", 200000, 6143, None),
-        (81, 0.9122034239138082, True)),
+        ("0f22a6c3bc9ce5bf", 200000, 6057, None),
+        (88, 0.6120507097119239, True)),
     ("--n", "200000", "5", "count"): (
-        ("b9b8bd680a87c94b", 200000, 4632, None),
-        (47, 0.6065299064342334, True)),
+        ("5c230eb4bacb147e", 200000, 4524, None),
+        (100, 2.143068443326986, True)),
     ("--n", "200000", "5", "sqrt"): (
-        ("6f6282edea91f482", 200000, 4597, None),
-        (69, 1.4707689192816786, True)),
+        ("75372beae3915092", 200000, 4524, None),
+        (100, 2.143068443326986, True)),
     ("--n", "200000", "30", "fraction"): (
-        ("d7aa51cba64112f8", 200000, 1554, None),
-        (208, 2.2838774871337497, True)),
+        ("a7942ed0e67a7166", 200000, 1534, None),
+        (211, 1.5688696439040157, True)),
     ("--n", "200000", "30", "count"): (
-        ("306cfb956daad93f", 200000, 1456, None),
-        (165, 1.023410844558327, True)),
+        ("88bf87d6e777100b", 200000, 1427, None),
+        (176, 1.0426775964428632, True)),
     ("--n", "200000", "30", "sqrt"): (
-        ("d45397f0ab40b000", 200000, 1454, None),
-        (176, 1.1767798535079161, True)),
+        ("d6671cfa810b9616", 200000, 1430, None),
+        (208, 2.044426885445771, True)),
     ("--n", "200000", "65", "fraction"): (
-        ("55efa05b39ae2035", 200000, 88, None),
-        (181, 1.000542189998551, True)),
+        ("20c94b245fb3156d", 200000, 89, None),
+        (189, 1.0881710810927219, True)),
     ("--n", "200000", "65", "count"): (
-        ("5642059b29b8b870", 200000, 54, None),
-        (149, 1.3158335180820533, True)),
+        ("74ab914d6462d28f", 200000, 55, None),
+        (176, 1.9814280278313612, True)),
     ("--n", "200000", "65", "sqrt"): (
-        ("ff11c385b26bada3", 200000, 54, None),
-        (149, 1.3158335180820533, True)),
+        ("3f7c991503097640", 200000, 55, None),
+        (176, 1.9814280278313612, True)),
 }
 
 # sweep --distances 5,30,65 <mode> --strategies fraction,count,sqrt
 # --iterations 2 --seed 7: (digest of the CSV, (N, status) per row).
 FROZEN_SWEEPS = {
-    ("--mf", "1000"): ("b2746b1298928bdd", [
+    ("--mf", "1000"): ("34c37ab85c08b106", [
         ("64016", "ok"), ("54934", "ok"), ("54253", "ok"),
         ("201052", "ok"), ("172698", "ok"), ("170524", "ok"),
         ("1571881", "ok"), ("1412280", "ok"), ("1404440", "ok")]),
-    ("--n", "200000"): ("ba57ca24271519d8", [
+    ("--n", "200000"): ("7d22fe07faaad2bc", [
         ("200000", "ok"), ("200000", "ok"), ("200000", "ok"),
         ("200000", "ok"), ("200000", "ok"), ("200000", "ok"),
         ("200000", "ok"), ("", "infeasible:strategy_stats"),
