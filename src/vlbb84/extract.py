@@ -35,9 +35,8 @@ each first write to a newly mapped page faults. So each call allocates
 one float64 work array of 4*(S//2+1) + l doubles, and every step runs
 in views of it; the only other allocation is the m-byte output:
 
-    region A, 2*(S//2+1) doubles: the high window times 2^b, staged;
-        then the packed window's spectrum; after the precision check,
-        the output parities as int64
+    region A, 2*(S//2+1) doubles: the packed window's spectrum; after
+        the precision check, the output parities as int64
     region B, 2*(S//2+1) doubles: the packed window's l+h-1 doubles,
         staged for its rfft; then the input's spectrum; then the inverse
         transform
@@ -128,9 +127,11 @@ def toeplitz_extract(input_bits: np.ndarray, seed_bits: np.ndarray,
     other = work[span:2 * span].view(np.complex128)
     doubles = work[2 * span:]
     staged = work[span:span + l + h - 1]    # packed, until other is written
-    staged[...] = seed[m - h:]
-    # The seed's spectrum is not written yet: scale the high window there.
-    staged[:high] += np.multiply(seed[:high], float(1 << b), out=work[:high])
+    # One pass per part: the scaled high window plus the low window's
+    # first bits, then the rest of the low window.
+    np.multiply(seed[:high], float(1 << b), out=staged[:high])
+    staged[:high] += seed[m - h:m - h + high]
+    staged[high:] = seed[m - h + high:]
     np.fft.rfft(staged, size, out=spectrum)
     doubles[...] = x[::-1]
     np.fft.rfft(doubles, size, out=other)
@@ -153,18 +154,22 @@ def toeplitz_extract(input_bits: np.ndarray, seed_bits: np.ndarray,
 
 
 def extract_key(input_bits: np.ndarray, p_hat: float, sec: SecurityParams,
-                seed: int) -> tuple[np.ndarray, float]:
+                seed: int | np.random.Generator) -> tuple[np.ndarray, float]:
     """Compute the secure bits k for input_bits and extract the final key
     with a Toeplitz seed drawn from default_rng(seed); returns
-    (final_key, k)."""
+    (final_key, k).
+
+    The l + m - 1 seed bits are every bit of ceil((l + m - 1) / 64) raw
+    64-bit words of the generator: their bytes little-endian, each byte
+    unpacked most significant bit first (np.unpackbits' default order),
+    the last word's surplus bits dropped.
+    """
     l = len(input_bits)
     k, m = secure_length(l, p_hat, sec)
     if m == 0:
         return np.zeros(0, dtype=np.uint8), k
-    # The same bits as integers(0, 2, l + m - 1, dtype=np.uint8), drawn
-    # faster: that draw takes the top bit of each byte of the generator's
-    # 32-bit words, low byte first (Lemire's method never rejects on
-    # [0, 2)), and bytes() packs the same words little-endian.
-    seed_bits = np.frombuffer(np.random.default_rng(seed).bytes(l + m - 1),
-                              np.uint8) >> 7
+    n = l + m - 1
+    words = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 64))
+    seed_bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                              count=n)
     return toeplitz_extract(input_bits, seed_bits, m), k

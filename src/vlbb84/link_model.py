@@ -178,10 +178,16 @@ def channel_at(link: LinkParams, d: float) -> ChannelDerived:
     tau = d / link.v_f
     delta_tau = link.std * tau
     window = link.C * delta_tau
+    # At a subnormal v_f, tau overflows, and the window is inf or NaN.
+    if not math.isfinite(window):
+        raise ValueError(f"the detector window C * std * d / v_f overflows "
+                         f"at d = {d} km with v_f = {link.v_f} km/s")
     P_DCR = -math.expm1(-link.R_DCR * window)
     P_0 = 1.0 - link.eta_e * link.eta_d
     P_loss = 1.0 - (1.0 - P_0) * 10.0 ** (-link.R * d / 10.0)
-    P_depolar = -math.expm1(-(link.R_depolar / link.v_f) * d)
+    # A fiber of length 0 does not depolarize, even where the rate per km
+    # R_depolar / v_f overflows (a subnormal v_f) and inf * 0 is NaN.
+    P_depolar = -math.expm1(-(link.R_depolar / link.v_f) * d) if d else 0.0
 
     denom = 1.0 - P_loss * (1.0 - P_DCR)
     p = 0.5 * denom

@@ -18,6 +18,16 @@ Floyd's sample, Bentley and Floyd, CACM 30(9), 1987). Controlled
 randomization draws its flips the same way. Every probability the
 sampler uses comes from the primitives P_loss, P_DCR and P_depolar,
 never from the derived p or P_flip.
+
+A run draws from one PCG64 generator, seeded once with the run seed.
+Each of its five stages starts at a fixed point of that stream: stage i
+receives exactly the state of PCG64(seed).jumped(i), i jumps of
+(phi - 1) * 2**128 steps past the seed's state (the substreams of
+L'Ecuyer et al., Oper. Res. 50(6), 2002). The stages are, in order, the
+quantum phase, controlled randomization, estimation, Cascade and
+extraction. The five starts lie more than 2**125 steps apart, far more
+than a run draws, and a stage that draws more or less moves no other
+stage's draws.
 """
 
 from __future__ import annotations
@@ -46,13 +56,18 @@ KEY_OUTPUT_LIMIT_BITS = 4096
 # numpy's binomial sampler takes the pulse count as a C long (int64).
 _MAX_PULSES = 2 ** 63 - 1
 
+# The step of PCG64.jumped: (phi - 1) * 2**128, rounded to an odd number.
+# Stage i of a run starts i * _STAGE_JUMP steps past the run seed's state.
+_STAGE_JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
+
 
 def derive_seed(base_seed: int, index: int) -> int:
-    """Seed of sub-stream `index` of `base_seed` (a run of a sweep, or a
-    stage of a run).
+    """Seed of run `index` of a sweep with seed `base_seed`.
 
     Derived by numpy's SeedSequence with spawn key (index,), so distinct
-    (base_seed, index) pairs give unrelated 64-bit seeds.
+    (base_seed, index) pairs give unrelated 64-bit seeds. The stages of a
+    run do not use it: they draw from jumps of one generator (see the
+    module docstring).
     """
     if base_seed < 0:
         raise ValueError(f"seed must be >= 0, got {base_seed}")
@@ -130,7 +145,8 @@ def _subset(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
                       shuffle=False)
 
 
-def quantum_phase(n_pulses: int, channel: ChannelDerived, seed: int
+def quantum_phase(n_pulses: int, channel: ChannelDerived,
+                  seed: int | np.random.Generator
                   ) -> tuple[np.ndarray, PulseOutcomes]:
     """Simulate N pulses; returns (k_A, outcomes), one entry per detected
     pulse (undetected pulses cannot be sifted and are not drawn).
@@ -232,7 +248,7 @@ def sift(k_a: np.ndarray, outcomes: PulseOutcomes
 
 
 def controlled_randomization(key: np.ndarray, p_extra: float,
-                             seed: int) -> np.ndarray:
+                             seed: int | np.random.Generator) -> np.ndarray:
     """Flip each bit independently with probability p_extra: a copy of
     the key with a uniform subset of Binomial(len(key), p_extra) positions
     flipped."""
@@ -246,7 +262,8 @@ def controlled_randomization(key: np.ndarray, p_extra: float,
 
 def estimate_parameters(sifted_a: np.ndarray, sifted_b: np.ndarray,
                         strategy: Strategy, p_extra: float,
-                        sec: SecurityParams, seed: int):
+                        sec: SecurityParams,
+                        seed: int | np.random.Generator):
     """Sample a random subset, estimate the error rate, decide abort.
 
     Returns (q_hat, q_inferred, clamped, abort_cause, remaining_a,
@@ -263,7 +280,8 @@ def estimate_parameters(sifted_a: np.ndarray, sifted_b: np.ndarray,
     rng = np.random.default_rng(seed)
     size = strategy.sample_size(n)
     idx = rng.choice(n, size=size, replace=False)
-    q_hat = float(np.mean(sifted_a[idx] != sifted_b[idx]))
+    # A Python float, so the record's fields stay JSON-serializable.
+    q_hat = float(np.count_nonzero(sifted_a[idx] != sifted_b[idx]) / size)
     q_inf = infer_qber(q_hat, p_extra)
     clamped = q_hat < p_extra
     abort_cause = "qber-threshold" if q_inf >= sec.Q_t else None
@@ -277,6 +295,13 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
                  seed: int) -> RunRecord:
     """One full protocol execution, deterministic in (inputs, seed).
 
+    The run seeds one generator, default_rng(seed), and hands it to each
+    stage in turn, first set to the stage's start: stage i receives the
+    state of PCG64(seed).jumped(i), for 0 quantum phase, 1 controlled
+    randomization, 2 estimation, 3 Cascade and 4 extraction. The stages
+    share the one Generator object, so a stage must not keep it after it
+    returns.
+
     The quantum-channel time uses the fixed clock model
     N*s + tau + window + DD (classical-message latencies are not
     modeled). p_extra outside [0, 1/2) is rejected on entry, however few
@@ -285,17 +310,27 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
     """
     check_p_extra(p_extra)
     channel = channel_at(link, d)
-    sub = [derive_seed(seed, i) for i in range(5)]
+    # numpy's own message for a negative seed names no parameter.
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    start = rng.bit_generator.state
+
+    def stage(i: int) -> np.random.Generator:
+        """The run's generator, set i jumps past the seed's state."""
+        rng.bit_generator.state = start
+        rng.bit_generator.advance(i * _STAGE_JUMP % 2 ** 128)
+        return rng
 
     # No name holds the per-detection arrays, so they are freed once sift
     # returns instead of adding to the peak of Cascade and extraction.
-    sifted_a, sifted_b = sift(*quantum_phase(n_pulses, channel, sub[0]))
-    sifted_b = controlled_randomization(sifted_b, p_extra, sub[1])
+    sifted_a, sifted_b = sift(*quantum_phase(n_pulses, channel, stage(0)))
+    sifted_b = controlled_randomization(sifted_b, p_extra, stage(1))
     n_sifted = len(sifted_a)
     t_quantum = n_pulses * channel.s + channel.tau + channel.window + link.DD
 
     q_hat, q_inf, clamped, abort_cause, rem_a, rem_b = estimate_parameters(
-        sifted_a, sifted_b, strategy, p_extra, sec, sub[2])
+        sifted_a, sifted_b, strategy, p_extra, sec, stage(2))
     # Each stage's inputs are dropped once read, so they add nothing to
     # the peak of the stages after it.
     del sifted_a, sifted_b
@@ -313,7 +348,7 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
     m = 0
     final_key: Optional[np.ndarray] = None
     if not aborted:
-        rec = cascade(rem_a, rem_b, q_hat, sub[3])
+        rec = cascade(rem_a, rem_b, q_hat, stage(3))
         del rem_b
         n_exp = rec.n_exp
         f_realized = rec.f_realized
@@ -321,7 +356,7 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
         del rec     # its corrected_B is never extracted from
         # The extractor input length is bounded a priori from the link
         # model, not from the realized leakage.
-        final_key, k_bound = extract_key(rem_a, p_hat, sec, sub[4])
+        final_key, k_bound = extract_key(rem_a, p_hat, sec, stage(4))
         m = len(final_key)
 
     return RunRecord(N=n_pulses, n_sifted=n_sifted, sample_size=sample_size,

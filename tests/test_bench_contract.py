@@ -11,9 +11,11 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vlbb84 import LinkParams, SecurityParams, channel_at, planner, protocol
+from vlbb84 import (LinkParams, SecurityParams, channel_at, extract, planner,
+                    protocol)
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -48,3 +50,25 @@ def test_plan_and_run_take_the_bench_positional_calls():
 def test_quantum_phase_outcomes_count_detections():
     result = protocol.quantum_phase(10_000, channel_at(LinkParams(), 5.0), 3)
     assert int(result[1].detected.sum()) > 0
+
+
+def test_same_run_seed_hashes_the_same_input(monkeypatch):
+    # The bench's dense Toeplitz oracle re-runs an op with its run seed and
+    # expects the extractor to see the same input and seed again: no
+    # generator state may carry from one run into the next.
+    calls = []
+    toeplitz = extract.toeplitz_extract
+
+    def recording(input_bits, seed_bits, m):
+        calls.append((np.array(input_bits), np.array(seed_bits), m))
+        return toeplitz(input_bits, seed_bits, m)
+
+    monkeypatch.setattr(extract, "toeplitz_extract", recording)
+    link, sec = LinkParams(), SecurityParams()
+    the_plan = planner.plan(30.0, 1000, "count", link, sec)
+    for _ in range(2):
+        protocol.run_from_plan(the_plan, link, sec, 7)
+    (x1, s1, m1), (x2, s2, m2) = calls
+    assert m1 == m2 > 0
+    assert np.array_equal(x1, x2)
+    assert np.array_equal(s1, s2)

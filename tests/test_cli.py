@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlbb84.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, SIM_COLUMNS,
                         main)
@@ -621,69 +627,69 @@ def digest(data: bytes) -> str:
 CASCADE_FIELDS = ("n_exp", "f_realized", "verified")
 FROZEN_RUNS = {
     ("--mf", "1000", "5", "fraction"): (
-        ("ca9ec29d0e899bd7", 64016, 1280, None),
-        (285, 1.0469952130029567, True)),
+        ("249e61c2ae9f54bb", 64016, 1268, None),
+        (313, 1.152869512559769, True)),
     ("--mf", "1000", "5", "count"): (
-        ("0989479b18cea387", 54934, 1101, None),
-        (171, 1.219685777892257, True)),
+        ("74d71e404eaa41f5", 54934, 1074, None),
+        (171, 1.4314130845588684, True)),
     ("--mf", "1000", "5", "sqrt"): (
-        ("d6e625a8ca30f474", 54253, 1080, None),
-        (142, 0.7295384535939694, True)),
+        ("e4bc6d071e3f6754", 54253, 1059, None),
+        (178, 1.2348912553685778, True)),
     ("--mf", "1000", "30", "fraction"): (
-        ("a43f8ff92d91b40d", 201052, 1281, None),
-        (300, 1.0578226499574324, True)),
+        ("3165b4c38c3f1886", 201052, 1268, None),
+        (350, 1.0708130771082398, True)),
     ("--mf", "1000", "30", "count"): (
-        ("8ce9c7e029a8ea40", 172698, 1107, None),
-        (174, 1.0998218608856931, True)),
+        ("3de8286c190837af", 172698, 1077, None),
+        (179, 1.161341606199837, True)),
     ("--mf", "1000", "30", "sqrt"): (
-        ("aeb43002e9b47d16", 170524, 1082, None),
-        (197, 1.2737247145180963, True)),
+        ("dfefd750f8bcdd06", 170524, 1059, None),
+        (120, 0.7866997582939981, True)),
     ("--mf", "1000", "65", "fraction"): (
-        ("adc339810dcf91bf", 1571881, 1050, None),
-        (1203, 1.3282968146114753, True)),
+        ("51d5c450f20bd614", 1571881, 1039, None),
+        (1135, 1.14709627657244, True)),
     ("--mf", "1000", "65", "count"): (
-        ("4c7b31fca072a992", 1412280, 1071, None),
-        (1160, 1.0450964926555806, True)),
+        ("96cf70f85348f005", 1412280, 1058, None),
+        (1171, 1.079432443563836, True)),
     ("--mf", "1000", "65", "sqrt"): (
-        ("51100745a5a919d9", 1404440, 1062, None),
-        (1090, 1.1065799465811872, True)),
+        ("6b8a660cbe7ab0e6", 1404440, 1051, None),
+        (1240, 1.4000056256220894, True)),
     ("--n", "200000", "5", "fraction"): (
-        ("0f22a6c3bc9ce5bf", 200000, 6057, None),
-        (88, 0.6120507097119239, True)),
+        ("3cac6e4ebf9b88df", 200000, 6015, None),
+        (38, 0.551595021120456, False)),
     ("--n", "200000", "5", "count"): (
-        ("5c230eb4bacb147e", 200000, 4524, None),
-        (100, 2.143068443326986, True)),
+        ("97b0d6d45c0417ae", 200000, 4493, None),
+        (81, 1.7373289362361175, False)),
     ("--n", "200000", "5", "sqrt"): (
-        ("75372beae3915092", 200000, 4524, None),
-        (100, 2.143068443326986, True)),
+        ("d3e26d6841abe23f", 200000, 4493, None),
+        (81, 1.7373289362361175, False)),
     ("--n", "200000", "30", "fraction"): (
-        ("a7942ed0e67a7166", 200000, 1534, None),
-        (211, 1.5688696439040157, True)),
+        ("378885384934252e", 200000, 1519, None),
+        (202, 1.6790837270500203, True)),
     ("--n", "200000", "30", "count"): (
-        ("88bf87d6e777100b", 200000, 1427, None),
-        (176, 1.0426775964428632, True)),
+        ("d4308ae290259e70", 200000, 1405, None),
+        (191, 1.9154798567688838, True)),
     ("--n", "200000", "30", "sqrt"): (
-        ("d6671cfa810b9616", 200000, 1430, None),
-        (208, 2.044426885445771, True)),
+        ("dfd64bd4ea64a4f0", 200000, 1413, None),
+        (189, 1.5185083954000518, True)),
     ("--n", "200000", "65", "fraction"): (
-        ("20c94b245fb3156d", 200000, 89, None),
-        (189, 1.0881710810927219, True)),
+        ("8fc9081eaca798cb", 200000, 85, None),
+        (189, 1.7468686026963713, True)),
     ("--n", "200000", "65", "count"): (
-        ("74ab914d6462d28f", 200000, 55, None),
-        (176, 1.9814280278313612, True)),
+        ("84f1e7b3a4f9cb46", 200000, 52, None),
+        (132, 1.2619727918063777, True)),
     ("--n", "200000", "65", "sqrt"): (
-        ("3f7c991503097640", 200000, 55, None),
-        (176, 1.9814280278313612, True)),
+        ("d39d057ba2d08f26", 200000, 52, None),
+        (132, 1.2619727918063777, True)),
 }
 
 # sweep --distances 5,30,65 <mode> --strategies fraction,count,sqrt
 # --iterations 2 --seed 7: (digest of the CSV, (N, status) per row).
 FROZEN_SWEEPS = {
-    ("--mf", "1000"): ("34c37ab85c08b106", [
+    ("--mf", "1000"): ("b59eeeb85ac2e67d", [
         ("64016", "ok"), ("54934", "ok"), ("54253", "ok"),
         ("201052", "ok"), ("172698", "ok"), ("170524", "ok"),
         ("1571881", "ok"), ("1412280", "ok"), ("1404440", "ok")]),
-    ("--n", "200000"): ("7d22fe07faaad2bc", [
+    ("--n", "200000"): ("7e349df4941b722a", [
         ("200000", "ok"), ("200000", "ok"), ("200000", "ok"),
         ("200000", "ok"), ("200000", "ok"), ("200000", "ok"),
         ("200000", "ok"), ("", "infeasible:strategy_stats"),
@@ -767,3 +773,143 @@ class TestFrozenOutputs:
         assert code == EXIT_OK
         rows = [(r["N_F"], r["status"]) for r in read_rows(out_csv)]
         assert (digest(out_csv.read_bytes()), rows) == FROZEN_PLAN_SWEEP
+
+
+# A fuzz of main() in process: random configs, in the validated ranges, at
+# their edges and at subnormals, with small requests to every command.
+# Every answer is an exit code main() documents and one JSON document, and
+# every error names what it rejects: none of these bare messages, which
+# name no parameter and no stage, may reach the user.
+BARE_MESSAGES = ("division by zero", "math domain error",
+                 "expected non-negative integer",
+                 "p < 0, p > 1 or p is NaN")
+TINY = 5e-324
+UNIT = st.sampled_from([0.0, TINY, 1e-300, 0.5, 1.0]) | st.floats(0.0, 1.0)
+NONNEGATIVE = st.sampled_from([0.0, TINY, 1e-300, 1.0, 1e6]) | st.floats(0.0,
+                                                                        1e3)
+POSITIVE = st.sampled_from([TINY, 1e-300, 1.0, 1e6]) | st.floats(1e-3, 1e3)
+LINK_FIELDS = {"eta_e": UNIT, "eta_d": UNIT, "std": UNIT, "R": NONNEGATIVE,
+               "R_depolar": NONNEGATIVE, "R_DCR": NONNEGATIVE,
+               "DD": NONNEGATIVE, "DT": NONNEGATIVE, "GD_A": NONNEGATIVE,
+               "GD_B": NONNEGATIVE, "C": POSITIVE, "v_f": POSITIVE}
+SECURITY_FIELDS = {
+    "Q_t": st.sampled_from([TINY, 0.091, 0.5 - 2 ** -54])
+    | st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    "f_max": st.sampled_from([1.0, 1.27, 2.0, 1e300]),
+    "eps_max": st.sampled_from([TINY, 1e-300, 0.01, 1 - 2 ** -53]),
+    "C_F": POSITIVE, "eps": POSITIVE,
+    "alpha": st.sampled_from([-1.0, -1.0 + 2 ** -52, 0.0, 3.0, 1e300]),
+    "beta": st.sampled_from([-600.0, -1.0, 0.0, 20.0, 1e300])}
+DISTANCE = st.sampled_from([0.0, TINY, 1e-300, 5.0, 30.0, 78.0, 200.0])
+STRATEGY = st.sampled_from(["fraction", "count", "sqrt"])
+SIZING = st.fixed_dictionaries({}, optional={
+    "--g": st.sampled_from(["0.1", "0.5", "1", repr(TINY)]),
+    "--p-extra": st.sampled_from(["opt", "0", repr(TINY), "0.01", "0.49",
+                                  "0.5"])})
+SEEDS = st.sampled_from(["0", "1", str(2 ** 63 - 1), str(2 ** 64 + 5), "-1"])
+# A planned run or sweep is simulated only when its plan is this small.
+MAX_PLANNED_PULSES = 2_000_000
+
+
+def command_line(draw, command: str) -> list[str]:
+    """A small request to one command, without --config and --out."""
+    if command == "link-info":
+        return ["link-info", "--distance", repr(draw(DISTANCE))]
+    if command == "sweep":
+        distances = draw(st.lists(DISTANCE, min_size=1, max_size=2))
+        argv = ["sweep", "--distances", ",".join(map(repr, distances)),
+                "--strategies", ",".join(draw(st.lists(STRATEGY, min_size=1,
+                                                       max_size=2)))]
+        if draw(st.booleans()):
+            argv += ["--iterations", str(draw(st.sampled_from([1, 2, 0])))]
+        if draw(st.booleans()):
+            argv.append("--plan-only")
+    else:
+        argv = [command, "--distance", repr(draw(DISTANCE)), "--strategy",
+                draw(STRATEGY)]
+    if command == "plan" or draw(st.booleans()):
+        argv += ["--mf", str(draw(st.sampled_from([1, 10, 1000])))]
+    else:
+        argv += ["--n", str(draw(st.sampled_from([1, 10, 1000, 20_000])))]
+    if command != "plan":
+        argv += ["--seed", draw(SEEDS)]
+    for option, value in draw(SIZING).items():
+        argv += [option, value]
+    return argv
+
+
+@st.composite
+def requests(draw):
+    # Each section is often left at its defaults, so that many requests
+    # get past validation and planning into a run.
+    config = {name: draw(st.fixed_dictionaries({}, optional=section))
+              for name, section in (("link", LINK_FIELDS),
+                                    ("security", SECURITY_FIELDS))
+              if draw(st.booleans())}
+    command = draw(st.sampled_from(["run", "sweep", "plan", "link-info"]))
+    return config, command_line(draw, command)
+
+
+def call_main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def planned_pulses(argv: list[str], config_path: str) -> Optional[int]:
+    """The largest N_F that the planned points of run or sweep argv would
+    simulate, from `plan` answers; None if no point would be simulated."""
+    if argv[0] == "run":
+        points = [(argv[argv.index("--distance") + 1],
+                   argv[argv.index("--strategy") + 1])]
+    else:
+        points = [(d, s) for d in argv[argv.index("--distances") + 1].split(",")
+                  for s in argv[argv.index("--strategies") + 1].split(",")]
+    sizing = [a for o in ("--mf", "--g", "--p-extra") if o in argv
+              for a in (o, argv[argv.index(o) + 1])]
+    sizes = []
+    for d, s in points:
+        code, out = call_main(["plan", "--distance", d, "--strategy", s,
+                               *sizing, "--config", config_path])
+        if code == EXIT_OK:
+            sizes.append(json.loads(out)["N_F"])
+    return max(sizes, default=None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(requests())
+def test_fuzzed_requests_answer_in_json(request):
+    config, drawn = request
+    argv = list(drawn)
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "config.json")
+        with open(config_path, "w") as fh:
+            json.dump(config, fh)
+        out_csv = os.path.join(tmp, "sweep.csv")
+        if argv[0] == "sweep":
+            argv += ["--out", out_csv]
+        simulates = argv[0] in ("run", "sweep") and "--plan-only" not in argv
+        if simulates and "--mf" in argv:
+            pulses = planned_pulses(argv, config_path)
+            if pulses is not None and pulses > MAX_PLANNED_PULSES:
+                # Too large to simulate here: plan the same request.
+                if argv[0] == "run":
+                    i = argv.index("--seed")
+                    argv = ["plan", *argv[1:i], *argv[i + 2:]]
+                else:
+                    argv.append("--plan-only")
+        code, out = call_main([*argv, "--config", config_path])
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE), argv
+        doc = json.loads(out)
+        assert isinstance(doc, dict), argv
+        if code == EXIT_OK:
+            assert "error" not in doc, argv
+            if argv[0] == "sweep":
+                assert os.path.isfile(out_csv), argv
+        else:
+            assert doc["error"] == ("infeasible" if code == EXIT_INFEASIBLE
+                                    else "invalid"), argv
+            assert doc["message"], argv
+            assert not any(bare in doc["message"] for bare in BARE_MESSAGES), (
+                argv, config, doc)

@@ -39,6 +39,17 @@ def plain_fft_toeplitz(input_bits, seed_bits, m):
     return (lags[::-1].astype(np.int64) % 2).astype(np.uint8)
 
 
+def raw_word_bits(seed: int, n: int) -> np.ndarray:
+    """The first n bits of PCG64(seed)'s raw 64-bit words, read word by
+    word from bit 7 of the low byte: bit j of a word is its bit
+    8 * (j // 8) + 7 - j % 8."""
+    words = np.random.PCG64(seed).random_raw(-(-n // 64))
+    shifts = np.array([8 * (j // 8) + 7 - j % 8 for j in range(64)],
+                      dtype=np.uint64)
+    bits = (words[:, None] >> shifts) & np.uint64(1)
+    return bits.ravel()[:n].astype(np.uint8)
+
+
 class TestSecureLength:
     def test_zero_above_exact_root(self):
         # Just above the exact zero of the rate factor (~0.09122) the
@@ -329,36 +340,48 @@ def test_cli_import_loads_no_scipy():
 
 
 class TestExtractKey:
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 - 1])
-    def test_seed_bits_match_integer_draw(self, seed, monkeypatch):
-        # extract_key draws its Toeplitz seed as the top bit of each random
-        # byte, which must stay the stream of integers(0, 2, n, uint8); a
-        # numpy release that changes either draw fails here. m = 1 makes
-        # the seed as long as the input.
+    @staticmethod
+    def drawn_seed_bits(monkeypatch, n: int, seeds) -> list[np.ndarray]:
+        """The Toeplitz seed extract_key draws for an n-bit input from each
+        seed; m = 1 makes the seed as long as the input."""
         drawn = []
 
         def spy(input_bits, seed_bits, m):
             drawn.append(seed_bits)
             return np.zeros(m, dtype=np.uint8)
 
-        monkeypatch.setattr("vlbb84.extract.secure_length",
-                            lambda l, p_hat, sec: (float(l), 1))
-        monkeypatch.setattr("vlbb84.extract.toeplitz_extract", spy)
-        for n in [*range(1, 71), 3399, 216_499]:
-            extract_key(np.zeros(n, dtype=np.uint8), 0.0, SEC, seed)
-            want = np.random.default_rng(seed).integers(0, 2, n,
-                                                        dtype=np.uint8)
-            got = drawn.pop()
+        with monkeypatch.context() as mp:
+            mp.setattr("vlbb84.extract.secure_length",
+                       lambda l, p_hat, sec: (float(l), 1))
+            mp.setattr("vlbb84.extract.toeplitz_extract", spy)
+            for seed in seeds:
+                extract_key(np.zeros(n, dtype=np.uint8), 0.0, SEC, seed)
+        return drawn
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 - 1])
+    def test_seed_bits_are_raw_word_bits(self, seed, monkeypatch):
+        # The seed is the first n bits of PCG64(seed)'s raw 64-bit words,
+        # each word's bytes low first and each byte's bits high first.
+        for n in [*range(1, 71), *(64 * k + e for k in (2, 3, 53)
+                                   for e in (-1, 1)), 216_433]:
+            got, = self.drawn_seed_bits(monkeypatch, n, [seed])
             assert got.dtype == np.uint8
-            assert np.array_equal(got, want), n
+            assert np.array_equal(got, raw_word_bits(seed, n)), n
+
+    def test_seed_bits_are_fair_per_position(self, monkeypatch):
+        # Over 2,000 seeds every position of a 130-bit seed (two words and
+        # two bits of a third) is 1 about half the time: 0.05 is 4.5
+        # standard deviations.
+        drawn = self.drawn_seed_bits(monkeypatch, 130, range(2000))
+        freq = np.mean(drawn, axis=0)
+        assert np.all(np.abs(freq - 0.5) <= 0.05)
 
     def test_round_trip_sizing(self):
         rng = np.random.default_rng(5)
         x = rng.integers(0, 2, 3066, dtype=np.uint8)
         key, _ = extract_key(x, 0.05, SEC, 6)
         m = secure_length(3066, 0.05, SEC)[1]
-        seed_bits = np.random.default_rng(6).integers(0, 2, 3066 + m - 1,
-                                                      dtype=np.uint8)
+        seed_bits = raw_word_bits(6, 3066 + m - 1)
         assert len(key) == m > 0
         assert np.array_equal(key, toeplitz_extract(x, seed_bits, m))
 

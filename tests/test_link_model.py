@@ -117,6 +117,23 @@ FROZEN_CHANNELS = {
 }
 
 
+def test_zero_length_fiber_never_depolarizes():
+    # R_depolar / v_f overflows at a subnormal v_f; at d = 0 the
+    # depolarization is still 0, not inf * 0 = NaN.
+    ch = channel_at(LinkParams(v_f=5e-324), 0.0)
+    assert ch.P_depolar == 0.0
+    assert ch.P_flip == 0.0
+
+
+@pytest.mark.parametrize("fields", [{}, {"std": 0.0}, {"R_DCR": 0.0}])
+def test_overflowing_window_is_rejected(fields):
+    # d / v_f overflows: the window is inf (or NaN with std = 0), which
+    # would make the detection probabilities NaN.
+    link = LinkParams(v_f=5e-324, **fields)
+    with pytest.raises(ValueError, match="window .* overflows at d = 5.0 km"):
+        channel_at(link, 5.0)
+
+
 class TestFrozenDerivation:
     @pytest.mark.parametrize("d", sorted(FROZEN_CHANNELS))
     def test_channel_is_bit_identical(self, d):

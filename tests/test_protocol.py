@@ -73,6 +73,43 @@ def sifted_statistics(k_a, basis_match, detected, source, bob_bit) -> dict:
     }
 
 
+# run_protocol's stages in stream order. Each takes its generator as its
+# last positional argument.
+STAGES = ("quantum_phase", "controlled_randomization", "estimate_parameters",
+          "cascade", "extract_key")
+
+
+def record_stages(monkeypatch, record):
+    """Wrap every stage in run_protocol's namespace so that it first calls
+    record(stage, generator)."""
+    def recording(name, func):
+        def wrapped(*args):
+            record(name, args[-1])
+            return func(*args)
+        return wrapped
+
+    for name in STAGES:
+        monkeypatch.setattr(protocol, name,
+                            recording(name, getattr(protocol, name)))
+
+
+def stage_starts(monkeypatch, run_seeds) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) each stage receives, from one real run per
+    seed; every run reaches extraction."""
+    calls = []
+    starts = []
+    with monkeypatch.context() as m:
+        record_stages(m, lambda name, rng: calls.append(
+            (name, rng.bit_generator.state["state"])))
+        for seed in run_seeds:
+            run_protocol(LINK, SEC, 5.0, 10_000, Strategy(FRACTION, 0.1),
+                         0.01, seed)
+            assert [name for name, _ in calls] == list(STAGES)
+            starts += [(s["state"], s["inc"]) for _, s in calls]
+            calls.clear()
+    return starts
+
+
 class TestSeedDerivation:
     def test_deterministic(self):
         assert derive_seed(42, 7) == derive_seed(42, 7)
@@ -85,42 +122,75 @@ class TestSeedDerivation:
         for i in range(100):
             assert 0 <= derive_seed(2 ** 63, i) < 2 ** 64
 
-    @staticmethod
-    def stage_seeds(monkeypatch, run_seeds):
-        """Generator seeds run_protocol derives from each run seed, with the
-        stage indices read off one real run."""
-        calls = []
-
-        def recording(base, index):
-            calls.append((base, index))
-            return derive_seed(base, index)
-
-        with monkeypatch.context() as m:
-            m.setattr(protocol, "derive_seed", recording)
-            run_protocol(LINK, SEC, 25.0, 1000, Strategy(FRACTION, 1 / 3),
-                         0.0, seed=1)
-        stages = [index for _, index in calls]
-        assert 0 < len(stages) == len(set(stages))
-        return [derive_seed(r, s) for r in run_seeds for s in stages]
-
     def test_acceptance_criteria_streams_are_disjoint(self, monkeypatch):
         # Criterion 4: 14 distances x 50 runs; criterion 5: 2 targets x 3
         # strategies x 6 distances x 20 runs.
         c04 = [derive_seed(BASE_SEED + 1, i) for i in range(14 * 50)]
         c05 = [derive_seed(BASE_SEED + 2, i) for i in range(2 * 3 * 6 * 20)]
-        seeds = self.stage_seeds(monkeypatch, c04 + c05)
-        assert len(set(seeds)) == len(seeds)
+        starts = stage_starts(monkeypatch, c04 + c05)
+        assert len(set(starts)) == len(starts)
 
     def test_cli_seeds_share_no_stream(self, monkeypatch):
         # `run --seed s` runs with seed s; `sweep --seed s` runs i with
         # derive_seed(s, i).
         runs = [0, 1] + [derive_seed(s, i) for s in (0, 1) for i in range(100)]
-        seeds = self.stage_seeds(monkeypatch, runs)
-        assert len(set(seeds)) == len(seeds)
+        starts = stage_starts(monkeypatch, runs)
+        assert len(set(starts)) == len(starts)
 
     def test_negative_base_rejected(self):
         with pytest.raises(ValueError):
             derive_seed(-1, 0)
+
+
+class TestStageStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 63 - 1,
+                                      0xC3A5C85C97CB3127])
+    def test_stage_receives_jumped_state(self, monkeypatch, seed):
+        # Stage i starts at PCG64(seed).jumped(i); stage 0 at PCG64(seed).
+        received = []
+        record_stages(monkeypatch, lambda name, rng: received.append(
+            rng.bit_generator.state))
+        run_protocol(LINK, SEC, 5.0, 10_000, Strategy(FRACTION, 0.1), 0.01,
+                     seed)
+        assert len(received) == len(STAGES)
+        assert received[0] == np.random.PCG64(seed).state
+        for i, state in enumerate(received):
+            assert state == np.random.PCG64(seed).jumped(i).state, i
+
+    @pytest.mark.parametrize("stage", STAGES[:-1])
+    def test_extra_draws_move_no_other_stage(self, monkeypatch, stage):
+        # A stage that draws more than it does today leaves every later
+        # stage's draws, and so the whole record, unchanged.
+        def run() -> dict:
+            return run_protocol(LINK, SEC, 5.0, 20_000,
+                                Strategy(FRACTION, 0.1), 0.01,
+                                seed=11).to_json_dict(emit_keys=True)
+
+        want = run()
+        assert want["m"] > 0
+        func = getattr(protocol, stage)
+
+        def greedy(*args):
+            out = func(*args)
+            args[-1].random(1000)
+            return out
+
+        monkeypatch.setattr(protocol, stage, greedy)
+        assert run() == want
+
+    def test_stage_functions_take_int_seeds(self):
+        # An int seed gives the stage a fresh generator of that seed.
+        ch = channel_at(LINK, 5.0)
+        k_a, outcomes = quantum_phase(10_000, ch, 3)
+        rng = np.random.default_rng(3)
+        k_b, again = quantum_phase(10_000, ch, rng)
+        assert np.array_equal(k_a, k_b)
+        assert np.array_equal(outcomes.bob_bit, again.bob_bit)
+
+    def test_negative_run_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_protocol(LINK, SEC, 5.0, 10_000, Strategy(FRACTION, 0.1),
+                         0.01, seed=-1)
 
 
 class TestSubset:
