@@ -194,7 +194,9 @@ def channel_at(link: LinkParams, d: float) -> ChannelDerived:
     if denom > 0.0:
         num = (P_DCR / 4.0 * (P_loss + 1.0)
                + P_depolar / 2.0 * (1.0 - P_DCR / 2.0) * (1.0 - P_loss))
-        P_flip = num / denom
+        # num <= denom / 2 exactly; the rounded quotient can pass 1/2 by
+        # a few ulps where P_loss rounds to 1.
+        P_flip = min(0.5, num / denom)
     else:
         # No signal is ever detected; the conditional QBER is undefined,
         # report 0 rather than 0/0.

@@ -57,8 +57,11 @@ KEY_OUTPUT_LIMIT_BITS = 4096
 _MAX_PULSES = 2 ** 63 - 1
 
 # The step of PCG64.jumped: (phi - 1) * 2**128, rounded to an odd number.
-# Stage i of a run starts i * _STAGE_JUMP steps past the run seed's state.
+# Stage i of a run, _STAGES[i], starts i * _STAGE_JUMP steps past the run
+# seed's state.
 _STAGE_JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
+_STAGES = ("quantum_phase", "controlled_randomization",
+           "estimate_parameters", "cascade", "extract_key")
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -175,8 +178,8 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived,
        and a uniform subset of that size. A depolarization applies only
        where the photon is registered.
 
-    An N the sampler cannot draw is infeasible: above 2**63 - 1 pulses,
-    or with more detections than fit in memory.
+    An N above 2**63 - 1 pulses, which the sampler cannot draw, is
+    infeasible.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
@@ -187,16 +190,10 @@ def quantum_phase(n_pulses: int, channel: ChannelDerived,
     rng = np.random.default_rng(seed)
     p_det = 1.0 - channel.P_loss * (1.0 - channel.P_DCR)
     n_det = int(rng.binomial(n_pulses, p_det))
-    try:
-        # One uniform byte per detection: the bytes of raw 64-bit words,
-        # read little-endian on any host, several times faster than a
-        # bounded draw.
-        coins = rng.bit_generator.random_raw((n_det + 7) // 8).astype(
-            "<u8", copy=False).view(np.uint8)[:n_det]
-    except MemoryError:
-        raise InfeasibleError(
-            "quantum_phase", f"N = {n_pulses} pulses give n_det = {n_det} "
-            "detections, more than fit in memory") from None
+    # One uniform byte per detection: the bytes of raw 64-bit words, read
+    # little-endian on any host, several times faster than a bounded draw.
+    coins = rng.bit_generator.random_raw((n_det + 7) // 8).astype(
+        "<u8", copy=False).view(np.uint8)[:n_det]
     # p_det = 0 (e.g. eta_e = 0 at d = 0) gives n_det = 0 and no division;
     # at P_loss = 1 the ratio can round past 1.
     dark = _subset(rng, n_det, min(1.0, channel.P_DCR / p_det)
@@ -302,6 +299,10 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
     share the one Generator object, so a stage must not keep it after it
     returns.
 
+    A run that does not fit in memory is infeasible at the stage whose
+    jump is current when the MemoryError is raised; sifting counts as
+    part of the quantum phase.
+
     The quantum-channel time uses the fixed clock model
     N*s + tau + window + DD (classical-message latencies are not
     modeled). p_extra outside [0, 1/2) is rejected on entry, however few
@@ -315,49 +316,59 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
+    current = [0]
 
     def stage(i: int) -> np.random.Generator:
-        """The run's generator, set i jumps past the seed's state."""
+        """The run's generator, set i jumps past the seed's state; stage i
+        becomes the current one."""
+        current[0] = i
         rng.bit_generator.state = start
         rng.bit_generator.advance(i * _STAGE_JUMP % 2 ** 128)
         return rng
 
-    # No name holds the per-detection arrays, so they are freed once sift
-    # returns instead of adding to the peak of Cascade and extraction.
-    sifted_a, sifted_b = sift(*quantum_phase(n_pulses, channel, stage(0)))
-    sifted_b = controlled_randomization(sifted_b, p_extra, stage(1))
-    n_sifted = len(sifted_a)
     t_quantum = n_pulses * channel.s + channel.tau + channel.window + link.DD
+    try:
+        # No name holds the per-detection arrays, so they are freed once
+        # sift returns instead of adding to the peak of Cascade and
+        # extraction.
+        sifted_a, sifted_b = sift(*quantum_phase(n_pulses, channel,
+                                                 stage(0)))
+        sifted_b = controlled_randomization(sifted_b, p_extra, stage(1))
+        n_sifted = len(sifted_a)
 
-    q_hat, q_inf, clamped, abort_cause, rem_a, rem_b = estimate_parameters(
-        sifted_a, sifted_b, strategy, p_extra, sec, stage(2))
-    # Each stage's inputs are dropped once read, so they add nothing to
-    # the peak of the stages after it.
-    del sifted_a, sifted_b
-    sample_size = n_sifted - len(rem_a)
-    l = len(rem_a)
-    if abort_cause is None and l < MIN_KEY_LEN:
-        abort_cause = "key-too-short"
-    aborted = abort_cause is not None
+        q_hat, q_inf, clamped, abort_cause, rem_a, rem_b = (
+            estimate_parameters(sifted_a, sifted_b, strategy, p_extra, sec,
+                                stage(2)))
+        # Each stage's inputs are dropped once read, so they add nothing to
+        # the peak of the stages after it.
+        del sifted_a, sifted_b
+        sample_size = n_sifted - len(rem_a)
+        l = len(rem_a)
+        if abort_cause is None and l < MIN_KEY_LEN:
+            abort_cause = "key-too-short"
+        aborted = abort_cause is not None
 
-    p_hat = effective_flip(channel.P_flip, p_extra)
-    n_exp = 0
-    f_realized = 0.0
-    verified = False
-    k_bound = 0.0
-    m = 0
-    final_key: Optional[np.ndarray] = None
-    if not aborted:
-        rec = cascade(rem_a, rem_b, q_hat, stage(3))
-        del rem_b
-        n_exp = rec.n_exp
-        f_realized = rec.f_realized
-        verified = rec.verified
-        del rec     # its corrected_B is never extracted from
-        # The extractor input length is bounded a priori from the link
-        # model, not from the realized leakage.
-        final_key, k_bound = extract_key(rem_a, p_hat, sec, stage(4))
-        m = len(final_key)
+        p_hat = effective_flip(channel.P_flip, p_extra)
+        n_exp = 0
+        f_realized = 0.0
+        verified = False
+        k_bound = 0.0
+        m = 0
+        final_key: Optional[np.ndarray] = None
+        if not aborted:
+            rec = cascade(rem_a, rem_b, q_hat, stage(3))
+            del rem_b
+            n_exp = rec.n_exp
+            f_realized = rec.f_realized
+            verified = rec.verified
+            del rec     # its corrected_B is never extracted from
+            # The extractor input length is bounded a priori from the link
+            # model, not from the realized leakage.
+            final_key, k_bound = extract_key(rem_a, p_hat, sec, stage(4))
+            m = len(final_key)
+    except MemoryError:
+        message = f"the run of N = {n_pulses} pulses does not fit in memory"
+        raise InfeasibleError(_STAGES[current[0]], message) from None
 
     return RunRecord(N=n_pulses, n_sifted=n_sifted, sample_size=sample_size,
                      Q_hat=q_hat, Q_inferred=q_inf, q_inferred_clamped=clamped,

@@ -72,3 +72,28 @@ def test_same_run_seed_hashes_the_same_input(monkeypatch):
     assert m1 == m2 > 0
     assert np.array_equal(x1, x2)
     assert np.array_equal(s1, s2)
+
+
+def test_chunked_extraction_is_one_call_of_the_dense_product(monkeypatch):
+    # The bench's oracle captures the one toeplitz_extract call of a run,
+    # as (input, seed bits, m), and compares the run's key with the dense
+    # GF(2) product of that call. A chunk limit of 2^10 - 1 bits splits the
+    # ~1.3k-bit input of a planned m_F = 1000 run into two chunks inside
+    # that one call.
+    monkeypatch.setattr(extract, "_PACK_BITS", 10)
+    calls = []
+    toeplitz = extract.toeplitz_extract
+
+    def recording(*args):
+        calls.append(args)
+        return toeplitz(*args)
+
+    monkeypatch.setattr(extract, "toeplitz_extract", recording)
+    link, sec = LinkParams(), SecurityParams()
+    the_plan = planner.plan(30.0, 1000, "count", link, sec)
+    record = protocol.run_from_plan(the_plan, link, sec, 7)
+    (x, seed_bits, m), = calls
+    assert len(x) > 2 ** 10 - 1
+    assert m == record.m >= 1000
+    windows = np.lib.stride_tricks.sliding_window_view(seed_bits, len(x))
+    assert np.array_equal(record.final_key, (windows[m - 1::-1] @ x) % 2)

@@ -298,6 +298,25 @@ class TestRunCommand:
                            "p_hat in [0, 1/2], got eps=0.1, alpha=1e+300, "
                            "beta=-600.0"}
 
+    def test_flip_rounding_past_half_is_defined(self, capsys, tmp_path):
+        # P_loss rounds to 1 on this link, and P_flip = (P_DCR/2) / P_DCR
+        # rounded to 0.5000000000000199 before it was clamped to 1/2.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"link": {
+            "eta_e": 5e-324, "eta_d": 4.8166052184640595e-235,
+            "R": 954.3586852463228, "R_DCR": 10.078891797145275,
+            "R_depolar": 2.50009974393263e-259, "GD_A": 5e-324,
+            "GD_B": 1000000.0}}))
+        code, out = run_cli(capsys, "plan", "--distance", "78", "--mf",
+                            "1000", "--strategy", "fraction", "--g", "0.1",
+                            "--p-extra", "0", "--config", str(cfg))
+        assert code == EXIT_INFEASIBLE
+        assert json.loads(out)["error"] == "infeasible"
+        code, out = run_cli(capsys, "run", "--distance", "78", "--n", "1000",
+                            "--config", str(cfg))
+        assert code == EXIT_OK
+        assert json.loads(out)["abort_cause"] == "no-signal"
+
     def test_fixed_n_sqrt_without_signal_is_infeasible(self, capsys,
                                                         tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -390,8 +409,9 @@ class TestRunCommand:
         doc = json.loads(out)
         assert doc["error"] == "infeasible"
         assert doc["stage"] == "quantum_phase"
-        assert f"N = {2 ** 63 - 1} pulses give n_det = " in doc["message"]
-        assert doc["message"].endswith("detections, more than fit in memory")
+        assert doc["message"] == (f"quantum_phase: the run of N = "
+                                  f"{2 ** 63 - 1} pulses does not fit in "
+                                  "memory")
 
     def test_out_of_memory_is_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -404,6 +424,33 @@ class TestRunCommand:
         doc = json.loads(out)
         assert doc["error"] == "invalid"
         assert "allocate" in doc["message"]
+
+
+# A run whose quantum phase needs more address space than the child may
+# map: 1e10 pulses at 5 km give ~9.5e8 detections, ~1 GB of coin bytes,
+# against a limit of 256 MB above what the child has mapped on entry.
+LIMITED_RUN = """
+import resource, sys
+from vlbb84.cli import main
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+limit = mapped + 256 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(["run", "--distance", "5", "--n", "10000000000"]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="reads /proc and needs RLIMIT_AS")
+def test_run_beyond_an_address_space_limit_is_infeasible():
+    # The limit is set in the child process only, never in the test runner.
+    out = subprocess.run([sys.executable, "-c", LIMITED_RUN],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == EXIT_INFEASIBLE, out.stderr
+    assert json.loads(out.stdout) == {
+        "error": "infeasible", "stage": "quantum_phase",
+        "message": "quantum_phase: the run of N = 10000000000 pulses does "
+                   "not fit in memory"}
 
 
 class TestSweepCommand:
@@ -588,6 +635,21 @@ class TestSweepCommand:
         assert code == EXIT_OK
         rows = read_rows(out_csv)
         assert [r["status"] for r in rows] == ["infeasible:quantum_phase"] * 2
+
+    def test_stage_beyond_memory_is_infeasible_row(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # A MemoryError in a later stage is a row like any other infeasible
+        # point, and the sweep goes on.
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 1.29 GiB")
+
+        monkeypatch.setattr("vlbb84.protocol.cascade", exhausted)
+        out_csv = tmp_path / "sweep.csv"
+        code, _ = run_cli(capsys, "sweep", "--distances", "5,30", "--mf",
+                          "1000", "--iterations", "1", "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = read_rows(out_csv)
+        assert [r["status"] for r in rows] == ["infeasible:cascade"] * 2
 
     def test_plan_only_sweep(self, capsys, tmp_path):
         out_csv = tmp_path / "plan.csv"

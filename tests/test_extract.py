@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vlbb84
-from vlbb84.extract import (_fft_length, _low_rows, extract_key, secure_length,
+from vlbb84.extract import (_fft_length, extract_key, secure_length,
                             toeplitz_extract)
 from vlbb84.link_model import SecurityParams
 from vlbb84.numerics import output_length_fixed_point
@@ -196,35 +196,99 @@ class TestToeplitzExtract:
         # g; an odd m leaves h = g + 1, m = 1 leaves the high half empty.
         m = {"one": 1, "two": min(2, l), "odd": l - (l + 1) % 2,
              "all": l}[rows]
-        assert _low_rows(l, m) == (m + 1) // 2
         rng = np.random.default_rng([l, m])
         x = rng.integers(0, 2, l, dtype=np.uint8)
         seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
         assert np.array_equal(toeplitz_extract(x, seed, m),
                               dense_toeplitz(x, seed, m))
 
-    def test_rows_split_below_the_packing_limit_only(self):
-        # The product packs while l < 2^23; from there every row goes to
-        # the low half and the high window is empty.
-        for m in (1, 2, 3, 1000, 2 ** 23 - 1):
-            assert _low_rows(2 ** 23 - 1, m) == (m + 1) // 2
-        for l in (2 ** 23, 2 ** 23 + 1, 12_500_000, 10 ** 8):
-            for m in (1, 2, 3, 1000):
-                assert _low_rows(l, m) == m
+    @pytest.mark.parametrize("pack_bits, l, chunks", [
+        (23, 2 ** 23 - 1, [2 ** 23 - 1]),   # the largest single chunk
+        (23, 2 ** 23, [2 ** 22] * 2),
+        (23, 12_500_000, [6_250_000] * 2),
+        (23, 25_000_000, [8_333_334] * 2 + [8_333_332]),
+        (4, 40, [14, 14, 12]),
+        (2, 10, [3, 3, 3, 1]),      # a short last chunk of one bit
+        (1, 5, [1] * 5),
+    ], ids=["one-chunk", "two-chunks", "l-1.25e7", "l-2.5e7", "three-chunks",
+            "short-last", "one-bit"])
+    def test_input_splits_into_equal_chunks(self, monkeypatch, pack_bits, l,
+                                            chunks):
+        # k = ceil(l / (2^_PACK_BITS - 1)) chunks of ceil(l / k) bits, the
+        # last one possibly shorter, each hashed against its own seed
+        # window.
+        monkeypatch.setattr("vlbb84.extract._PACK_BITS", pack_bits)
+        calls = []
 
-    def test_unpacked_product_matches_dense_oracle(self, monkeypatch):
-        # Above the packing limit the same code runs with an empty high
-        # window; a limit of 0 runs it at sizes the dense oracle reaches.
-        monkeypatch.setattr("vlbb84.extract._PACK_BITS", 0)
+        def spy(x, seed, m):
+            calls.append((len(x), len(seed)))
+            return np.zeros(m, dtype=np.uint8)
+
+        monkeypatch.setattr("vlbb84.extract._packed_product", spy)
+        m = 3
+        toeplitz_extract(np.zeros(l, dtype=np.uint8),
+                         np.zeros(l + m - 1, dtype=np.uint8), m)
+        assert calls == [(c, c + m - 1) for c in chunks]
+
+    def test_chunked_product_matches_dense_oracle(self, monkeypatch):
+        # Chunk limits of 2^1 - 1 to 2^6 - 1 bits split inputs the dense
+        # oracle reaches into up to 200 chunks, with m above and below c.
         rng = np.random.default_rng(10)
-        for _ in range(100):
-            l = int(rng.integers(1, 200))
-            m = int(rng.integers(1, l + 1))
-            assert _low_rows(l, m) == m
-            x = rng.integers(0, 2, l, dtype=np.uint8)
-            seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
-            assert np.array_equal(toeplitz_extract(x, seed, m),
-                                  dense_toeplitz(x, seed, m))
+        for pack_bits in range(1, 7):
+            monkeypatch.setattr("vlbb84.extract._PACK_BITS", pack_bits)
+            for _ in range(100):
+                l = int(rng.integers(1, 200))
+                m = int(rng.integers(1, l + 1))
+                x = rng.integers(0, 2, l, dtype=np.uint8)
+                seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
+                assert np.array_equal(toeplitz_extract(x, seed, m),
+                                      dense_toeplitz(x, seed, m))
+
+    @pytest.mark.parametrize("pack_bits, l, m", [
+        (4, 40, 30),        # m > c = 14
+        (4, 40, 1),         # m = 1: every chunk's high window is empty
+        (5, 50, 33),        # an odd m: h = g + 1
+        (2, 10, 7),         # a short last chunk of one bit
+        (1, 20, 20),        # one bit per chunk, m = l
+        (6, 1000, 999),
+    ])
+    def test_chunk_cases_match_dense_oracle(self, monkeypatch, pack_bits,
+                                            l, m):
+        monkeypatch.setattr("vlbb84.extract._PACK_BITS", pack_bits)
+        rng = np.random.default_rng([pack_bits, l, m])
+        x = rng.integers(0, 2, l, dtype=np.uint8)
+        seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
+        assert np.array_equal(toeplitz_extract(x, seed, m),
+                              dense_toeplitz(x, seed, m))
+
+    @pytest.mark.parametrize("pack_bits, l, m", [
+        (4, 30, 30),        # two chunks of 2^4 - 1 bits, m > c
+        (4, 29, 17),        # a last chunk one bit short
+        (12, 3 * 4095, 3 * 4095 - 1),
+        (20, 2 * (2 ** 20 - 1), 2 ** 20 - 1),   # two of the largest chunks
+    ])
+    def test_chunked_largest_sums_are_exact(self, monkeypatch, pack_bits, l,
+                                            m):
+        # All-ones input and seed give each chunk its largest packed sums,
+        # c + 2^b * c; every output bit is then l % 2.
+        monkeypatch.setattr("vlbb84.extract._PACK_BITS", pack_bits)
+        out = toeplitz_extract(np.ones(l, dtype=np.uint8),
+                               np.ones(l + m - 1, dtype=np.uint8), m)
+        assert np.array_equal(out, np.full(m, l % 2, dtype=np.uint8))
+
+    @pytest.mark.parametrize("pack_bits, l, m", [
+        (16, 125_000, 100_000),     # k = 2, m > c = 62,500
+        (16, 125_000, 99_999),
+        (13, 125_000, 100_000),     # k = 16
+    ])
+    def test_chunked_long_inputs_match_plain_fft(self, monkeypatch,
+                                                 pack_bits, l, m):
+        monkeypatch.setattr("vlbb84.extract._PACK_BITS", pack_bits)
+        rng = np.random.default_rng([pack_bits, m])
+        x = rng.integers(0, 2, l, dtype=np.uint8)
+        seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
+        assert np.array_equal(toeplitz_extract(x, seed, m),
+                              plain_fft_toeplitz(x, seed, m))
 
     def test_fft_length_is_smallest_5_smooth(self):
         def smooth(k):
@@ -262,12 +326,9 @@ class TestToeplitzExtract:
 
 
 class TestToeplitzMemory:
-    def test_peak_per_input_bit(self):
-        # A planned m_F = 1e6 run at 30 km hashes l ~ 1.25M bits to ~1M.
-        # The work array (two spectra of the l + m/2 - 1 point product and
-        # one float64 copy of the input) and the output peak at ~31.5 B
-        # per input bit; unpacked spectra of l + m - 1 points read ~37.6.
-        l, m = 1_250_000, 1_000_000
+    @staticmethod
+    def peak(l: int, m: int) -> int:
+        """tracemalloc peak of toeplitz_extract on l random bits to m."""
         rng = np.random.default_rng(17)
         x = rng.integers(0, 2, l, dtype=np.uint8)
         seed = rng.integers(0, 2, l + m - 1, dtype=np.uint8)
@@ -281,7 +342,24 @@ class TestToeplitzMemory:
         finally:
             tracemalloc.stop()
         assert len(out) == m
-        assert peak <= 32 * l
+        return peak
+
+    def test_peak_per_input_bit(self):
+        # A planned m_F = 1e6 run at 30 km hashes l ~ 1.25M bits to ~1M in
+        # one chunk. The work array (two spectra of the l + m/2 - 1 point
+        # product and one float64 copy of the input) and the output peak
+        # at ~31.5 B per input bit.
+        l = 1_250_000
+        assert self.peak(l, 1_000_000) <= 32 * l
+
+    def test_peak_per_input_bit_in_two_chunks(self, monkeypatch):
+        # Two chunks of l/2 bits, as at l = 1.25e7 with the 2^23 limit: one
+        # chunk's work array of l/2 + m/2 - 1 points at a time, its output
+        # and the key read ~20.0 B per input bit (37.6 for one unpacked
+        # product of l + m - 1 points).
+        monkeypatch.setattr("vlbb84.extract._PACK_BITS", 20)
+        l = 1_250_000
+        assert self.peak(l, 1_000_000) <= 21 * l
 
 
 FAULTS_PER_RUN = """

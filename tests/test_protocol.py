@@ -332,13 +332,16 @@ class TestQuantumPhase:
 
     def test_detections_beyond_memory_are_infeasible(self):
         # N fits int64, but numpy refuses at once to allocate its ~2.8e17
-        # detections: a run the simulator cannot perform, with N and n_det.
+        # detections. The sampler lets the MemoryError through, and the run
+        # answers infeasible at the quantum phase, naming N.
         n = 2 ** 63 - 1
-        with pytest.raises(InfeasibleError,
-                           match=f"^quantum_phase: N = {n} pulses give "
-                                 r"n_det = \d+ detections, more than fit in "
-                                 "memory$") as exc:
+        with pytest.raises(MemoryError):
             quantum_phase(n, channel_at(LINK, 30.0), seed=1)
+        with pytest.raises(InfeasibleError,
+                           match=f"^quantum_phase: the run of N = {n} pulses "
+                                 "does not fit in memory$") as exc:
+            run_protocol(LINK, SEC, 30.0, n, Strategy(FRACTION, 0.1), 0.0,
+                         seed=1)
         assert exc.value.stage == "quantum_phase"
 
     def test_memory_scales_with_detections(self):
@@ -687,6 +690,26 @@ class TestRunProtocol:
         r = run_protocol(link, SEC, d, n_pulses, strategy, p_extra, seed=0)
         assert r.aborted and r.abort_cause == cause
         assert r.m == 0 and r.final_key is None and r.n_exp == 0
+
+
+class TestOutOfMemory:
+    # Each stage of a planned run that reaches extraction, with the stage
+    # its MemoryError is reported at: sifting is part of the quantum phase.
+    @pytest.mark.parametrize("name, stage", [
+        *((name, name) for name in STAGES), ("sift", "quantum_phase")])
+    def test_stage_out_of_memory_is_infeasible(self, monkeypatch, name,
+                                               stage):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 1.29 GiB")
+
+        monkeypatch.setattr(protocol, name, exhausted)
+        the_plan = plan(30.0, 1000, COUNT, LINK, SEC)
+        with pytest.raises(InfeasibleError,
+                           match=f"^{stage}: the run of N = {the_plan.N_F} "
+                                 "pulses does not fit in memory$") as exc:
+            protocol.run_from_plan(the_plan, LINK, SEC, seed=1)
+        assert exc.value.stage == stage
+        assert exc.value.__cause__ is None
 
 
 class TestBitsToHex:
