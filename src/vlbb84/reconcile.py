@@ -12,9 +12,9 @@ of a pass go.
 
 - Pass 0 runs in natural order. Its blocks are disjoint and there is no
   earlier pass to cascade into, so its searches cannot affect each other.
-  They run in lockstep: one `np.bitwise_xor.reduceat` over a ^ b finds
-  the odd blocks, and one `searchsorted` per round over the sorted
-  disagreement positions halves every odd block at once. A block leaves
+  They run in lockstep on the sorted disagreement positions: counting
+  them per block finds the odd blocks, and one `searchsorted` per round
+  halves every odd block at once. A block leaves
   the live set in the round it reaches one bit.
 - A later pass that starts with r disagreeing bits draws only their r
   pass positions (`_draw_positions`) and gives them to the disagreeing
@@ -90,26 +90,26 @@ def _as_bits(key: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(key)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not ((arr == 0) | (arr == 1)).all():
+    # A uint8 or bool key is checked with one reduction, any other with two.
+    if not (arr.max(initial=0) <= 1 if arr.dtype in (np.uint8, np.bool_)
+            else ((arr == 0) | (arr == 1)).all()):
         raise ValueError(f"{name} must hold only 0/1 values")
     return arr.astype(np.uint8, copy=False)
 
 
-def _search_first_pass(diff: np.ndarray, size: int,
+def _search_first_pass(errors: np.ndarray, n: int, size: int,
                        asked: np.ndarray) -> tuple[np.ndarray, int]:
     """Binary-search every odd first-pass block at once.
 
-    diff is a ^ b in natural order, as bools. Each round halves every
+    errors holds the sorted key indices where the keys disagree; a block
+    is odd when it holds an odd number of them. Each round halves every
     block still longer than one bit, the same halves a search of one block
     at a time would ask, and marks their split points in `asked`. A block
     that has reached one bit leaves the live set in the round it does so.
-    Returns the key index each search isolates and the number of halves
-    asked.
+    Returns the indices into errors of the disagreements the searches
+    isolate, and the number of halves asked.
     """
-    n = len(diff)
-    errors = np.flatnonzero(diff)
-    starts = np.arange(0, n, size)
-    lo = starts[np.bitwise_xor.reduceat(diff, starts)]
+    lo = np.flatnonzero(np.bincount(errors // size) & 1) * size
     hi = np.minimum(lo + size, n)
     below = np.searchsorted(errors, lo)     # disagreements before lo
     found = []
@@ -118,18 +118,19 @@ def _search_first_pass(diff: np.ndarray, size: int,
         length = hi - lo
         if length.min() == 1:
             live = length > 1
-            found.append(lo[~live])
+            found.append(below[~live])
             lo, hi, below = lo[live], hi[live], below[live]
             continue
         mid = (lo + hi + 1) >> 1
         asked[mid] = 1
         halves += lo.size
-        cut = np.searchsorted(errors, mid)
-        left = (cut - below) % 2 == 1
+        cut = errors.searchsorted(mid)
+        # The left half is odd when it holds an odd number of errors.
+        left = (cut ^ below) & 1
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
         below = np.where(left, below, cut)
-    return np.concatenate(found) if found else lo, halves
+    return np.concatenate(found) if found else below, halves
 
 
 def _draw_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:
@@ -275,17 +276,18 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
 
     # diff is a ^ b. The lockstep search leaves no pass-0 block odd.
     diff = (a ^ b).view(bool)
+    errors = np.flatnonzero(diff)
     asked = [bytearray(n)]      # per built pass: its disclosed halves by mid
     found, halves = _search_first_pass(
-        diff, k1, np.frombuffer(asked[0], dtype=np.uint8))
-    diff[found] = False
+        errors, n, k1, np.frombuffer(asked[0], dtype=np.uint8))
+    diff[errors[found]] = False
     leak[0] += halves
     searches[0] = len(found)
 
     # One record per disagreeing key bit: its position in each built pass,
     # starting with its key index. A dict keeps insertion order, so records
     # stays in ascending key order, the order the drawn positions go in.
-    records = {key: [key] for key in np.flatnonzero(diff).tolist()}
+    records = {key: [key] for key in np.delete(errors, found).tolist()}
     at = [records]              # per built pass: position -> record
     blocks = [_by_block(records, k1)]   # per built pass: sorted positions
     fixed: list[int] = []       # key indices corrected after pass 0

@@ -348,6 +348,31 @@ class TestMatchesReference:
         # its searches is of that block.
         assert res.searches_per_pass[1] > 0
 
+    # First-pass blocks of k1 = 15 bits unless q_ref says otherwise: block
+    # 0 holds 3 disagreements and block 2 holds 5; a short last block of
+    # 10 bits holds 3, or one of a single bit holds 1; k1 = ceil(0.73 /
+    # 0.01) = 73 reaches l = 73 and passes l = 50; the keys agree.
+    @pytest.mark.parametrize("l, q_ref, errors", [
+        pytest.param(100, 0.05, [1, 4, 9, 31, 33, 36, 40, 44], id="3-and-5"),
+        pytest.param(100, 0.05, [20, 92, 97, 99], id="short-last-block"),
+        pytest.param(91, 0.05, [7, 90], id="one-bit-last-block"),
+        pytest.param(73, 0.01, [3, 17, 72], id="k1-equals-l"),
+        pytest.param(50, 0.01, [0, 2, 3, 17, 49], id="k1-exceeds-l"),
+        pytest.param(100, 0.05, [], id="no-disagreement"),
+    ])
+    def test_first_pass_cases(self, l, q_ref, errors):
+        a, _ = keys_with_exact_errors(l, 0, seed=l + 1500)
+        b = a.copy()
+        b[errors] ^= 1
+        k1 = math.ceil(BLOCK_COEFF / q_ref)
+        odd = sum(count % 2 for count in np.bincount(
+            np.array(errors, dtype=np.int64) // k1))
+        res = assert_matches_reference(a, b, q_ref, seed=l + 1501)
+        # Every odd first-pass block is searched once before any cascade.
+        assert res.searches_per_pass[0] >= odd
+        if not errors:
+            assert res.searches_per_pass == (0,) * CASCADE_PASSES
+
     @given(st.integers(min_value=MIN_KEY_LEN, max_value=5000),
            st.floats(min_value=0.0, max_value=0.5),
            st.floats(min_value=0.0, max_value=0.49),
@@ -504,6 +529,17 @@ class TestInputValidation:
         keys = {"key_a": a.astype(np.int64), "key_b": b.astype(np.int64)}
         keys[which][5] = value
         with pytest.raises(ValueError, match=f"{which} must hold only 0/1"):
+            cascade(keys["key_a"], keys["key_b"], 0.05, seed=1)
+
+    @pytest.mark.parametrize("dtype, value", [
+        (np.int64, 2), (np.int64, -1), (float, 0.5), (np.uint8, 2)])
+    @pytest.mark.parametrize("which", ["key_a", "key_b"])
+    def test_non_bit_value_by_dtype(self, dtype, value, which):
+        a, b = keys_with_exact_errors(64, 2, seed=17)
+        keys = {"key_a": a.astype(dtype), "key_b": b.astype(dtype)}
+        keys[which][9] = value
+        with pytest.raises(ValueError,
+                           match=f"^{which} must hold only 0/1 values$"):
             cascade(keys["key_a"], keys["key_b"], 0.05, seed=1)
 
     def test_fractional_value(self):
