@@ -20,14 +20,16 @@ sampler uses comes from the primitives P_loss, P_DCR and P_depolar,
 never from the derived p or P_flip.
 
 A run draws from one PCG64 generator, seeded once with the run seed.
-Each of its five stages starts at a fixed point of that stream: stage i
-receives exactly the state of PCG64(seed).jumped(i), i jumps of
+Each of its four drawing stages starts at a fixed point of that stream:
+stage i receives exactly the state of PCG64(seed).jumped(i), i jumps of
 (phi - 1) * 2**128 steps past the seed's state (the substreams of
 L'Ecuyer et al., Oper. Res. 50(6), 2002). The stages are, in order, the
-quantum phase, controlled randomization, estimation, Cascade and
-extraction. The five starts lie more than 2**125 steps apart, far more
-than a run draws, and a stage that draws more or less moves no other
-stage's draws.
+quantum phase (0), controlled randomization (1), Cascade (2) and
+extraction (3). The four starts lie more than 2**125 steps apart, far
+more than a run draws, and a stage that draws more or less moves no
+other stage's draws. Estimation draws nothing: given their count, the
+sifted pairs are independent and identically distributed, so the first
+ones are as good a sample as any (see estimate_parameters).
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ KEY_OUTPUT_LIMIT_BITS = 4096
 _MAX_PULSES = 2 ** 63 - 1
 
 # The step of PCG64.jumped: (phi - 1) * 2**128, rounded to an odd number.
-# Stage i of a run, _STAGES[i], starts i * _STAGE_JUMP steps past the run
-# seed's state.
+# Drawing stage i of a run, _STAGES[i], starts i * _STAGE_JUMP steps past
+# the run seed's state.
 _STAGE_JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
-_STAGES = ("quantum_phase", "controlled_randomization",
-           "estimate_parameters", "cascade", "extract_key")
+_STAGES = ("quantum_phase", "controlled_randomization", "cascade",
+           "extract_key")
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -259,12 +261,19 @@ def controlled_randomization(key: np.ndarray, p_extra: float,
 
 def estimate_parameters(sifted_a: np.ndarray, sifted_b: np.ndarray,
                         strategy: Strategy, p_extra: float,
-                        sec: SecurityParams,
-                        seed: int | np.random.Generator):
-    """Sample a random subset, estimate the error rate, decide abort.
+                        sec: SecurityParams):
+    """Estimate the error rate from the first sifted pairs, decide abort.
+
+    The sample is the first strategy.sample_size(n) of the n sifted pairs.
+    That is exact: given n, the pairs are independent and identically
+    distributed (each detection's events are drawn alike and independently,
+    and sifting and the randomization's flips act on each pair alike and
+    independently), so the first s pairs, with the rest in order, have
+    the law of a uniform s-subset with its complement.
 
     Returns (q_hat, q_inferred, clamped, abort_cause, remaining_a,
-    remaining_b). abort_cause is "no-signal" when fewer than two bits were
+    remaining_b), the remaining keys as views of the inputs past the
+    sample. abort_cause is "no-signal" when fewer than two bits were
     sifted (too few to sample and still reconcile), "qber-threshold" when
     the inferred QBER (randomization undone) reaches Q_t, and None when
     the run goes on.
@@ -274,17 +283,13 @@ def estimate_parameters(sifted_a: np.ndarray, sifted_b: np.ndarray,
         raise ValueError("sifted keys must have equal length")
     if n < 2:
         return 0.0, 0.0, False, "no-signal", sifted_a, sifted_b
-    rng = np.random.default_rng(seed)
     size = strategy.sample_size(n)
-    idx = rng.choice(n, size=size, replace=False)
     # A Python float, so the record's fields stay JSON-serializable.
-    q_hat = float(np.count_nonzero(sifted_a[idx] != sifted_b[idx]) / size)
+    q_hat = float(np.count_nonzero(sifted_a[:size] != sifted_b[:size]) / size)
     q_inf = infer_qber(q_hat, p_extra)
     clamped = q_hat < p_extra
     abort_cause = "qber-threshold" if q_inf >= sec.Q_t else None
-    mask = np.ones(n, dtype=bool)
-    mask[idx] = False
-    return q_hat, q_inf, clamped, abort_cause, sifted_a[mask], sifted_b[mask]
+    return q_hat, q_inf, clamped, abort_cause, sifted_a[size:], sifted_b[size:]
 
 
 def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
@@ -293,15 +298,15 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
     """One full protocol execution, deterministic in (inputs, seed).
 
     The run seeds one generator, default_rng(seed), and hands it to each
-    stage in turn, first set to the stage's start: stage i receives the
-    state of PCG64(seed).jumped(i), for 0 quantum phase, 1 controlled
-    randomization, 2 estimation, 3 Cascade and 4 extraction. The stages
-    share the one Generator object, so a stage must not keep it after it
-    returns.
+    drawing stage in turn, first set to the stage's start: stage i
+    receives the state of PCG64(seed).jumped(i), for 0 quantum phase,
+    1 controlled randomization, 2 Cascade and 3 extraction. Estimation
+    draws nothing. The stages share the one Generator object, so a stage
+    must not keep it after it returns.
 
-    A run that does not fit in memory is infeasible at the stage whose
-    jump is current when the MemoryError is raised; sifting counts as
-    part of the quantum phase.
+    A run that does not fit in memory is infeasible at the stage that is
+    running when the MemoryError is raised; sifting counts as part of the
+    quantum phase.
 
     The quantum-channel time uses the fixed clock model
     N*s + tau + window + DD (classical-message latencies are not
@@ -316,12 +321,12 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
-    current = [0]
+    current = [_STAGES[0]]
 
     def stage(i: int) -> np.random.Generator:
-        """The run's generator, set i jumps past the seed's state; stage i
-        becomes the current one."""
-        current[0] = i
+        """The run's generator, set i jumps past the seed's state; drawing
+        stage i becomes the current one."""
+        current[0] = _STAGES[i]
         rng.bit_generator.state = start
         rng.bit_generator.advance(i * _STAGE_JUMP % 2 ** 128)
         return rng
@@ -336,11 +341,11 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
         sifted_b = controlled_randomization(sifted_b, p_extra, stage(1))
         n_sifted = len(sifted_a)
 
+        current[0] = "estimate_parameters"
         q_hat, q_inf, clamped, abort_cause, rem_a, rem_b = (
-            estimate_parameters(sifted_a, sifted_b, strategy, p_extra, sec,
-                                stage(2)))
-        # Each stage's inputs are dropped once read, so they add nothing to
-        # the peak of the stages after it.
+            estimate_parameters(sifted_a, sifted_b, strategy, p_extra, sec))
+        # Only the views rem_a and rem_b keep the sifted keys alive now, so
+        # Bob's is freed with rem_b after Cascade.
         del sifted_a, sifted_b
         sample_size = n_sifted - len(rem_a)
         l = len(rem_a)
@@ -356,7 +361,7 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
         m = 0
         final_key: Optional[np.ndarray] = None
         if not aborted:
-            rec = cascade(rem_a, rem_b, q_hat, stage(3))
+            rec = cascade(rem_a, rem_b, q_hat, stage(2))
             del rem_b
             n_exp = rec.n_exp
             f_realized = rec.f_realized
@@ -364,11 +369,11 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
             del rec     # its corrected_B is never extracted from
             # The extractor input length is bounded a priori from the link
             # model, not from the realized leakage.
-            final_key, k_bound = extract_key(rem_a, p_hat, sec, stage(4))
+            final_key, k_bound = extract_key(rem_a, p_hat, sec, stage(3))
             m = len(final_key)
     except MemoryError:
         message = f"the run of N = {n_pulses} pulses does not fit in memory"
-        raise InfeasibleError(_STAGES[current[0]], message) from None
+        raise InfeasibleError(current[0], message) from None
 
     return RunRecord(N=n_pulses, n_sifted=n_sifted, sample_size=sample_size,
                      Q_hat=q_hat, Q_inferred=q_inf, q_inferred_clamped=clamped,

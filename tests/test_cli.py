@@ -689,69 +689,69 @@ def digest(data: bytes) -> str:
 CASCADE_FIELDS = ("n_exp", "f_realized", "verified")
 FROZEN_RUNS = {
     ("--mf", "1000", "5", "fraction"): (
-        ("249e61c2ae9f54bb", 64016, 1268, None),
-        (313, 1.152869512559769, True)),
+        ("de267b69eb53a535", 64016, 1268, None),
+        (298, 0.9434967204970492, True)),
     ("--mf", "1000", "5", "count"): (
-        ("74d71e404eaa41f5", 54934, 1074, None),
-        (171, 1.4314130845588684, True)),
+        ("6f010516782b3912", 54934, 1074, None),
+        (147, 0.8638578109814081, True)),
     ("--mf", "1000", "5", "sqrt"): (
-        ("e4bc6d071e3f6754", 54253, 1059, None),
-        (178, 1.2348912553685778, True)),
+        ("6b53fe60307fd7e4", 54253, 1059, None),
+        (151, 0.7861891448124246, True)),
     ("--mf", "1000", "30", "fraction"): (
-        ("3165b4c38c3f1886", 201052, 1268, None),
-        (350, 1.0708130771082398, True)),
+        ("bad6c44413dd4eb4", 201052, 1268, None),
+        (344, 0.9884825945878432, True)),
     ("--mf", "1000", "30", "count"): (
-        ("3de8286c190837af", 172698, 1077, None),
-        (179, 1.161341606199837, True)),
+        ("1ce6e2425917ef8b", 172698, 1077, None),
+        (197, 1.6457008302615477, True)),
     ("--mf", "1000", "30", "sqrt"): (
-        ("dfefd750f8bcdd06", 170524, 1059, None),
-        (120, 0.7866997582939981, True)),
+        ("26b2197a2c8b2470", 170524, 1059, None),
+        (125, 0.8666008470694835, True)),
     ("--mf", "1000", "65", "fraction"): (
-        ("51d5c450f20bd614", 1571881, 1039, None),
-        (1135, 1.14709627657244, True)),
+        ("7f5123390ec06d8c", 1571881, 1039, None),
+        (1141, 1.1531602216468317, True)),
     ("--mf", "1000", "65", "count"): (
-        ("96cf70f85348f005", 1412280, 1058, None),
-        (1171, 1.079432443563836, True)),
+        ("264e7c7e6981ff61", 1412280, 1058, None),
+        (1169, 1.2215802117083212, True)),
     ("--mf", "1000", "65", "sqrt"): (
-        ("6b8a660cbe7ab0e6", 1404440, 1051, None),
-        (1240, 1.4000056256220894, True)),
+        ("436868ac773af12f", 1404440, 1051, None),
+        (1213, 1.163730002175069, True)),
     ("--n", "200000", "5", "fraction"): (
-        ("3cac6e4ebf9b88df", 200000, 6015, None),
-        (38, 0.551595021120456, False)),
+        ("cf6db12aaf6f3ac8", 200000, 6015, None),
+        (90, 0.6266432969849538, True)),
     ("--n", "200000", "5", "count"): (
-        ("97b0d6d45c0417ae", 200000, 4493, None),
-        (81, 1.7373289362361175, False)),
+        ("dc9e91f539120ba3", 200000, 4493, None),
+        (63, 0.6676273726908722, True)),
     ("--n", "200000", "5", "sqrt"): (
-        ("d3e26d6841abe23f", 200000, 4493, None),
-        (81, 1.7373289362361175, False)),
+        ("7aded7d171b6b49a", 200000, 4493, None),
+        (63, 0.6676273726908722, True)),
     ("--n", "200000", "30", "fraction"): (
-        ("378885384934252e", 200000, 1519, None),
-        (202, 1.6790837270500203, True)),
+        ("4d47cf731dddbabb", 200000, 1519, None),
+        (187, 1.2624864353865466, True)),
     ("--n", "200000", "30", "count"): (
-        ("d4308ae290259e70", 200000, 1405, None),
-        (191, 1.9154798567688838, True)),
+        ("3480c684eb2a952b", 200000, 1405, None),
+        (169, 1.165385403225999, True)),
     ("--n", "200000", "30", "sqrt"): (
-        ("dfd64bd4ea64a4f0", 200000, 1413, None),
-        (189, 1.5185083954000518, True)),
+        ("d6db0f8a3c046fdd", 200000, 1413, None),
+        (173, 1.177979301160954, True)),
     ("--n", "200000", "65", "fraction"): (
-        ("8fc9081eaca798cb", 200000, 85, None),
-        (189, 1.7468686026963713, True)),
+        ("06050ec271f5f130", 200000, 85, None),
+        (173, 1.2905531294459998, True)),
     ("--n", "200000", "65", "count"): (
-        ("84f1e7b3a4f9cb46", 200000, 52, None),
+        ("3db2b61445353519", 200000, 52, None),
         (132, 1.2619727918063777, True)),
     ("--n", "200000", "65", "sqrt"): (
-        ("d39d057ba2d08f26", 200000, 52, None),
+        ("deb63ae981080480", 200000, 52, None),
         (132, 1.2619727918063777, True)),
 }
 
 # sweep --distances 5,30,65 <mode> --strategies fraction,count,sqrt
 # --iterations 2 --seed 7: (digest of the CSV, (N, status) per row).
 FROZEN_SWEEPS = {
-    ("--mf", "1000"): ("b59eeeb85ac2e67d", [
+    ("--mf", "1000"): ("84c50eff4d09b87e", [
         ("64016", "ok"), ("54934", "ok"), ("54253", "ok"),
         ("201052", "ok"), ("172698", "ok"), ("170524", "ok"),
         ("1571881", "ok"), ("1412280", "ok"), ("1404440", "ok")]),
-    ("--n", "200000"): ("7e349df4941b722a", [
+    ("--n", "200000"): ("81b4f28dcc468744", [
         ("200000", "ok"), ("200000", "ok"), ("200000", "ok"),
         ("200000", "ok"), ("200000", "ok"), ("200000", "ok"),
         ("200000", "ok"), ("", "infeasible:strategy_stats"),

@@ -73,15 +73,15 @@ def sifted_statistics(k_a, basis_match, detected, source, bob_bit) -> dict:
     }
 
 
-# run_protocol's stages in stream order. Each takes its generator as its
-# last positional argument.
-STAGES = ("quantum_phase", "controlled_randomization", "estimate_parameters",
-          "cascade", "extract_key")
+# run_protocol's drawing stages in stream order. Each takes its generator
+# as its last positional argument.
+STAGES = ("quantum_phase", "controlled_randomization", "cascade",
+          "extract_key")
 
 
 def record_stages(monkeypatch, record):
-    """Wrap every stage in run_protocol's namespace so that it first calls
-    record(stage, generator)."""
+    """Wrap every drawing stage in run_protocol's namespace so that it
+    first calls record(stage, generator)."""
     def recording(name, func):
         def wrapped(*args):
             record(name, args[-1])
@@ -94,8 +94,9 @@ def record_stages(monkeypatch, record):
 
 
 def stage_starts(monkeypatch, run_seeds) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) each stage receives, from one real run per
-    seed; every run reaches extraction."""
+    """The PCG64 (state, inc) each drawing stage receives, from one real
+    run per seed. A run calls a prefix of STAGES, the first two at least:
+    one that aborts at estimation draws no Cascade or extraction stream."""
     calls = []
     starts = []
     with monkeypatch.context() as m:
@@ -104,7 +105,8 @@ def stage_starts(monkeypatch, run_seeds) -> list[tuple[int, int]]:
         for seed in run_seeds:
             run_protocol(LINK, SEC, 5.0, 10_000, Strategy(FRACTION, 0.1),
                          0.01, seed)
-            assert [name for name, _ in calls] == list(STAGES)
+            called = [name for name, _ in calls]
+            assert len(called) >= 2 and called == list(STAGES[:len(called)])
             starts += [(s["state"], s["inc"]) for _, s in calls]
             calls.clear()
     return starts
@@ -524,11 +526,32 @@ class TestControlledRandomization:
         assert out.any() and not key.any()
 
 
+def reference_estimate_parameters(sifted_a, sifted_b, strategy: Strategy,
+                                  p_extra: float, sec: SecurityParams, seed):
+    """Estimation from a uniformly random subset of the sifted pairs, the
+    oracle for estimate_parameters' prefix sample: the same result tuple,
+    with the sample drawn by `seed` and the remaining keys as copies in
+    key order."""
+    n = len(sifted_a)
+    if n < 2:
+        return 0.0, 0.0, False, "no-signal", sifted_a, sifted_b
+    rng = np.random.default_rng(seed)
+    size = strategy.sample_size(n)
+    idx = rng.choice(n, size=size, replace=False)
+    q_hat = float(np.count_nonzero(sifted_a[idx] != sifted_b[idx]) / size)
+    q_inf = protocol.infer_qber(q_hat, p_extra)
+    clamped = q_hat < p_extra
+    abort_cause = "qber-threshold" if q_inf >= sec.Q_t else None
+    mask = np.ones(n, dtype=bool)
+    mask[idx] = False
+    return q_hat, q_inf, clamped, abort_cause, sifted_a[mask], sifted_b[mask]
+
+
 class TestEstimateParameters:
     def test_identical_keys(self):
         key = np.random.default_rng(4).integers(0, 2, 1000, dtype=np.uint8)
         q_hat, q_inf, clamped, cause, rem_a, rem_b = estimate_parameters(
-            key, key.copy(), Strategy(FRACTION, 1 / 3), 0.0, SEC, seed=5)
+            key, key.copy(), Strategy(FRACTION, 1 / 3), 0.0, SEC)
         assert q_hat == 0.0 and q_inf == 0.0
         assert cause is None and not clamped
         assert len(rem_a) == 1000 - 333
@@ -537,7 +560,7 @@ class TestEstimateParameters:
         a = np.zeros(1000, dtype=np.uint8)
         b = np.ones(1000, dtype=np.uint8)
         q_hat, q_inf, _, cause, _, _ = estimate_parameters(
-            a, b, Strategy(FRACTION, 1 / 3), 0.0, SEC, seed=6)
+            a, b, Strategy(FRACTION, 1 / 3), 0.0, SEC)
         assert q_hat == 1.0 and cause == "qber-threshold"
 
     def test_sample_positions_removed(self):
@@ -546,20 +569,23 @@ class TestEstimateParameters:
         b = a.copy()
         strategy = Strategy(COUNT, 100.0)
         _, _, _, _, rem_a, rem_b = estimate_parameters(
-            a, b, strategy, 0.0, SEC, seed=8)
+            a, b, strategy, 0.0, SEC)
         assert len(rem_a) == len(rem_b) == 400
+        # The first 100 pairs are the sample; the rest are views, not copies.
+        assert rem_a.base is a and rem_b.base is b
+        assert np.array_equal(rem_a, a[100:]) and np.array_equal(rem_b, b[100:])
 
     def test_unequal_keys_rejected(self):
         with pytest.raises(ValueError,
                            match="^sifted keys must have equal length$"):
             estimate_parameters(np.zeros(5, dtype=np.uint8),
                                 np.zeros(4, dtype=np.uint8),
-                                Strategy(COUNT, 1.0), 0.0, SEC, seed=12)
+                                Strategy(COUNT, 1.0), 0.0, SEC)
 
     def test_clamped_inference_flag(self):
         key = np.random.default_rng(9).integers(0, 2, 1000, dtype=np.uint8)
         q_hat, q_inf, clamped, cause, _, _ = estimate_parameters(
-            key, key.copy(), Strategy(FRACTION, 1 / 3), 0.3, SEC, seed=10)
+            key, key.copy(), Strategy(FRACTION, 1 / 3), 0.3, SEC)
         assert q_hat == 0.0
         assert clamped
         assert q_inf == 0.0
@@ -570,10 +596,49 @@ class TestEstimateParameters:
         for n in (0, 1):
             key = np.zeros(n, dtype=np.uint8)
             q_hat, q_inf, clamped, cause, rem_a, rem_b = estimate_parameters(
-                key, key, Strategy(FRACTION, 1 / 3), 0.0, SEC, seed=11)
+                key, key, Strategy(FRACTION, 1 / 3), 0.0, SEC)
             assert cause == "no-signal"
             assert (q_hat, q_inf, clamped) == (0.0, 0.0, False)
             assert len(rem_a) == len(rem_b) == n
+
+
+class TestPrefixSample:
+    """Given their count, the sifted pairs are i.i.d., so the first s pairs
+    are as good a sample as a uniform s-subset. Both estimations run on the
+    same sifted keys of real runs (m_F = 1000 planned with g = 0.1 at a
+    fixed P_extra = 0.01), and the disagreements each puts in the sample
+    and leaves in the remaining key agree in mean and in variance within 4
+    standard errors of the paired differences over the runs."""
+
+    RUNS = 2000
+
+    @pytest.mark.parametrize("d", [5.0, 65.0])
+    def test_same_law_as_random_subset(self, d):
+        the_plan = plan(d, 1000, FRACTION, LINK, SEC, g=0.1, p_extra=0.01)
+        channel = channel_at(LINK, d)
+        counts = []     # per run: (sample, rest) by prefix, then by subset
+        for seed in range(self.RUNS):
+            rng = np.random.default_rng(seed)
+            a, b = sift(*quantum_phase(the_plan.N_F, channel, rng))
+            b = controlled_randomization(b, 0.01, rng)
+            total = np.count_nonzero(a != b)
+            row = []
+            for rem_a, rem_b in (
+                    estimate_parameters(a, b, the_plan.strategy, 0.01,
+                                        SEC)[4:],
+                    reference_estimate_parameters(a, b, the_plan.strategy,
+                                                  0.01, SEC, rng)[4:]):
+                rest = np.count_nonzero(rem_a != rem_b)
+                row += [total - rest, rest]
+            counts.append(row)
+        counts = np.array(counts, dtype=float)
+        prefix, subset = counts[:, :2], counts[:, 2:]
+        assert prefix[:, 0].mean() > 1.0    # the sample sees disagreements
+        for diff in (prefix - subset,       # means
+                     (prefix - prefix.mean(axis=0)) ** 2     # variances
+                     - (subset - subset.mean(axis=0)) ** 2):
+            se = diff.std(axis=0, ddof=1) / math.sqrt(self.RUNS)
+            assert np.all(np.abs(diff.mean(axis=0)) <= 4 * se)
 
 
 class TestRunProtocol:
@@ -694,9 +759,12 @@ class TestRunProtocol:
 
 class TestOutOfMemory:
     # Each stage of a planned run that reaches extraction, with the stage
-    # its MemoryError is reported at: sifting is part of the quantum phase.
+    # its MemoryError is reported at: sifting is part of the quantum phase,
+    # and estimation, which draws nothing, is a stage of its own.
     @pytest.mark.parametrize("name, stage", [
-        *((name, name) for name in STAGES), ("sift", "quantum_phase")])
+        *((name, name) for name in STAGES),
+        ("estimate_parameters", "estimate_parameters"),
+        ("sift", "quantum_phase")])
     def test_stage_out_of_memory_is_infeasible(self, monkeypatch, name,
                                                stage):
         def exhausted(*args):
