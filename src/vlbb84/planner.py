@@ -406,8 +406,8 @@ def _max_extra_noise(p_flip: float, sec: SecurityParams) -> float:
 
 
 def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
-                        sec: SecurityParams,
-                        g: float = DEFAULT_FRACTION) -> float:
+                        sec: SecurityParams, g: float = DEFAULT_FRACTION,
+                        budget: Optional[list] = None) -> float:
     """Artificial-noise level minimizing N_F on this channel.
 
     The minimum over a dense grid of the feasible range, refined by golden
@@ -419,6 +419,10 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     every grid point would pick. The refinement is a scalar golden-section
     search on the two grid steps around it: each step keeps the surviving
     interior point with its N_F and evaluates only the new one.
+
+    When given a list as `budget`, it appends _budget_real's result at the
+    returned noise, if that noise is feasible, so that plan() need not
+    evaluate it again.
     """
     if channel.P_flip >= sec.Q_t:
         raise InfeasibleError(
@@ -427,11 +431,12 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     if kind == FRACTION:
         _check_fraction(g)
 
-    def objective(p_extra: float) -> float:
+    def objective(p_extra: float) -> tuple:
+        """_budget_real's result at p_extra; (inf,) where infeasible."""
         try:
-            return _budget_real(channel, m_f, kind, p_extra, sec, g)[0]
+            return _budget_real(channel, m_f, kind, p_extra, sec, g)
         except InfeasibleError:
-            return math.inf
+            return (math.inf,)
 
     e_max = max(_max_extra_noise(channel.P_flip, sec) - 1e-9, 0.0)
     n_grid = int(e_max / _NOISE_GRID_STEP) + 1
@@ -441,7 +446,7 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     cut = ranked.min() * (1.0 + _SCREEN_MARGIN) if ranked.size else -math.inf
     best_i, best_v = 0, math.inf
     for i in np.flatnonzero(screen <= cut).tolist():
-        v = objective(float(grid[i]))
+        v = objective(float(grid[i]))[0]
         if v < best_v:
             best_i, best_v = i, v
     if best_v == math.inf:
@@ -451,19 +456,22 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     hi = min((best_i + 1) * _NOISE_GRID_STEP, e_max)
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
+    f1, f2 = objective(x1)[0], objective(x2)[0]
     while hi - lo > _NOISE_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - ratio * (hi - lo)
-            f1 = objective(x1)
+            f1 = objective(x1)[0]
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + ratio * (hi - lo)
-            f2 = objective(x2)
+            f2 = objective(x2)[0]
     e_opt = 0.5 * (lo + hi)
-    if objective(0.0) <= objective(e_opt):
-        return 0.0
+    at_zero, at_opt = objective(0.0), objective(e_opt)
+    if at_zero[0] <= at_opt[0]:
+        e_opt, at_opt = 0.0, at_zero
+    if budget is not None and len(at_opt) > 1:
+        budget.append(at_opt)
     return e_opt
 
 
@@ -586,12 +594,13 @@ def plan(d: float, m_f: int, kind: str, link: LinkParams,
     if m_f < 1:
         raise ValueError(f"m_F must be >= 1, got {m_f}")
     channel = channel_at(link, d)
+    budget: list = []
     if p_extra is None:
-        p_extra = optimal_extra_noise(channel, m_f, kind, sec, g)
+        p_extra = optimal_extra_noise(channel, m_f, kind, sec, g, budget)
     else:
         check_p_extra(p_extra)
-    n_f_real, n_lim, a0_bits, l_f_bits = _budget_real(
-        channel, m_f, kind, p_extra, sec, g)
+    n_f_real, n_lim, a0_bits, l_f_bits = budget[0] if budget else (
+        _budget_real(channel, m_f, kind, p_extra, sec, g))
     strategy = _resolve_strategy(kind, a0_bits, n_lim, g)
     n_f = math.ceil(n_f_real)
     mean_m, std_m, p_succ, kbr_mean, kbr_std = forecast(

@@ -11,7 +11,7 @@ import tempfile
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vlbb84.cli import (EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, SIM_COLUMNS,
@@ -22,6 +22,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# P_loss rounds to 1 on this link, and P_flip = (P_DCR/2) / P_DCR rounded
+# to 0.5000000000000199 before channel_at clamped it to 1/2.
+FLIP_PAST_HALF_CONFIG = {"link": {
+    "eta_e": 5e-324, "eta_d": 4.8166052184640595e-235,
+    "R": 954.3586852463228, "R_DCR": 10.078891797145275,
+    "R_depolar": 2.50009974393263e-259, "GD_A": 5e-324, "GD_B": 1000000.0}}
 
 
 def read_rows(path):
@@ -299,14 +307,8 @@ class TestRunCommand:
                            "beta=-600.0"}
 
     def test_flip_rounding_past_half_is_defined(self, capsys, tmp_path):
-        # P_loss rounds to 1 on this link, and P_flip = (P_DCR/2) / P_DCR
-        # rounded to 0.5000000000000199 before it was clamped to 1/2.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"link": {
-            "eta_e": 5e-324, "eta_d": 4.8166052184640595e-235,
-            "R": 954.3586852463228, "R_DCR": 10.078891797145275,
-            "R_depolar": 2.50009974393263e-259, "GD_A": 5e-324,
-            "GD_B": 1000000.0}}))
+        cfg.write_text(json.dumps(FLIP_PAST_HALF_CONFIG))
         code, out = run_cli(capsys, "plan", "--distance", "78", "--mf",
                             "1000", "--strategy", "fraction", "--g", "0.1",
                             "--p-extra", "0", "--config", str(cfg))
@@ -941,6 +943,9 @@ def planned_pulses(argv: list[str], config_path: str) -> Optional[int]:
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(requests())
+@example((FLIP_PAST_HALF_CONFIG,
+          ["plan", "--distance", "78", "--mf", "1000", "--strategy",
+           "fraction", "--g", "0.1", "--p-extra", "0"]))
 def test_fuzzed_requests_answer_in_json(request):
     config, drawn = request
     argv = list(drawn)

@@ -483,8 +483,9 @@ class TestMatchesReferenceScan:
         # A scalar scan of the grid evaluates the budget 846 times here.
         # The screen leaves the re-check of its near-minimal points (1
         # here), the golden section (two interior points, then one new point per
-        # step: 14 for its 12 steps), the final zero-noise comparison
-        # (2) and plan()'s own call: 18 in all.
+        # step: 14 for its 12 steps) and the final zero-noise comparison
+        # (2): 17 in all. plan() reuses the comparison's evaluation at the
+        # returned noise.
         calls = []
 
         def counting_budget_real(*args):
@@ -493,7 +494,7 @@ class TestMatchesReferenceScan:
 
         monkeypatch.setattr(planner, "_budget_real", counting_budget_real)
         plan(30.0, 1000, kind, LINK, SEC)
-        assert 0 < len(calls) <= 20
+        assert len(calls) == 17
 
 
 def _objective(channel, m_f, kind, p_extra):
