@@ -14,8 +14,8 @@ of a pass go.
   earlier pass to cascade into, so its searches cannot affect each other.
   They run in lockstep on the sorted disagreement positions: counting
   them per block finds the odd blocks, and one `searchsorted` per round
-  halves every odd block at once. A block leaves
-  the live set in the round it reaches one bit.
+  halves every odd block at once. A block leaves the live set in the
+  round it reaches one bit.
 - A later pass that starts with r disagreeing bits draws only their r
   pass positions (`_draw_positions`) and gives them to the disagreeing
   key indices in ascending order. A uniform permutation of the n bits,
@@ -124,8 +124,9 @@ def _search_first_pass(errors: np.ndarray, n: int, size: int,
         mid = (lo + hi + 1) >> 1
         asked[mid] = 1
         halves += lo.size
-        cut = errors.searchsorted(mid)
-        # The left half is odd when it holds an odd number of errors.
+        cut = np.searchsorted(errors, mid)
+        # The left half holds cut - below disagreements, an odd number
+        # exactly when the low bits of cut and below differ.
         left = (cut ^ below) & 1
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
