@@ -10,12 +10,21 @@ Both keys are local to the simulation, so a parity comparison only needs
 where the keys disagree, and nothing depends on where the agreeing bits
 of a pass go.
 
-- Pass 0 runs in natural order. Its blocks are disjoint and there is no
-  earlier pass to cascade into, so its searches cannot affect each other.
-  They run in lockstep on the sorted disagreement positions: counting
-  them per block finds the odd blocks, and one `searchsorted` per round
-  halves every odd block at once. A block leaves the live set in the
-  round it reaches one bit.
+- A search of a block that holds one disagreement and has never been
+  searched reads nothing (a closed-form search): it asks every half on
+  the way down to that bit, as many as the depth of its leaf in the
+  block's split tree, and leaves the block agreeing, so no later search
+  asks those halves again. The depth depends only on the bit's offset
+  and the block's length 2^k + r (0 <= r < 2^k): the 2^k ranges at
+  depth k hold one or two bits each, so every leaf is at depth k or
+  k + 1. `_leaf_depth` gives one bit's depth, `_depth_table` every
+  bit's.
+- Pass 0 runs in natural order and its blocks are disjoint, so its
+  searches cannot affect each other. Counting the sorted disagreement
+  positions per block finds the full blocks that hold exactly one, and
+  the pass sums their depths from a per-length table (`_depth_table`).
+  Every other odd block, the short last block included, goes to the
+  drain.
 - A later pass that starts with r disagreeing bits draws only their r
   pass positions (`_draw_positions`) and gives them to the disagreeing
   key indices in ascending order. A uniform permutation of the n bits,
@@ -46,10 +55,12 @@ Leakage rule: every parity Alice discloses, a top-level block or the left
 half of a search step, counts as one leaked bit. A half she has already
 disclosed is not counted again. Within one block's search tree each split
 point `mid` belongs to exactly one node, and a pass's blocks are disjoint,
-so (pass, mid) names a half; each built pass records its disclosed halves
-in a bitmap indexed by `mid`. Top-level blocks and search halves of a pass
-never coincide, so each pass leaks its block count plus its distinct
-search halves.
+so (pass, mid) names a half. Each built pass keeps the set of halves its
+walked searches asked; only a block that keeps disagreements is searched
+again, so the closed-form searches need not be recorded and their depths
+are counted directly. Top-level blocks and search halves of a pass never
+coincide, so each pass leaks its block count, its closed-form depths and
+the size of its set.
 """
 
 from __future__ import annotations
@@ -97,41 +108,40 @@ def _as_bits(key: np.ndarray, name: str) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _search_first_pass(errors: np.ndarray, n: int, size: int,
-                       asked: np.ndarray) -> tuple[np.ndarray, int]:
-    """Binary-search every odd first-pass block at once.
+def _depth_table(length: int) -> np.ndarray:
+    """Each bit's leaf depth in the split tree of a `length`-bit block.
 
-    errors holds the sorted key indices where the keys disagree; a block
-    is odd when it holds an odd number of them. Each round halves every
-    block still longer than one bit, the same halves a search of one block
-    at a time would ask, and marks their split points in `asked`. A block
-    that has reached one bit leaves the live set in the round it does so.
-    Returns the indices into errors of the disagreements the searches
-    isolate, and the number of halves asked.
+    A range of L >= 2 bits splits at (start + end + 1) >> 1 into its
+    first ceil(L/2) and last floor(L/2) bits, so its table is the two
+    halves' tables side by side, plus one. The ranges `shift` levels
+    below the root hold length >> shift bits or one more, so the tables
+    are built a level at a time from the bottom, as uint8, keeping only
+    the level below.
     """
-    lo = np.flatnonzero(np.bincount(errors // size) & 1) * size
-    hi = np.minimum(lo + size, n)
-    below = np.searchsorted(errors, lo)     # disagreements before lo
-    found = []
-    halves = 0
-    while lo.size:
-        length = hi - lo
-        if length.min() == 1:
-            live = length > 1
-            found.append(below[~live])
-            lo, hi, below = lo[live], hi[live], below[live]
-            continue
-        mid = (lo + hi + 1) >> 1
-        asked[mid] = 1
-        halves += lo.size
-        cut = np.searchsorted(errors, mid)
-        # The left half holds cut - below disagreements, an odd number
-        # exactly when the low bits of cut and below differ.
-        left = (cut ^ below) & 1
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        below = np.where(left, below, cut)
-    return np.concatenate(found) if found else below, halves
+    tables = {1: np.zeros(1, dtype=np.uint8), 2: np.ones(2, dtype=np.uint8)}
+    for shift in range(length.bit_length() - 2, -1, -1):
+        low, level = length >> shift, {}
+        for size in (low, low + 1) if shift else (low,):
+            level[size] = np.concatenate((tables[(size + 1) >> 1],
+                                          tables[size >> 1]))
+            level[size] += 1
+        tables = level
+    return tables[length]
+
+
+def _leaf_depth(offset: int, length: int) -> int:
+    """The leaf depth of bit `offset` in the split tree of a `length`-bit
+    block: one entry of `_depth_table(length)`, by arithmetic alone."""
+    depth = 0
+    while length > 1:
+        half = (length + 1) >> 1
+        if offset < half:
+            length = half
+        else:
+            offset -= half
+            length -= half
+        depth += 1
+    return depth
 
 
 def _draw_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:
@@ -171,14 +181,15 @@ def _heap_entry(n: int, size: int, pi: int, bi: int) -> int:
 
 def _drain(heap: list[int], n: int, sizes: list[int],
            blocks: list[dict[int, list[int]]],
-           at: list[dict[int, list[int]]], asked: list[bytearray],
+           at: list[dict[int, list[int]]], asked: list[set[int]],
            leak: list[int], searches: list[int], fixed: list[int]) -> None:
     """Correct the smallest currently-odd block over the built passes
     until none is odd.
 
     heap holds `_heap_entry` integers; entries whose block turned even in
-    the meantime are skipped lazily. Each corrected key index is appended
-    to `fixed`.
+    the meantime are skipped lazily. A walked search adds the halves it
+    asks to its pass's set in `asked`; a closed-form one adds its depth
+    to `leak`. Each corrected key index is appended to `fixed`.
     """
     span = n + 1
     while heap:
@@ -189,37 +200,39 @@ def _drain(heap: list[int], n: int, sizes: list[int],
             where = blocks[pi][bi]
             if not len(where) % 2:
                 break
-            # Halve until one disagreement is isolated. Only the left
-            # half's parity is asked, the right is implied. where[lo:hi]
-            # are the disagreements inside [start, end).
             searches[pi] += 1
             seen = asked[pi]
             start = bi * sizes[pi]
             end = start + size
-            lo, hi = 0, len(where)
-            asks = 0
-            while hi - lo > 1:
-                mid = (start + end + 1) >> 1
-                if not seen[mid]:
-                    seen[mid] = 1
-                    asks += 1
-                cut = bisect_left(where, mid, lo, hi)
-                if (cut - lo) % 2:
-                    end, hi = mid, cut
-                else:
-                    start, lo = mid, cut
-            # One disagreement is left: follow it down without bisecting.
-            pos = where[lo]
-            while end - start > 1:
-                mid = (start + end + 1) >> 1
-                if not seen[mid]:
-                    seen[mid] = 1
-                    asks += 1
-                if pos < mid:
-                    end = mid
-                else:
-                    start = mid
-            leak[pi] += asks
+            lo = 0
+            if len(where) == 1 and (start + end + 1) >> 1 not in seen:
+                # One disagreement in a block never searched (every search
+                # of two or more bits asks the root's half): closed form.
+                pos = where[0]
+                leak[pi] += _leaf_depth(pos - start, size)
+            else:
+                # Halve until one disagreement is isolated. Only the left
+                # half's parity is asked, the right is implied.
+                # where[lo:hi] are the disagreements inside [start, end).
+                hi = len(where)
+                while hi - lo > 1:
+                    mid = (start + end + 1) >> 1
+                    seen.add(mid)
+                    cut = bisect_left(where, mid, lo, hi)
+                    if (cut - lo) % 2:
+                        end, hi = mid, cut
+                    else:
+                        start, lo = mid, cut
+                # One disagreement is left: follow it down without
+                # bisecting.
+                pos = where[lo]
+                while end - start > 1:
+                    mid = (start + end + 1) >> 1
+                    seen.add(mid)
+                    if pos < mid:
+                        end = mid
+                    else:
+                        start = mid
             del where[lo]
             # Drop the corrected bit's record from every pass's map and the
             # bit from its block in every other pass, and queue each block
@@ -250,7 +263,7 @@ def _drain(heap: list[int], n: int, sizes: list[int],
 
 
 def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
-            seed: int) -> ReconcileResult:
+            seed: int | np.random.Generator) -> ReconcileResult:
     """Reconcile key_b against key_a, assuming error rate around q_ref.
 
     Both keys are local to the simulation harness, so verification is a
@@ -275,38 +288,42 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     leak = [-(-n // size) for size in sizes]    # top-level parities
     searches = [0] * CASCADE_PASSES
 
-    # diff is a ^ b. The lockstep search leaves no pass-0 block odd.
+    # diff is a ^ b. A full first-pass block that holds one disagreement
+    # is searched in closed form; the drain takes every other odd block.
     diff = (a ^ b).view(bool)
     errors = np.flatnonzero(diff)
-    asked = [bytearray(n)]      # per built pass: its disclosed halves by mid
-    found, halves = _search_first_pass(
-        errors, n, k1, np.frombuffer(asked[0], dtype=np.uint8))
-    diff[errors[found]] = False
-    leak[0] += halves
+    block = errors // k1
+    alone = (np.bincount(block)[block] == 1) & (errors < n - n % k1)
+    found = errors[alone]
+    leak[0] += int(_depth_table(k1)[found % k1].sum(dtype=np.int64))
     searches[0] = len(found)
+    diff[found] = False
 
     # One record per disagreeing key bit: its position in each built pass,
     # starting with its key index. A dict keeps insertion order, so records
     # stays in ascending key order, the order the drawn positions go in.
-    records = {key: [key] for key in np.delete(errors, found).tolist()}
+    records = {key: [key] for key in errors[~alone].tolist()}
     at = [records]              # per built pass: position -> record
     blocks = [_by_block(records, k1)]   # per built pass: sorted positions
-    fixed: list[int] = []       # key indices corrected after pass 0
-    for pi in range(1, CASCADE_PASSES):
-        if not records:
-            break
-        drawn = _draw_positions(rng, n, len(records))
-        for record, pos in zip(records.values(), drawn):
-            record.append(pos)
-        at.append(dict(zip(drawn, records.values())))
-        asked.append(bytearray(n))
-        size = sizes[pi]
-        blocks.append(_by_block(sorted(drawn), size))
+    asked: list[set[int]] = [set()]     # per built pass: halves walked
+    fixed: list[int] = []       # key indices the drain corrects
+    for pi, size in enumerate(sizes):
+        if pi:
+            if not records:
+                break
+            drawn = _draw_positions(rng, n, len(records))
+            for record, pos in zip(records.values(), drawn):
+                record.append(pos)
+            at.append(dict(zip(drawn, records.values())))
+            blocks.append(_by_block(sorted(drawn), size))
+            asked.append(set())
         heap = [_heap_entry(n, size, pi, bi)
                 for bi, where in blocks[pi].items() if len(where) % 2]
         heapq.heapify(heap)
         _drain(heap, n, sizes, blocks, at, asked, leak, searches, fixed)
     diff[fixed] = False
+    for pi, seen in enumerate(asked):
+        leak[pi] += len(seen)
 
     n_exp = sum(leak)
     return ReconcileResult(corrected_B=a ^ diff, n_exp=n_exp,

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from vlbb84.link_model import SecurityParams
 from vlbb84.numerics import binary_entropy
 from vlbb84.reconcile import (BLOCK_COEFF, CASCADE_PASSES, MIN_KEY_LEN,
-                              _draw_positions, cascade, leakage_upper_bound)
+                              _depth_table, _draw_positions, _leaf_depth,
+                              cascade, leakage_upper_bound)
 
 SEC = SecurityParams()
 
@@ -51,7 +52,8 @@ def permuted_order(rng: np.random.Generator, disagree: np.ndarray,
 
 
 def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
-                      seed: int, pass_order=drawn_order) -> ReferenceResult:
+                      seed: int, pass_order=drawn_order,
+                      searched: list | None = None) -> ReferenceResult:
     """Oracle: Cascade that gathers both keys and asks every parity.
 
     Each top-level block and each binary-search step reduces a[order] and
@@ -59,7 +61,7 @@ def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     block in every pass through a position-to-block table. Each pass
     after the first takes its order from pass_order(rng, disagree, n),
     where disagree holds the key indices where the keys differ as it
-    starts.
+    starts. Each search appends its (pass, block) to `searched`, if given.
     """
     n = len(key_a)
     if len(key_b) != n:
@@ -118,6 +120,8 @@ def reference_cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
             if not odd[pi][bi]:
                 continue
             searches[pi] += 1
+            if searched is not None:
+                searched.append((pi, bi))
             start, end = blocks[pi][bi]
             flipped = binary_search(pi, start, end)
             b[flipped] ^= 1
@@ -348,6 +352,50 @@ class TestMatchesReference:
         # its searches is of that block.
         assert res.searches_per_pass[1] > 0
 
+    @pytest.mark.parametrize("pos", range(90, 100))
+    def test_one_disagreement_in_short_last_block(self, pos):
+        # l = 100 and k1 = 15: the last first-pass block [90, 100) has 10
+        # bits. Block 0 holds only bit 3 and the last block only bit pos;
+        # the first is searched with the full blocks, the second by the
+        # drain, each asking the halves down to its one bit.
+        l, q = 100, 0.05
+        a, _ = keys_with_exact_errors(l, 0, seed=1600)
+        b = a.copy()
+        b[[3, pos]] ^= 1
+        searched = []
+        reference_cascade(a, b, q, 1601, searched=searched)
+        assert sorted(searched) == [(0, 0), (0, 6)]
+        res = assert_matches_reference(a, b, q, 1601)
+        assert res.verified
+
+    @pytest.mark.parametrize("seed", range(1700, 1706))
+    def test_even_first_pass_block_reopened(self, seed):
+        # First-pass blocks 0 and 2 hold two disagreements each, so the
+        # first pass searches nothing. Each later-pass correction leaves
+        # one of them alone in a first-pass block that was never searched.
+        l, q = 200, 0.05
+        a, _ = keys_with_exact_errors(l, 0, seed=1650)
+        b = a.copy()
+        b[[2, 9, 40, 44]] ^= 1
+        searched = []
+        reference_cascade(a, b, q, seed, searched=searched)
+        assert searched[0][0] > 0
+        assert {(0, 0), (0, 2)} <= set(searched)
+        assert_matches_reference(a, b, q, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2, 8])
+    def test_later_pass_block_searched_twice(self, seed):
+        # 30 disagreements in 400 bits: a correction in a later pass makes
+        # a second-pass block odd again after its own search, and its
+        # second search asks some halves the first already disclosed.
+        l, q = 400, 0.05
+        a, b = keys_with_exact_errors(l, 30, seed=1800 + seed)
+        searched = []
+        reference_cascade(a, b, q, 1900 + seed, searched=searched)
+        later = [entry for entry in searched if entry[0] > 0]
+        assert len(set(later)) < len(later)
+        assert_matches_reference(a, b, q, 1900 + seed)
+
     # First-pass blocks of k1 = 15 bits unless q_ref says otherwise: block
     # 0 holds 3 disagreements and block 2 holds 5; a short last block of
     # 10 bits holds 3, or one of a single bit holds 1; k1 = ceil(0.73 /
@@ -381,6 +429,69 @@ class TestMatchesReference:
     def test_property(self, l, error_fraction, q_ref, seed):
         a, b = keys_with_exact_errors(l, round(l * error_fraction), seed)
         assert_matches_reference(a, b, q_ref, seed + 1)
+
+
+def walked_depths(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Every bit of blocks of the given lengths, as (length, depth).
+
+    Each bit walks down its block's split tree from the root, splitting
+    [start, end) at (start + end + 1) >> 1 as a search does, until its
+    range holds one bit; its depth is the number of splits.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    length = np.repeat(lengths, lengths)
+    offset = np.arange(len(length)) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths)
+    start, end = np.zeros_like(length), length.copy()
+    depth = np.zeros_like(length)
+    while (live := end - start > 1).any():
+        mid = (start + end + 1) >> 1
+        depth += live
+        left = offset < mid
+        end = np.where(live & left, mid, end)
+        start = np.where(live & ~left, mid, start)
+    return length, depth
+
+
+def rule_depths(length: int) -> np.ndarray:
+    """Each bit's depth by the rule: for length = 2^k + r, 0 <= r < 2^k,
+    range j of the 2^k ranges at depth k holds two bits, one level
+    deeper, exactly when the k-bit reversal of j is below r."""
+    k = length.bit_length() - 1
+    reversed_j = np.arange(2**k).reshape((2,) * k).transpose().ravel()
+    two = reversed_j < length - 2**k
+    return np.repeat(k + two, 1 + two)
+
+
+class TestSplitTreeDepth:
+    """The halves a first search of a one-disagreement block asks."""
+
+    def test_table_and_rule_match_walk_up_to_4096(self):
+        for lengths in np.array_split(np.arange(1, 4097), 32):
+            _, depth = walked_depths(lengths)
+            table = np.concatenate([_depth_table(int(n)) for n in lengths])
+            assert table.dtype == np.uint8
+            assert np.array_equal(table, depth)
+            assert np.array_equal(
+                np.concatenate([rule_depths(int(n)) for n in lengths]), depth)
+
+    @pytest.mark.parametrize("length", [2**20 - 1, 2**20, 2**20 + 1])
+    def test_table_and_rule_match_walk_near_2_20(self, length):
+        _, depth = walked_depths([length])
+        assert np.array_equal(_depth_table(length), depth)
+        assert np.array_equal(rule_depths(length), depth)
+
+    def test_leaf_depth_matches_walk(self):
+        lengths = np.arange(1, 601)
+        length, depth = walked_depths(lengths)
+        offset = np.concatenate([np.arange(n) for n in lengths])
+        assert [_leaf_depth(x, n) for x, n in zip(
+            offset.tolist(), length.tolist())] == depth.tolist()
+        rng = np.random.default_rng(2100)
+        for n in (4095, 4096, 4097, 2**20 - 1, 2**20, 2**20 + 1):
+            _, depth = walked_depths([n])
+            picks = [0, n - 1, *rng.integers(0, n, 500).tolist()]
+            assert [_leaf_depth(x, n) for x in picks] == depth[picks].tolist()
 
 
 class TestPassOrder:
@@ -625,6 +736,22 @@ class TestCascadeMemory:
         finally:
             tracemalloc.stop()
         assert res.verified
+        assert peak <= 7 * l
+
+    @pytest.mark.parametrize("n_errors", [1, 5])
+    @pytest.mark.parametrize("q_ref", [0.0, 1e-6])
+    def test_peak_per_key_bit_with_long_blocks(self, q_ref, n_errors):
+        # q_ref = 0 is floored at 1/l, and q_ref = 1e-6 gives k1 = 730,000:
+        # first-pass blocks of about 0.73 l bits, and later-pass blocks
+        # of the whole key.
+        l = 1_250_000
+        a, b = keys_with_exact_errors(l, n_errors, seed=1210 + n_errors)
+        tracemalloc.start()
+        try:
+            cascade(a, b, q_ref, seed=1211)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 7 * l
 
 
