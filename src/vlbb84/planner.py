@@ -418,7 +418,9 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     smallest scalar N_F is the grid minimum: the point a scalar scan of
     every grid point would pick. The refinement is a scalar golden-section
     search on the two grid steps around it: each step keeps the surviving
-    interior point with its N_F and evaluates only the new one.
+    interior point with its N_F and evaluates only the new one. The final
+    comparison with zero noise reuses the re-check's result at grid[0] = 0
+    when there is one.
 
     When given a list as `budget`, it appends _budget_real's result at the
     returned noise, if that noise is feasible, so that plan() need not
@@ -445,10 +447,11 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     ranked = screen[np.isfinite(screen)]
     cut = ranked.min() * (1.0 + _SCREEN_MARGIN) if ranked.size else -math.inf
     best_i, best_v = 0, math.inf
+    rechecked = {}          # grid index -> objective there
     for i in np.flatnonzero(screen <= cut).tolist():
-        v = objective(float(grid[i]))[0]
-        if v < best_v:
-            best_i, best_v = i, v
+        rechecked[i] = objective(float(grid[i]))
+        if rechecked[i][0] < best_v:
+            best_i, best_v = i, rechecked[i][0]
     if best_v == math.inf:
         raise InfeasibleError("optimal_extra_noise", "no feasible noise level")
 
@@ -467,7 +470,8 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
             x2 = lo + ratio * (hi - lo)
             f2 = objective(x2)[0]
     e_opt = 0.5 * (lo + hi)
-    at_zero, at_opt = objective(0.0), objective(e_opt)
+    # grid[0] is 0: the zero-noise comparison reuses its re-check, if any.
+    at_zero, at_opt = rechecked.get(0) or objective(0.0), objective(e_opt)
     if at_zero[0] <= at_opt[0]:
         e_opt, at_opt = 0.0, at_zero
     if budget is not None and len(at_opt) > 1:

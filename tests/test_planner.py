@@ -496,6 +496,24 @@ class TestMatchesReferenceScan:
         plan(30.0, 1000, kind, LINK, SEC)
         assert len(calls) == 17
 
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_zero_noise_evaluated_once(self, monkeypatch, kind):
+        # At 65 km the screen puts grid point 0 (zero noise) among its
+        # near-minimal points, so the re-check evaluates it first. The
+        # final zero-noise comparison reuses that result: 14 evaluations
+        # in all, where evaluating 0 twice made 15.
+        noises = []
+
+        def counting_budget_real(*args):
+            noises.append(args[3])
+            return _budget_real(*args)
+
+        monkeypatch.setattr(planner, "_budget_real", counting_budget_real)
+        plan(65.0, 1000, kind, LINK, SEC)
+        assert noises[0] == 0.0
+        assert noises.count(0.0) == 1
+        assert len(noises) == 14
+
 
 def _objective(channel, m_f, kind, p_extra):
     try:
