@@ -20,11 +20,13 @@ def test_probe_reports_the_run_of_its_child(capsys):
     assert scale_probe.main(["--mf", "1000", "--seed", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"d", "m_F", "seed", "wall_s", "maxrss_mb", "m",
-                        "key_sha256"}
+                        "n_exp", "f_realized", "verified", "key_sha256"}
     assert (doc["d"], doc["m_F"], doc["seed"]) == (30.0, 1000, 3)
     assert doc["wall_s"] > 0 and doc["maxrss_mb"] > 0
     link, sec = LinkParams(), SecurityParams()
     record = run_from_plan(plan(30.0, 1000, "count", link, sec), link, sec, 3)
     assert doc["m"] == record.m >= 1000
+    assert (doc["n_exp"], doc["f_realized"], doc["verified"]) == (
+        record.n_exp, record.f_realized, record.verified)
     assert doc["key_sha256"] == hashlib.sha256(
         np.packbits(record.final_key).tobytes()).hexdigest()

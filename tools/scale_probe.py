@@ -2,19 +2,22 @@
 
 The child plans a count-strategy request for m_F key bits at distance d,
 runs it with the given run seed and reports the run's wall time (plan and
-run, interpreter start and imports excluded), its peak RSS (ru_maxrss) and
-the SHA-256 of the final key packed MSB first. With --max-as-mb the child,
-and only the child, limits its own address space with
-setrlimit(RLIMIT_AS) before planning, so an oversize request ends in an
-answer instead of exhausting the host's memory.
+run, interpreter start and imports excluded), its peak RSS (ru_maxrss),
+Cascade's n_exp, f_realized and verified, and the SHA-256 of the final
+key packed MSB first. The key is extracted from Alice's bits, which
+Cascade never changes, so a change to Cascade shows only in its three
+fields. With --max-as-mb the child, and only the child, limits its own
+address space with setrlimit(RLIMIT_AS) before planning, so an oversize
+request ends in an answer instead of exhausting the host's memory.
 
     PYTHONPATH=src python tools/scale_probe.py --mf 10000000 [--distance 30]
         [--seed 1] [--max-as-mb 1500]
 
-Prints one JSON line: d, m_F, seed, wall_s, maxrss_mb, m and key_sha256,
-or, for a request that does not run, d, m_F, seed and the error, stage
-and message of the infeasible or invalid answer. The child imports
-vlbb84 from PYTHONPATH, so the same probe measures any checkout.
+Prints one JSON line: d, m_F, seed, wall_s, maxrss_mb, m, n_exp,
+f_realized, verified and key_sha256, or, for a request that does not
+run, d, m_F, seed and the error, stage and message of the infeasible or
+invalid answer. The child imports vlbb84 from PYTHONPATH, so the same
+probe measures any checkout.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ else:
     doc = {"wall_s": time.perf_counter() - start,
            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
            / 1024,
-           "m": record.m,
+           "m": record.m, "n_exp": record.n_exp,
+           "f_realized": record.f_realized, "verified": record.verified,
            "key_sha256": hashlib.sha256(np.packbits(
                np.asarray(key, dtype=np.uint8)).tobytes()).hexdigest()}
 print(json.dumps(doc))
