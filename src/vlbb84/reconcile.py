@@ -112,21 +112,22 @@ def _depth_table(length: int) -> np.ndarray:
     """Each bit's leaf depth in the split tree of a `length`-bit block.
 
     A range of L >= 2 bits splits at (start + end + 1) >> 1 into its
-    first ceil(L/2) and last floor(L/2) bits, so its table is the two
-    halves' tables side by side, plus one. The ranges `shift` levels
-    below the root hold length >> shift bits or one more, so the tables
-    are built a level at a time from the bottom, as uint8, keeping only
-    the level below.
+    first ceil(L/2) and last floor(L/2) bits. The ranges `shift` levels
+    below the root hold length >> shift bits or one more, so at depth
+    k = floor(log2(length)) each range holds one bit, a leaf at depth k,
+    or two, leaves at depth k + 1. Starting from those ranges (one bit
+    marked 0, two bits marked 1), each level up puts every range's two
+    halves side by side, as uint8; the root's marks plus k are the table.
     """
     tables = {1: np.zeros(1, dtype=np.uint8), 2: np.ones(2, dtype=np.uint8)}
     for shift in range(length.bit_length() - 2, -1, -1):
-        low, level = length >> shift, {}
-        for size in (low, low + 1) if shift else (low,):
-            level[size] = np.concatenate((tables[(size + 1) >> 1],
-                                          tables[size >> 1]))
-            level[size] += 1
-        tables = level
-    return tables[length]
+        low = length >> shift
+        tables = {size: np.concatenate((tables[(size + 1) >> 1],
+                                        tables[size >> 1]))
+                  for size in ((low, low + 1) if shift else (low,))}
+    table = tables[length]
+    table += length.bit_length() - 1
+    return table
 
 
 def _leaf_depth(offset: int, length: int) -> int:
