@@ -13,13 +13,17 @@ The chain is: accuracy condition -> sample-size floor A_0, target length
 then a search over the artificial noise to minimize N_F: one numpy
 screen of the whole noise grid, an exact scalar re-check of the grid
 points the screen puts near the minimum, and a golden-section refinement
-that evaluates one new noise level per step. The scalar budget and the
-screen share the strategies' N_F formulas, one solver of the sqrt
-strategy's sample-limit cubic (its closed-form largest root) and one
-rule, that an N_F which is not a finite float is infeasible. The scalar
-path runs them on Python floats with libm and builtins, the screen on
-arrays with numpy, so the two differ only by libm-vs-numpy rounding of
-log2, pow and (for sqrt) arccos and cos.
+that evaluates one new noise level per step. The scalar budget is one
+path: _request_budget sets up a request once (its g check and extraction
+floor) and returns its budget as a function of the noise level, which
+the search, photon_budget and a plan at a given noise all call. The
+scalar budget and the screen share the strategies' N_F formulas, one
+solver of the sqrt strategy's sample-limit cubic (its closed-form
+largest root) and one rule, that an N_F which is not a finite float is
+infeasible. The scalar path runs them on Python floats with libm and
+builtins, the screen on arrays with numpy and as few numpy calls as it
+can, so the two differ only by rounding: the screen's exp(x * ln 10) for
+10**x, and libm-vs-numpy log2, pow and (for sqrt) arccos and cos.
 
 plan() is the only entry that takes a distance and a LinkParams: it
 derives the channel once, and every function below it (budget, noise
@@ -52,9 +56,9 @@ _NOISE_GRID_STEP = 1e-4
 _NOISE_TOL = 1e-6
 # Grid points whose screened N_F lies within this relative distance of the
 # screened minimum are re-evaluated by the scalar objective. The screen
-# differs from it only by numpy-vs-libm rounding of log2, pow and (for
-# sqrt) arccos and cos, ~1e-14 relative, so the scalar minimum is always
-# among them.
+# differs from it only by rounding (its exp(x * ln 10) for 10**x, and
+# numpy-vs-libm log2, pow and, for sqrt, arccos and cos), ~1e-14
+# relative, so the scalar minimum is always among them.
 _SCREEN_MARGIN = 1e-9
 
 
@@ -171,8 +175,12 @@ def _extraction_floor(m_f: int, sec: SecurityParams) -> float:
 
 def l_f(m_f: int, p_hat: float, sec: SecurityParams) -> float:
     """Sifted-key length needed after estimation to extract m_f bits."""
-    floor = _extraction_floor(m_f, sec)
-    den = 1.0 - (1.0 + sec.f_max) * binary_entropy(p_hat)
+    return _l_f_from_floor(_extraction_floor(m_f, sec), p_hat, 1.0 + sec.f_max)
+
+
+def _l_f_from_floor(floor: float, p_hat: float, one_f: float) -> float:
+    """l_f from its extraction floor and 1 + f_max."""
+    den = 1.0 - one_f * binary_entropy(p_hat)
     if den <= 0.0:
         raise InfeasibleError(
             "l_f", f"effective flip {p_hat:.6f} at or above the abort threshold")
@@ -299,40 +307,51 @@ def _budget_from_requirements(kind: str, p: float, a0_bits, l_f_bits,
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
-def _budget_real(channel: ChannelDerived, m_f: int, kind: str,
-                 p_extra: float, sec: SecurityParams,
-                 g: float = DEFAULT_FRACTION):
-    """Real-valued N_F before integer rounding.
+def _request_budget(channel: ChannelDerived, m_f: int, kind: str,
+                    sec: SecurityParams, g: float = DEFAULT_FRACTION):
+    """The scalar budget of one request, as a function of the noise level.
 
-    Returns (N_F, n_lim, A_0, l_F). An N_F that is not a finite float is
-    infeasible: that covers a sqrt sample limit with no positive root, and
-    requirements so large (a subnormal flip or g) that the budget
+    The set-up checks g and takes the extraction floor once; the returned
+    budget(p_extra) gives (N_F, n_lim, A_0, l_F), the real-valued N_F
+    before integer rounding. An N_F that is not a finite float is
+    infeasible: that covers a sqrt sample limit with no positive root,
+    and requirements so large (a subnormal flip or g) that the budget
     overflows or divides by an underflowed g*p.
     """
     if kind == FRACTION:
         _check_fraction(g)
-    p = channel.p
-    if p <= 0.0:
-        raise InfeasibleError("photon_budget", "link delivers no signal (p = 0)")
-    p_hat = effective_flip(channel.P_flip, p_extra)
-    if p_hat <= 0.0:
-        raise InfeasibleError(
-            "photon_budget", "effective flip is 0; accuracy condition diverges")
-    if p_hat >= sec.Q_t:
-        raise InfeasibleError(
-            "photon_budget",
-            f"effective flip {p_hat:.6f} >= abort threshold {sec.Q_t}")
-    a0_bits = a0(p_hat, sec)
-    l_f_bits = l_f(m_f, p_hat, sec)
-    try:
-        n_f, n_lim = _budget_from_requirements(kind, p, a0_bits, l_f_bits,
-                                               sec, g)
-    except (OverflowError, ZeroDivisionError):
-        n_f = math.inf
-    if not math.isfinite(n_f):
-        raise InfeasibleError("photon_budget", "no finite N_F meets the "
-                              "sample and key-length requirements")
-    return n_f, n_lim, a0_bits, l_f_bits
+    p, p_flip, q_t = channel.p, channel.P_flip, sec.Q_t
+    floor, one_f = _extraction_floor(m_f, sec), 1.0 + sec.f_max
+
+    def budget(p_extra: float) -> tuple:
+        if p <= 0.0:
+            raise InfeasibleError("photon_budget",
+                                  "link delivers no signal (p = 0)")
+        p_hat = effective_flip(p_flip, p_extra)
+        if p_hat <= 0.0:
+            raise InfeasibleError("photon_budget", "effective flip is 0; "
+                                  "accuracy condition diverges")
+        if p_hat >= q_t:
+            raise InfeasibleError("photon_budget", f"effective flip "
+                                  f"{p_hat:.6f} >= abort threshold {q_t}")
+        a0_bits = a0(p_hat, sec)
+        l_f_bits = _l_f_from_floor(floor, p_hat, one_f)
+        try:
+            n_f, n_lim = _budget_from_requirements(kind, p, a0_bits, l_f_bits,
+                                                   sec, g)
+        except (OverflowError, ZeroDivisionError):
+            n_f = math.inf
+        if not math.isfinite(n_f):
+            raise InfeasibleError("photon_budget", "no finite N_F meets the "
+                                  "sample and key-length requirements")
+        return n_f, n_lim, a0_bits, l_f_bits
+    return budget
+
+
+def _budget_real(channel: ChannelDerived, m_f: int, kind: str, p_extra: float,
+                 sec: SecurityParams, g: float = DEFAULT_FRACTION):
+    """_request_budget's result at one noise level: (N_F, n_lim, A_0, l_F)."""
+    return _request_budget(channel, m_f, kind, sec, g)(p_extra)
 
 
 def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
@@ -341,33 +360,39 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
     """_budget_real's N_F at every noise level of the array p_extra, inf
     where _budget_real raises InfeasibleError.
 
-    Its array prelude makes the same feasibility comparisons; the N_F
-    formulas and the sqrt solver are _budget_from_requirements' own, run
-    with _ARRAY_OPS under this function's np.errstate, and a non-finite
-    N_F is infeasible as in the scalar. It differs from the scalar N_F
-    only where numpy's log2, pow and (for sqrt) arccos and cos round
-    differently from libm's, ~1e-14 relative: enough to rank noise
-    levels, not to replace the scalar.
+    Its array prelude computes the scalar's A_0 and l_F with as few numpy
+    calls as it can: gamma's 10**x as exp(x * ln 10), 1 - p_hat once, and
+    the entropy's sign folded into l_F's denominator, which is exact. It
+    writes NaN into l_F where the scalar raises before its N_F formulas
+    (p_hat at or above Q_t, or a denominator that is not positive, p_hat
+    = 0 among them). The N_F formulas and the sqrt solver are
+    _budget_from_requirements' own, run with _ARRAY_OPS under this
+    function's np.errstate, and they carry a NaN through, so one isfinite
+    marks every infeasible level. The screen differs from the scalar N_F
+    only by rounding: exp(x * ln 10) for 10**x, and numpy's log2, pow and
+    (for sqrt) arccos and cos for libm's, ~1e-14 relative: enough to rank
+    noise levels, not to replace the scalar.
     """
     p = channel.p
     if p <= 0.0:
         return np.full(p_extra.shape, math.inf)
     p_flip = channel.P_flip
     p_hat = p_flip + p_extra - 2.0 * p_flip * p_extra
+    q_hat = 1.0 - p_hat
     # p_hat = 0 divides by zero and takes log2(0), and extreme inputs
     # overflow, the sqrt solver's r*r*r among them; the non-finite N_F they
     # give is infeasible.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gam = gamma(p_hat, sec)
+        gam = sec.eps * (1.0 + sec.alpha * np.exp(
+            (-sec.beta * math.log(10.0)) * p_hat))
         a0_bits = (1.0 / (gam * gam)) * (1.0 / p_hat - 1.0)
-        entropy = (-p_hat * np.log2(p_hat)
-                   - (1.0 - p_hat) * np.log2(1.0 - p_hat))
-        den = 1.0 - (1.0 + sec.f_max) * entropy
-        l_f_bits = _extraction_floor(m_f, sec) / den
-        infeasible = (p_hat <= 0.0) | (p_hat >= sec.Q_t) | (den <= 0.0)
+        den = 1.0 + (1.0 + sec.f_max) * (p_hat * np.log2(p_hat)
+                                         + q_hat * np.log2(q_hat))
+        l_f_bits = np.where((p_hat < sec.Q_t) & (den > 0.0),
+                            _extraction_floor(m_f, sec) / den, math.nan)
         n_f, _ = _budget_from_requirements(kind, p, a0_bits, l_f_bits, sec, g,
                                            _ARRAY_OPS)
-    return np.where(infeasible | ~np.isfinite(n_f), math.inf, n_f)
+    return np.where(np.isfinite(n_f), n_f, math.inf)
 
 
 def _resolve_strategy(kind: str, a0_bits: float, n: Optional[float],
@@ -412,17 +437,18 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
 
     The minimum over a dense grid of the feasible range, refined by golden
     section; returns 0 whenever the intrinsic link noise alone already
-    minimizes the budget. _screen_budget evaluates the whole grid at once,
-    then the scalar objective re-evaluates the points the screen puts
-    within _SCREEN_MARGIN of its minimum. The first of them with the
-    smallest scalar N_F is the grid minimum: the point a scalar scan of
-    every grid point would pick. The refinement is a scalar golden-section
-    search on the two grid steps around it: each step keeps the surviving
-    interior point with its N_F and evaluates only the new one. The final
-    comparison with zero noise reuses the re-check's result at grid[0] = 0
-    when there is one.
+    minimizes the budget. The request's scalar budget (_request_budget)
+    is set up once; _screen_budget evaluates the whole grid at once, then
+    the scalar objective re-evaluates the points the screen puts within
+    _SCREEN_MARGIN of its minimum (none when no screened N_F is finite).
+    The first of them with the smallest scalar N_F is the grid minimum:
+    the point a scalar scan of every grid point would pick. The refinement
+    is a scalar golden-section search on the two grid steps around it:
+    each step keeps the surviving interior point with its N_F and
+    evaluates only the new one. The final comparison with zero noise
+    reuses the re-check's result at grid[0] = 0 when there is one.
 
-    When given a list as `budget`, it appends _budget_real's result at the
+    When given a list as `budget`, it appends the budget's result at the
     returned noise, if that noise is feasible, so that plan() need not
     evaluate it again.
     """
@@ -430,13 +456,12 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
         raise InfeasibleError(
             "optimal_extra_noise",
             f"intrinsic QBER {channel.P_flip:.6f} >= abort threshold {sec.Q_t}")
-    if kind == FRACTION:
-        _check_fraction(g)
+    budget_at = _request_budget(channel, m_f, kind, sec, g)
 
     def objective(p_extra: float) -> tuple:
-        """_budget_real's result at p_extra; (inf,) where infeasible."""
+        """The budget's result at p_extra; (inf,) where infeasible."""
         try:
-            return _budget_real(channel, m_f, kind, p_extra, sec, g)
+            return budget_at(p_extra)
         except InfeasibleError:
             return (math.inf,)
 
@@ -444,11 +469,10 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
     n_grid = int(e_max / _NOISE_GRID_STEP) + 1
     grid = np.minimum(np.arange(n_grid + 1) * _NOISE_GRID_STEP, e_max)
     screen = _screen_budget(channel, m_f, kind, grid, sec, g)
-    ranked = screen[np.isfinite(screen)]
-    cut = ranked.min() * (1.0 + _SCREEN_MARGIN) if ranked.size else -math.inf
+    cut = screen.min() * (1.0 + _SCREEN_MARGIN)
     best_i, best_v = 0, math.inf
     rechecked = {}          # grid index -> objective there
-    for i in np.flatnonzero(screen <= cut).tolist():
+    for i in np.flatnonzero(screen <= cut).tolist() if cut < math.inf else ():
         rechecked[i] = objective(float(grid[i]))
         if rechecked[i][0] < best_v:
             best_i, best_v = i, rechecked[i][0]
@@ -529,7 +553,13 @@ def success_probability(channel: ChannelDerived, n_pulses: int,
     """
     check_p_extra(p_extra)
     p_hat = effective_flip(channel.P_flip, p_extra)
-    stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
+    return _survival(channel, strategy_stats(n_pulses, channel.p, p_hat,
+                                             strategy), p_extra, sec)
+
+
+def _survival(channel: ChannelDerived, stats: EstimatorStats,
+              p_extra: float, sec: SecurityParams) -> float:
+    """success_probability from the strategy's moments at p_extra."""
     sigma_q = stats.std_Qhat / (1.0 - 2.0 * p_extra)
     if sigma_q == 0.0:
         return 1.0 if channel.P_flip < sec.Q_t else 0.0
@@ -541,7 +571,13 @@ def expected_output(channel: ChannelDerived, n_pulses: int,
                     sec: SecurityParams) -> tuple[int, float]:
     """Mean and standard deviation of the final key length at fixed N."""
     p_hat = effective_flip(channel.P_flip, p_extra)
-    stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
+    return _output_moments(strategy_stats(n_pulses, channel.p, p_hat,
+                                          strategy), p_hat, sec)
+
+
+def _output_moments(stats: EstimatorStats, p_hat: float,
+                    sec: SecurityParams) -> tuple[int, float]:
+    """expected_output from the strategy's moments at p_hat."""
     rate = 1.0 - (1.0 + sec.f_max) * binary_entropy(p_hat)
     if rate <= 0.0:
         return 0, 0.0
@@ -573,11 +609,17 @@ def forecast(channel: ChannelDerived, n_pulses: int, strategy: Strategy,
     deviation. Near d = 0, or at a huge N, a finite N can still give a
     key length whose square overflows a float: like an overflowing
     budget, that is infeasible.
+
+    It takes the effective flip and the strategy's moments once for
+    expected_output's and success_probability's results, and checks its
+    inputs in their order: expected_output's, then p_extra < 1/2.
     """
     try:
-        mean_m, std_m = expected_output(channel, n_pulses, strategy, p_extra,
-                                        sec)
-        p_succ = success_probability(channel, n_pulses, strategy, p_extra, sec)
+        p_hat = effective_flip(channel.P_flip, p_extra)
+        stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
+        mean_m, std_m = _output_moments(stats, p_hat, sec)
+        check_p_extra(p_extra)
+        p_succ = _survival(channel, stats, p_extra, sec)
         kbr_mean, kbr_std = kbr_stats(n_pulses, p_succ, mean_m, std_m)
     except OverflowError:
         from decimal import Decimal     # see fixed_n_strategy

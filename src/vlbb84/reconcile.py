@@ -160,9 +160,9 @@ def _draw_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:
     highs = np.arange(n - r + 1, n + 1)
     for j, t in zip(range(n - r, n), rng.integers(0, highs).tolist()):
         taken[j if t in taken else t] = None
-    positions = np.fromiter(taken, dtype=np.int64, count=r)
+    positions = list(taken)
     rng.shuffle(positions)
-    return positions.tolist()
+    return positions
 
 
 def _by_block(positions, size: int) -> dict[int, list[int]]:

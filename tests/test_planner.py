@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -428,6 +429,9 @@ def noise_outcome(optimize, channel, m_f, kind, g):
 
 
 D_LIM = limit_distance(LINK, SEC)
+# The default security parameters and four that move gamma's relaxation.
+SCREEN_SECS = (SEC, SecurityParams(beta=200.0), SecurityParams(beta=-100.0),
+               SecurityParams(eps=1e-3), SecurityParams(alpha=50.0, beta=5.0))
 # g only enters the fraction strategy.
 KIND_G = [(FRACTION, g) for g in (DEFAULT_FRACTION, 0.05, 0.5)] + [
     (COUNT, DEFAULT_FRACTION), (SQRT, DEFAULT_FRACTION)]
@@ -467,13 +471,26 @@ class TestMatchesReferenceScan:
         # The re-check margin of 1e-9 relies on this agreement. At
         # d = 1e-308 the sample floor A_0 overflows at zero added noise;
         # both must call that point infeasible.
+        self.check_screen_tracks_scalar(kind, d, SEC)
+
+    @pytest.mark.parametrize("sec", SCREEN_SECS[1:], ids=[
+        "beta=200", "beta=-100", "eps=1e-3", "alpha=50,beta=5"])
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @pytest.mark.parametrize("d", [0.0, 1e-308, 30.0, 65.0])
+    def test_screen_tracks_scalar_objective_other_sec(self, kind, d, sec):
+        # The screen takes gamma's 10**(-beta * p_hat) as an exp: here it
+        # decays steeply, grows, meets a tight eps, and dominates gamma.
+        self.check_screen_tracks_scalar(kind, d, sec)
+
+    @staticmethod
+    def check_screen_tracks_scalar(kind, d, sec):
         ch = channel_at(LINK, d)
-        e_max = _max_extra_noise(ch.P_flip, SEC)
+        e_max = _max_extra_noise(ch.P_flip, sec)
         grid = np.linspace(0.0, e_max, 200)
-        screen = _screen_budget(ch, 1000, kind, grid, SEC, DEFAULT_FRACTION)
+        screen = _screen_budget(ch, 1000, kind, grid, sec, DEFAULT_FRACTION)
         for e, v in zip(grid.tolist(), screen.tolist()):
             try:
-                scalar = _budget_real(ch, 1000, kind, e, SEC)[0]
+                scalar = _budget_real(ch, 1000, kind, e, sec)[0]
             except InfeasibleError:
                 scalar = math.inf
             assert v == pytest.approx(scalar, rel=1e-12)
@@ -485,16 +502,11 @@ class TestMatchesReferenceScan:
         # here), the golden section (two interior points, then one new point per
         # step: 14 for its 12 steps) and the final zero-noise comparison
         # (2): 17 in all. plan() reuses the comparison's evaluation at the
-        # returned noise.
-        calls = []
-
-        def counting_budget_real(*args):
-            calls.append(args)
-            return _budget_real(*args)
-
-        monkeypatch.setattr(planner, "_budget_real", counting_budget_real)
+        # returned noise, and the request's budget is set up once.
+        setups, noises = count_budget_calls(monkeypatch)
         plan(30.0, 1000, kind, LINK, SEC)
-        assert len(calls) == 17
+        assert len(setups) == 1
+        assert len(noises) == 17
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     def test_zero_noise_evaluated_once(self, monkeypatch, kind):
@@ -502,17 +514,144 @@ class TestMatchesReferenceScan:
         # near-minimal points, so the re-check evaluates it first. The
         # final zero-noise comparison reuses that result: 14 evaluations
         # in all, where evaluating 0 twice made 15.
-        noises = []
-
-        def counting_budget_real(*args):
-            noises.append(args[3])
-            return _budget_real(*args)
-
-        monkeypatch.setattr(planner, "_budget_real", counting_budget_real)
+        setups, noises = count_budget_calls(monkeypatch)
         plan(65.0, 1000, kind, LINK, SEC)
+        assert len(setups) == 1
         assert noises[0] == 0.0
         assert noises.count(0.0) == 1
         assert len(noises) == 14
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_infeasible_screen_rechecks_nothing(self, monkeypatch, kind):
+        # On a dark link no screened N_F is finite: no scalar evaluation.
+        setups, noises = count_budget_calls(monkeypatch)
+        with pytest.raises(InfeasibleError, match="no feasible noise level"):
+            plan(0.0, 1000, kind, LinkParams(eta_e=0.0), SEC)
+        assert (len(setups), noises) == (1, [])
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_given_noise_evaluated_once(self, monkeypatch, kind):
+        setups, noises = count_budget_calls(monkeypatch)
+        plan(30.0, 1000, kind, LINK, SEC, p_extra=0.01)
+        assert (len(setups), noises) == (1, [0.01])
+
+
+def count_budget_calls(monkeypatch):
+    """Record each set-up of a request's scalar budget (its arguments) and
+    the noise level of each call of the budget it returns."""
+    setups, noises = [], []
+    request_budget = planner._request_budget
+
+    def counting_request_budget(*args):
+        setups.append(args)
+        budget = request_budget(*args)
+
+        def counting_budget(p_extra):
+            noises.append(p_extra)
+            return budget(p_extra)
+        return counting_budget
+
+    monkeypatch.setattr(planner, "_request_budget", counting_request_budget)
+    return setups, noises
+
+
+# _budget_real's body before the per-request set-up (with l_f inlined),
+# kept as the oracle that the set-up and its budget must reproduce bit for
+# bit, errors included.
+def reference_budget_real(channel: ChannelDerived, m_f: int, kind: str,
+                          p_extra: float, sec: SecurityParams,
+                          g: float = DEFAULT_FRACTION):
+    if kind == FRACTION:
+        Strategy(FRACTION, g)   # rejects g outside (0, 1/2]
+    p = channel.p
+    if p <= 0.0:
+        raise InfeasibleError("photon_budget", "link delivers no signal (p = 0)")
+    p_hat = effective_flip(channel.P_flip, p_extra)
+    if p_hat <= 0.0:
+        raise InfeasibleError(
+            "photon_budget", "effective flip is 0; accuracy condition diverges")
+    if p_hat >= sec.Q_t:
+        raise InfeasibleError(
+            "photon_budget",
+            f"effective flip {p_hat:.6f} >= abort threshold {sec.Q_t}")
+    a0_bits = a0(p_hat, sec)
+    floor = m_f + 6.0 + 4.0 * math.log2(m_f / sec.eps_max)
+    den = 1.0 - (1.0 + sec.f_max) * binary_entropy(p_hat)
+    if den <= 0.0:
+        raise InfeasibleError(
+            "l_f", f"effective flip {p_hat:.6f} at or above the abort threshold")
+    l_f_bits = floor / den
+    try:
+        n_f, n_lim = _budget_from_requirements(kind, p, a0_bits, l_f_bits,
+                                               sec, g)
+    except (OverflowError, ZeroDivisionError):
+        n_f = math.inf
+    if not math.isfinite(n_f):
+        raise InfeasibleError("photon_budget", "no finite N_F meets the "
+                              "sample and key-length requirements")
+    return n_f, n_lim, a0_bits, l_f_bits
+
+
+def budget_outcome(budget, *args) -> str:
+    """The repr of a budget's result or of the error it raises: equal reprs
+    are equal floats bit for bit, -0.0 and 0.0 told apart."""
+    try:
+        return repr(budget(*args))
+    except InfeasibleError as exc:
+        return repr(("infeasible", exc.stage, str(exc)))
+    except ValueError as exc:
+        return repr(("invalid", str(exc)))
+
+
+# A threshold above the rate's root, where l_F's denominator reaches 0
+# below Q_t, alone and with an accuracy whose square underflows (A_0
+# raises): the budget must raise the same stage first.
+BUDGET_EDGE_SECS = (SecurityParams(Q_t=0.2),
+                    SecurityParams(Q_t=0.2, eps=1e-300))
+
+
+class TestBudgetMatchesReference:
+    # Every request meets the reference at its drawn noise and at the edges
+    # of the noise range: 0, the grid's top, e_max itself and 1/2.
+    @given(d=st.floats(min_value=0.0, max_value=80.0),
+           log_mf=st.floats(min_value=0.0, max_value=8.0),
+           kind=st.sampled_from(STRATEGY_KINDS + ("other",)),
+           g=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+           p_extra=st.floats(min_value=0.0, max_value=0.5),
+           sec=st.sampled_from(SCREEN_SECS + BUDGET_EDGE_SECS))
+    @settings(max_examples=200, deadline=None)
+    # test_random_requests's subnormal requests, and a g outside (0, 1/2].
+    @example(d=1.1125369292536007e-308, log_mf=0.0, kind=SQRT, g=0.5,
+             p_extra=0.0, sec=SEC)
+    @example(d=7.228922560445868e-258, log_mf=0.0, kind=SQRT, g=0.5,
+             p_extra=0.0, sec=SEC)
+    @example(d=0.0, log_mf=0.0, kind=FRACTION, g=5e-324, p_extra=0.0,
+             sec=SEC)
+    @example(d=30.0, log_mf=3.0, kind=FRACTION, g=0.7, p_extra=0.01, sec=SEC)
+    def test_random_requests(self, d, log_mf, kind, g, p_extra, sec):
+        ch = channel_at(LINK, d)
+        m_f = round(10.0 ** log_mf)
+        e_max = _max_extra_noise(ch.P_flip, sec)
+        for e in (p_extra, 0.0, max(e_max - 1e-9, 0.0), e_max, 0.5):
+            args = (ch, m_f, kind, e, sec, g)
+            assert (budget_outcome(_budget_real, *args)
+                    == budget_outcome(reference_budget_real, *args))
+
+    @pytest.mark.parametrize("p_extra", [-0.1, 0.6])
+    def test_noise_outside_half(self, p_extra):
+        args = (channel_at(LINK, 30.0), 1000, COUNT, p_extra, SEC)
+        assert (budget_outcome(_budget_real, *args)
+                == budget_outcome(reference_budget_real, *args)
+                == repr(("invalid",
+                         f"p_extra must be in [0, 1/2], got {p_extra}")))
+
+    def test_dark_link(self):
+        # p = 0: the budget is infeasible at every noise level.
+        ch = channel_at(LinkParams(eta_e=0.0), 0.0)
+        for e in (0.0, 0.01):
+            args = (ch, 1000, SQRT, e, SEC)
+            assert (budget_outcome(_budget_real, *args)
+                    == budget_outcome(reference_budget_real, *args))
 
 
 def _objective(channel, m_f, kind, p_extra):
@@ -808,6 +947,20 @@ class TestPlan:
         assert hits >= 95
 
 
+def reference_forecast(channel, n_pulses, strategy, p_extra, sec):
+    """forecast() as the composition of the public forecasts."""
+    try:
+        mean_m, std_m = expected_output(channel, n_pulses, strategy, p_extra,
+                                        sec)
+        p_succ = success_probability(channel, n_pulses, strategy, p_extra, sec)
+        kbr_mean, kbr_std = kbr_stats(n_pulses, p_succ, mean_m, std_m)
+    except OverflowError:
+        raise InfeasibleError(
+            "forecast", "the key-length forecasts at N_F = "
+            f"{Decimal(n_pulses):.3e} overflow a float") from None
+    return mean_m, std_m, p_succ, kbr_mean, kbr_std
+
+
 class TestForecast:
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     def test_is_the_plans_forecast(self, kind):
@@ -829,6 +982,19 @@ class TestForecast:
         assert exc.value.stage == "forecast"
         assert str(exc.value) == ("forecast: the key-length forecasts at "
                                   "N_F = 1.000e+160 overflow a float")
+
+    @pytest.mark.parametrize("d", [0.0, 1e-140, 40.0, 90.0])
+    @pytest.mark.parametrize("strategy", [
+        Strategy(FRACTION, 1 / 3), Strategy(COUNT, 50.0), Strategy(SQRT, 2.0)])
+    def test_matches_composition(self, d, strategy):
+        # forecast() takes the flip and the moments once; its results and
+        # errors must be those of the three public forecasts composed.
+        ch = channel_at(LINK, d)
+        for n in (0, 1, 100, 10 ** 5, 10 ** 160, 10 ** 400):
+            for p_extra in (-0.1, 0.0, 0.02, 0.5, 0.6):
+                args = (ch, n, strategy, p_extra, SEC)
+                assert (budget_outcome(forecast, *args)
+                        == budget_outcome(reference_forecast, *args))
 
     def test_overflow_message_beyond_float(self):
         # The message writes N without converting it to a float.

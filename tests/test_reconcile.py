@@ -494,6 +494,17 @@ class TestSplitTreeDepth:
             assert [_leaf_depth(x, n) for x in picks] == depth[picks].tolist()
 
 
+def array_draw_positions(rng, n, r):
+    """_draw_positions as it was when it shuffled an int64 array."""
+    taken = {}
+    highs = np.arange(n - r + 1, n + 1)
+    for j, t in zip(range(n - r, n), rng.integers(0, highs).tolist()):
+        taken[j if t in taken else t] = None
+    positions = np.fromiter(taken, dtype=np.int64, count=r)
+    rng.shuffle(positions)
+    return positions.tolist()
+
+
 class TestPassOrder:
     """A later pass needs only where its disagreeing bits go."""
 
@@ -514,6 +525,17 @@ class TestPassOrder:
         drawn = _draw_positions(np.random.default_rng(1601), n, r)
         assert len(drawn) == len(set(drawn)) == r
         assert all(0 <= pos < n for pos in drawn)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 20_000])
+    def test_list_shuffle_draws_as_array_shuffle(self, n):
+        # Generator.shuffle draws the same random_interval sequence for a
+        # list as for an int64 array: same positions, same stream after.
+        for r in sorted({0, 1, min(2, n), n // 3, n - 1, n}):
+            for seed in range(20):
+                rng, ref = (np.random.default_rng(seed) for _ in range(2))
+                assert _draw_positions(rng, n, r) == array_draw_positions(
+                    ref, n, r)
+                assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_agreeing_fill_is_irrelevant(self):
         # The oracle gathers every bit of every pass, so it sees the
