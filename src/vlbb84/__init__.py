@@ -5,11 +5,10 @@ from .extract import extract_key, secure_length, toeplitz_extract
 from .link_model import (ChannelDerived, LinkParams, SecurityParams,
                          channel_at, effective_flip, infer_qber,
                          limit_distance)
-from .numerics import (binary_entropy, normal_cdf, output_length_fixed_point,
-                       solve_bracketed)
-from .planner import (EstimatorStats, InfeasibleError, Plan, Strategy, a0,
-                      expected_output, fixed_n_strategy, forecast, gamma,
-                      kbr_stats, l_f, optimal_extra_noise, photon_budget, plan,
+from .numerics import binary_entropy, output_length_fixed_point
+from .planner import (InfeasibleError, Plan, Strategy, a0, expected_output,
+                      fixed_n_strategy, forecast, gamma, kbr_stats, l_f,
+                      optimal_extra_noise, photon_budget, plan,
                       strategy_stats, success_probability)
 from .protocol import (RunRecord, bits_to_hex, controlled_randomization,
                        derive_seed, estimate_parameters, quantum_phase,
@@ -19,9 +18,8 @@ from .reconcile import ReconcileResult, cascade, leakage_upper_bound
 __all__ = [
     "ChannelDerived", "LinkParams", "SecurityParams", "channel_at",
     "effective_flip", "infer_qber", "limit_distance",
-    "binary_entropy", "normal_cdf", "output_length_fixed_point",
-    "solve_bracketed",
-    "EstimatorStats", "InfeasibleError", "Plan", "Strategy", "a0",
+    "binary_entropy", "output_length_fixed_point",
+    "InfeasibleError", "Plan", "Strategy", "a0",
     "expected_output", "fixed_n_strategy", "forecast", "gamma", "kbr_stats",
     "l_f", "optimal_extra_noise", "photon_budget", "plan", "strategy_stats",
     "success_probability",

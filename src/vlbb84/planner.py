@@ -348,17 +348,11 @@ def _request_budget(channel: ChannelDerived, m_f: int, kind: str,
     return budget
 
 
-def _budget_real(channel: ChannelDerived, m_f: int, kind: str, p_extra: float,
-                 sec: SecurityParams, g: float = DEFAULT_FRACTION):
-    """_request_budget's result at one noise level: (N_F, n_lim, A_0, l_F)."""
-    return _request_budget(channel, m_f, kind, sec, g)(p_extra)
-
-
 def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
                    p_extra: np.ndarray, sec: SecurityParams,
                    g: float) -> np.ndarray:
-    """_budget_real's N_F at every noise level of the array p_extra, inf
-    where _budget_real raises InfeasibleError.
+    """The N_F of _request_budget's budget at every noise level of the
+    array p_extra, inf where the budget raises InfeasibleError.
 
     Its array prelude computes the scalar's A_0 and l_F with as few numpy
     calls as it can: gamma's 10**x as exp(x * ln 10), 1 - p_hat once, and
@@ -421,7 +415,8 @@ def photon_budget(channel: ChannelDerived, m_f: int, kind: str,
     count strategy resolves A to the sample floor A_0, and the sqrt
     strategy resolves B to A_0 / sqrt(n_lim).
     """
-    n_f, n_lim, a0_bits, _ = _budget_real(channel, m_f, kind, p_extra, sec, g)
+    n_f, n_lim, a0_bits, _ = _request_budget(channel, m_f, kind, sec,
+                                             g)(p_extra)
     return math.ceil(n_f), _resolve_strategy(kind, a0_bits, n_lim, g), n_lim
 
 
@@ -646,7 +641,7 @@ def plan(d: float, m_f: int, kind: str, link: LinkParams,
     else:
         check_p_extra(p_extra)
     n_f_real, n_lim, a0_bits, l_f_bits = budget[0] if budget else (
-        _budget_real(channel, m_f, kind, p_extra, sec, g))
+        _request_budget(channel, m_f, kind, sec, g)(p_extra))
     strategy = _resolve_strategy(kind, a0_bits, n_lim, g)
     n_f = math.ceil(n_f_real)
     mean_m, std_m, p_succ, kbr_mean, kbr_std = forecast(

@@ -82,8 +82,6 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 def bits_to_hex(bits: np.ndarray) -> str:
     """Pack a bit array MSB-first into a hex string ('' for empty keys)."""
-    if len(bits) == 0:
-        return ""
     return bytes(np.packbits(np.asarray(bits, dtype=np.uint8))).hex()
 
 
@@ -366,7 +364,6 @@ def run_protocol(link: LinkParams, sec: SecurityParams, d: float,
             n_exp = rec.n_exp
             f_realized = rec.f_realized
             verified = rec.verified
-            del rec     # its corrected_B is never extracted from
             # The extractor input length is bounded a priori from the link
             # model, not from the realized leakage.
             final_key, k_bound = extract_key(rem_a, p_hat, sec, stage(3))

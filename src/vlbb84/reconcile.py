@@ -8,7 +8,9 @@ flipped bit (the cascade effect).
 
 Both keys are local to the simulation, so a parity comparison only needs
 where the keys disagree, and nothing depends on where the agreeing bits
-of a pass go.
+of a pass go. Cascade reports what reconciliation adds to a run: the
+parities it discloses, per pass, and whether the keys agree at the end.
+The extractor reads Alice's key, so Bob's corrected copy is never built.
 
 - A search of a block that holds one disagreement and has never been
   searched reads nothing (a closed-form search): it asks every half on
@@ -45,7 +47,7 @@ of a pass go.
   every built pass, and queues each block that turned odd. A first-pass
   block that a later-pass correction reopens is searched at once unless
   the heap holds a smaller entry: that is the block the heap would give
-  next. The corrections are written to a ^ b once, at the end.
+  next.
 - Cascade stops at agreement. A pass that starts with the keys equal
   has every block even: it discloses its top-level parities, searches
   nothing and draws nothing. The generator is local to one call, so the
@@ -82,10 +84,9 @@ MIN_KEY_LEN = 16
 
 @dataclass(frozen=True)
 class ReconcileResult:
-    corrected_B: np.ndarray
     n_exp: int            # parity bits disclosed
     f_realized: float     # n_exp / (l * h(Q_ref))
-    verified: bool        # corrected key equals Alice's
+    verified: bool        # no disagreement is left
     leak_per_pass: tuple[int, ...]      # parity bits disclosed per pass
     searches_per_pass: tuple[int, ...]  # binary searches run per pass
 
@@ -183,14 +184,14 @@ def _heap_entry(n: int, size: int, pi: int, bi: int) -> int:
 def _drain(heap: list[int], n: int, sizes: list[int],
            blocks: list[dict[int, list[int]]],
            at: list[dict[int, list[int]]], asked: list[set[int]],
-           leak: list[int], searches: list[int], fixed: list[int]) -> None:
+           leak: list[int], searches: list[int]) -> None:
     """Correct the smallest currently-odd block over the built passes
     until none is odd.
 
     heap holds `_heap_entry` integers; entries whose block turned even in
     the meantime are skipped lazily. A walked search adds the halves it
     asks to its pass's set in `asked`; a closed-form one adds its depth
-    to `leak`. Each corrected key index is appended to `fixed`.
+    to `leak`.
     """
     span = n + 1
     while heap:
@@ -238,10 +239,8 @@ def _drain(heap: list[int], n: int, sizes: list[int],
             # Drop the corrected bit's record from every pass's map and the
             # bit from its block in every other pass, and queue each block
             # that turned odd.
-            record = at[pi][pos]
-            fixed.append(record[0])
             code = -1
-            for pj, pos in enumerate(record):
+            for pj, pos in enumerate(at[pi][pos]):
                 del at[pj][pos]
                 if pj == pi:
                     continue
@@ -268,8 +267,9 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     """Reconcile key_b against key_a, assuming error rate around q_ref.
 
     Both keys are local to the simulation harness, so verification is a
-    direct comparison and costs no leakage. q_ref = 0 is floored at 1/l so
-    the first-pass block size stays finite.
+    direct comparison and costs no leakage: the keys agree once no
+    disagreement is left. q_ref = 0 is floored at 1/l so the first-pass
+    block size stays finite.
     """
     a = _as_bits(key_a, "key_a")
     b = _as_bits(key_b, "key_b")
@@ -289,16 +289,14 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     leak = [-(-n // size) for size in sizes]    # top-level parities
     searches = [0] * CASCADE_PASSES
 
-    # diff is a ^ b. A full first-pass block that holds one disagreement
-    # is searched in closed form; the drain takes every other odd block.
-    diff = (a ^ b).view(bool)
-    errors = np.flatnonzero(diff)
+    # A full first-pass block that holds one disagreement is searched in
+    # closed form; the drain takes every other odd block.
+    errors = np.flatnonzero(a ^ b)
     block = errors // k1
     alone = (np.bincount(block)[block] == 1) & (errors < n - n % k1)
     found = errors[alone]
     leak[0] += int(_depth_table(k1)[found % k1].sum(dtype=np.int64))
     searches[0] = len(found)
-    diff[found] = False
 
     # One record per disagreeing key bit: its position in each built pass,
     # starting with its key index. A dict keeps insertion order, so records
@@ -307,7 +305,6 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     at = [records]              # per built pass: position -> record
     blocks = [_by_block(records, k1)]   # per built pass: sorted positions
     asked: list[set[int]] = [set()]     # per built pass: halves walked
-    fixed: list[int] = []       # key indices the drain corrects
     for pi, size in enumerate(sizes):
         if pi:
             if not records:
@@ -321,13 +318,12 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
         heap = [_heap_entry(n, size, pi, bi)
                 for bi, where in blocks[pi].items() if len(where) % 2]
         heapq.heapify(heap)
-        _drain(heap, n, sizes, blocks, at, asked, leak, searches, fixed)
-    diff[fixed] = False
+        _drain(heap, n, sizes, blocks, at, asked, leak, searches)
     for pi, seen in enumerate(asked):
         leak[pi] += len(seen)
 
     n_exp = sum(leak)
-    return ReconcileResult(corrected_B=a ^ diff, n_exp=n_exp,
+    return ReconcileResult(n_exp=n_exp,
                            f_realized=n_exp / (n * binary_entropy(q_floor)),
                            verified=not records,
                            leak_per_pass=tuple(leak),

@@ -14,7 +14,7 @@ from vlbb84.numerics import binary_entropy, output_length_fixed_point
 from vlbb84.planner import (_ARRAY_OPS, _NOISE_GRID_STEP, _NOISE_TOL, COUNT,
                             DEFAULT_FRACTION, FRACTION, SQRT, STRATEGY_KINDS,
                             InfeasibleError, Strategy,
-                            _budget_from_requirements, _budget_real,
+                            _budget_from_requirements, _request_budget,
                             _max_extra_noise, _screen_budget,
                             _sqrt_sample_limit, a0, expected_output,
                             fixed_n_strategy, forecast, gamma, kbr_stats, l_f,
@@ -228,8 +228,8 @@ class TestPhotonBudget:
         for d in np.linspace(0.0, 79.0, 40).tolist():
             ch = channel_at(LINK, d)
             try:
-                _, n_lim, a0_bits, lf_bits = _budget_real(ch, m_f, SQRT,
-                                                          p_extra, SEC)
+                _, n_lim, a0_bits, lf_bits = _request_budget(
+                    ch, m_f, SQRT, SEC)(p_extra)
             except InfeasibleError:
                 continue
             feasible += 1
@@ -249,8 +249,8 @@ class TestPhotonBudget:
     def test_scalar_budget_is_python_float(self, kind):
         # The scalar objective runs on Python floats, not 0-d arrays, even
         # though the budget formulas are shared with the numpy screen.
-        n_f, n_lim, _, _ = _budget_real(channel_at(LINK, 30.0), 1000, kind,
-                                        0.01, SEC)
+        n_f, n_lim, _, _ = _request_budget(channel_at(LINK, 30.0), 1000,
+                                           kind, SEC)(0.01)
         assert type(n_f) is float
         if kind == SQRT:
             assert type(n_lim) is float
@@ -386,7 +386,7 @@ def reference_optimal_extra_noise(channel: ChannelDerived, m_f: int,
 
     def objective(p_extra: float) -> float:
         try:
-            return _budget_real(channel, m_f, kind, p_extra, sec, g)[0]
+            return _request_budget(channel, m_f, kind, sec, g)(p_extra)[0]
         except InfeasibleError:
             return math.inf
 
@@ -490,7 +490,7 @@ class TestMatchesReferenceScan:
         screen = _screen_budget(ch, 1000, kind, grid, sec, DEFAULT_FRACTION)
         for e, v in zip(grid.tolist(), screen.tolist()):
             try:
-                scalar = _budget_real(ch, 1000, kind, e, sec)[0]
+                scalar = _request_budget(ch, 1000, kind, sec)(e)[0]
             except InfeasibleError:
                 scalar = math.inf
             assert v == pytest.approx(scalar, rel=1e-12)
@@ -555,9 +555,9 @@ def count_budget_calls(monkeypatch):
     return setups, noises
 
 
-# _budget_real's body before the per-request set-up (with l_f inlined),
-# kept as the oracle that the set-up and its budget must reproduce bit for
-# bit, errors included.
+# One request's budget at one noise level, written as one function (with
+# l_f inlined), kept as the oracle that _request_budget's set-up and its
+# budget must reproduce bit for bit, errors included.
 def reference_budget_real(channel: ChannelDerived, m_f: int, kind: str,
                           p_extra: float, sec: SecurityParams,
                           g: float = DEFAULT_FRACTION):
@@ -633,15 +633,18 @@ class TestBudgetMatchesReference:
         m_f = round(10.0 ** log_mf)
         e_max = _max_extra_noise(ch.P_flip, sec)
         for e in (p_extra, 0.0, max(e_max - 1e-9, 0.0), e_max, 0.5):
-            args = (ch, m_f, kind, e, sec, g)
-            assert (budget_outcome(_budget_real, *args)
-                    == budget_outcome(reference_budget_real, *args))
+            assert (budget_outcome(
+                        lambda: _request_budget(ch, m_f, kind, sec, g)(e))
+                    == budget_outcome(reference_budget_real,
+                                      ch, m_f, kind, e, sec, g))
 
     @pytest.mark.parametrize("p_extra", [-0.1, 0.6])
     def test_noise_outside_half(self, p_extra):
-        args = (channel_at(LINK, 30.0), 1000, COUNT, p_extra, SEC)
-        assert (budget_outcome(_budget_real, *args)
-                == budget_outcome(reference_budget_real, *args)
+        ch = channel_at(LINK, 30.0)
+        assert (budget_outcome(
+                    lambda: _request_budget(ch, 1000, COUNT, SEC)(p_extra))
+                == budget_outcome(reference_budget_real,
+                                  ch, 1000, COUNT, p_extra, SEC)
                 == repr(("invalid",
                          f"p_extra must be in [0, 1/2], got {p_extra}")))
 
@@ -649,14 +652,15 @@ class TestBudgetMatchesReference:
         # p = 0: the budget is infeasible at every noise level.
         ch = channel_at(LinkParams(eta_e=0.0), 0.0)
         for e in (0.0, 0.01):
-            args = (ch, 1000, SQRT, e, SEC)
-            assert (budget_outcome(_budget_real, *args)
-                    == budget_outcome(reference_budget_real, *args))
+            assert (budget_outcome(
+                        lambda: _request_budget(ch, 1000, SQRT, SEC)(e))
+                    == budget_outcome(reference_budget_real,
+                                      ch, 1000, SQRT, e, SEC))
 
 
 def _objective(channel, m_f, kind, p_extra):
     try:
-        return _budget_real(channel, m_f, kind, p_extra, SEC)[0]
+        return _request_budget(channel, m_f, kind, SEC)(p_extra)[0]
     except InfeasibleError:
         return math.inf
 
