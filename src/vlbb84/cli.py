@@ -107,17 +107,20 @@ def _sim_point(link: LinkParams, sec: SecurityParams, d: float,
     m_pred, _, p_succ, kbr_pred, _ = forecast(channel, n_pulses, strategy,
                                               p_extra, sec)
 
-    records = [run_protocol(link, sec, d, n_pulses, strategy, p_extra, seed)
-               for seed in seeds]
-    q = np.array([r.Q_inferred for r in records])
-    m = np.array([r.m for r in records], dtype=float)
+    # Each run keeps only the fields its row reads, so the point's memory
+    # does not grow with its runs' keys.
+    runs = [(r.Q_inferred, r.m, r.n_sifted, r.aborted, r.t_quantum)
+            for r in (run_protocol(link, sec, d, n_pulses, strategy, p_extra,
+                                   seed) for seed in seeds)]
+    q, m, n_sifted, aborted, t_quantum = (np.array(x, dtype=float)
+                                          for x in zip(*runs))
     row = {
         "N": n_pulses,
         "P_extra": p_extra,
-        "n_sifted_mean": float(np.mean([r.n_sifted for r in records])),
-        "abort_rate": float(np.mean([r.aborted for r in records])),
+        "n_sifted_mean": float(np.mean(n_sifted)),
+        "abort_rate": float(np.mean(aborted)),
         "m_min": int(m.min()),
-        "t_quantum_mean": float(np.mean([r.t_quantum for r in records])),
+        "t_quantum_mean": float(np.mean(t_quantum)),
         "p": channel.p,
         "P_flip": channel.P_flip,
         "P_success_pred": p_succ,

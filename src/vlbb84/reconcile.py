@@ -19,35 +19,43 @@ The extractor reads Alice's key, so Bob's corrected copy is never built.
   asks those halves again. The depth depends only on the bit's offset
   and the block's length 2^k + r (0 <= r < 2^k): the 2^k ranges at
   depth k hold one or two bits each, so every leaf is at depth k or
-  k + 1. `_leaf_depth` gives one bit's depth, `_depth_table` every
-  bit's.
+  k + 1. One rule gives every depth: `_leaf_depths` builds a length's
+  depths as bytes, one per bit, by doubling two strings per level of the
+  tree, once per length and call, and a search reads its bit's byte.
+  The same holds below any range of a block that holds one disagreement
+  and that no search has split: a search that bisects down to such a
+  range counts the halves below it as the bit's depth in the block less
+  the range's own.
 - Pass 0 runs in natural order and its blocks are disjoint, so its
   searches cannot affect each other. Counting the sorted disagreement
   positions per block finds the full blocks that hold exactly one, and
-  the pass sums their depths from a per-length table (`_depth_table`).
-  Every other odd block, the short last block included, goes to the
-  drain.
+  the pass sums their depths, gathered from the bytes of the first
+  block length. Every other odd block, the short last block included,
+  goes to the drain.
 - A later pass that starts with r disagreeing bits draws only their r
   pass positions (`_draw_positions`) and gives them to the disagreeing
   key indices in ascending order. A uniform permutation of the n bits,
   restricted to those r, is exactly such a uniform ordered sample, so the
   pass behaves as a full reshuffle would. It builds nothing of length n.
-- Each disagreeing key bit has one record: its position in every built
-  pass, starting with its key index. Every built pass maps a position to
-  its record and keeps, for each block that holds a disagreement, the
-  sorted pass positions of its disagreements. A block is odd when that
-  count is odd. A search bisects the short list: a left half
-  [start, mid) has a parity mismatch exactly when it holds an odd number
-  of them. Once a range holds a single disagreement, the search follows
-  it down without bisecting.
+- The drain works on the disagreeing bits that pass 0 does not close,
+  named by key index. Every built pass maps each key to its pass
+  position and back (pass 0's map is key to key) and keeps, for each
+  block that holds a disagreement, the sorted pass positions of its
+  disagreements. A block is odd when that count is odd. A search bisects
+  the short list: a left half [start, mid) has a parity mismatch exactly
+  when it holds an odd number of them. Once a range holds a single
+  disagreement, the search counts the halves below it in closed form, or,
+  if a search has split that range before, follows the bit down without
+  bisecting.
 - The drain corrects the smallest odd block over the built passes, in
-  the order (size, pass, block), each heap entry encoded as one integer
-  (`_heap_entry`). A correction always flips a bit that currently
-  disagrees. It removes the bit's record and the bit from its block in
-  every built pass, and queues each block that turned odd. A first-pass
-  block that a later-pass correction reopens is searched at once unless
-  the heap holds a smaller entry: that is the block the heap would give
-  next.
+  the order (size, pass, block), each heap entry encoded as one integer.
+  A correction always flips a bit that currently disagrees. It removes
+  the bit from its block in every other built pass, queues each block
+  that turned odd, and drops the bit's key from pass 0's map, the only
+  map read again: by the verdict and by the next pass's draw. A
+  first-pass block that a later-pass correction reopens is searched at
+  once unless the heap holds a smaller entry: that is the block the heap
+  would give next.
 - Cascade stops at agreement. A pass that starts with the keys equal
   has every block even: it discloses its top-level parities, searches
   nothing and draws nothing. The generator is local to one call, so the
@@ -58,19 +66,21 @@ half of a search step, counts as one leaked bit. A half she has already
 disclosed is not counted again. Within one block's search tree each split
 point `mid` belongs to exactly one node, and a pass's blocks are disjoint,
 so (pass, mid) names a half. Each built pass keeps the set of halves its
-walked searches asked; only a block that keeps disagreements is searched
-again, so the closed-form searches need not be recorded and their depths
-are counted directly. Top-level blocks and search halves of a pass never
+searches split. A range counted in closed form agrees from then on, and
+a search only enters ranges that hold a disagreement, so its halves need
+not be recorded: they are counted directly. Every search that enters a
+range splits it, so a range whose split is not in the set has had no
+half inside it asked. Top-level blocks and search halves of a pass never
 coincide, so each pass leaks its block count, its closed-form depths and
 the size of its set.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heappushpop
 
 import numpy as np
 
@@ -109,41 +119,26 @@ def _as_bits(key: np.ndarray, name: str) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _depth_table(length: int) -> np.ndarray:
-    """Each bit's leaf depth in the split tree of a `length`-bit block.
+def _leaf_depths(length: int) -> bytes:
+    """Each bit's leaf depth in the split tree of a `length`-bit block,
+    one byte per bit.
 
     A range of L >= 2 bits splits at (start + end + 1) >> 1 into its
     first ceil(L/2) and last floor(L/2) bits. The ranges `shift` levels
     below the root hold length >> shift bits or one more, so at depth
     k = floor(log2(length)) each range holds one bit, a leaf at depth k,
-    or two, leaves at depth k + 1. Starting from those ranges (one bit
-    marked 0, two bits marked 1), each level up puts every range's two
-    halves side by side, as uint8; the root's marks plus k are the table.
+    or two, leaves at depth k + 1. Going up a level, each of the two
+    range sizes puts its halves side by side: a range of 2s bits is two
+    of s, one of 2s + 1 is s + 1 then s.
     """
-    tables = {1: np.zeros(1, dtype=np.uint8), 2: np.ones(2, dtype=np.uint8)}
-    for shift in range(length.bit_length() - 2, -1, -1):
-        low = length >> shift
-        tables = {size: np.concatenate((tables[(size + 1) >> 1],
-                                        tables[size >> 1]))
-                  for size in ((low, low + 1) if shift else (low,))}
-    table = tables[length]
-    table += length.bit_length() - 1
-    return table
-
-
-def _leaf_depth(offset: int, length: int) -> int:
-    """The leaf depth of bit `offset` in the split tree of a `length`-bit
-    block: one entry of `_depth_table(length)`, by arithmetic alone."""
-    depth = 0
-    while length > 1:
-        half = (length + 1) >> 1
-        if offset < half:
-            length = half
+    k = length.bit_length() - 1
+    small, large = bytes((k,)), bytes((k + 1, k + 1))
+    for shift in range(k - 1, -1, -1):
+        if (length >> shift) & 1:
+            small, large = large + small, large + large
         else:
-            offset -= half
-            length -= half
-        depth += 1
-    return depth
+            small, large = small + small, large + small
+    return small
 
 
 def _draw_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:
@@ -174,60 +169,58 @@ def _by_block(positions, size: int) -> dict[int, list[int]]:
     return blocks
 
 
-def _heap_entry(n: int, size: int, pi: int, bi: int) -> int:
-    """Block bi of pass pi (block size `size`) as one heap integer,
-    ((its length * CASCADE_PASSES + pi) * (n + 1) + bi), which sorts as
-    (length, pass, block) does."""
-    return (min(size, n - bi * size) * CASCADE_PASSES + pi) * (n + 1) + bi
-
-
-def _drain(heap: list[int], n: int, sizes: list[int],
-           blocks: list[dict[int, list[int]]],
-           at: list[dict[int, list[int]]], asked: list[set[int]],
-           leak: list[int], searches: list[int]) -> None:
+def _drain(heap: list[int], n: int, passes: list[tuple],
+           depths: dict[int, bytes], leak: list[int],
+           searches: list[int]) -> None:
     """Correct the smallest currently-odd block over the built passes
     until none is odd.
 
-    heap holds `_heap_entry` integers; entries whose block turned even in
-    the meantime are skipped lazily. A walked search adds the halves it
-    asks to its pass's set in `asked`; a closed-form one adds its depth
-    to `leak`.
+    heap holds one integer per queued block, (length * CASCADE_PASSES +
+    pass) * (n + 1) + block, which sorts as (length, pass, block) does;
+    an entry whose block turned even in the meantime is skipped. A search
+    adds the halves it splits to its pass's set until it isolates one
+    disagreement in a range; if no search has split that range, it adds
+    the bit's depth below the range to `leak`, from the depths of its
+    block's length (built into `depths` on first use).
     """
     span = n + 1
+    first = passes[0][4]
     while heap:
-        code = heapq.heappop(heap)
+        code = heappop(heap)
         while code >= 0:
-            rest, bi = divmod(code, span)
-            size, pi = divmod(rest, CASCADE_PASSES)
-            where = blocks[pi][bi]
+            bi = code % span
+            size, pi = divmod(code // span, CASCADE_PASSES)
+            full, _, _, _, _, at, blocks, seen = passes[pi]
+            where = blocks[bi]
             if not len(where) % 2:
                 break
             searches[pi] += 1
-            seen = asked[pi]
-            start = bi * sizes[pi]
+            origin = start = bi * full
             end = start + size
-            lo = 0
-            if len(where) == 1 and (start + end + 1) >> 1 not in seen:
-                # One disagreement in a block never searched (every search
-                # of two or more bits asks the root's half): closed form.
-                pos = where[0]
-                leak[pi] += _leaf_depth(pos - start, size)
+            # Halve until one disagreement is isolated. Only the left half's
+            # parity is asked, the right is implied. where[lo:hi] are the
+            # disagreements inside [start, end), `level` splits down.
+            lo, hi, level = 0, len(where), 0
+            while hi - lo > 1:
+                mid = (start + end + 1) >> 1
+                seen.add(mid)
+                cut = bisect_left(where, mid, lo, hi)
+                if (cut - lo) % 2:
+                    end, hi = mid, cut
+                else:
+                    start, lo = mid, cut
+                level += 1
+            pos = where[lo]
+            if (start + end + 1) >> 1 not in seen:
+                # No search has split this range, so none has split a range
+                # inside it, and none will once its one disagreement is
+                # corrected: its halves down to the bit count in closed
+                # form, as the bit's depth below it.
+                tree = depths.get(size) or depths.setdefault(
+                    size, _leaf_depths(size))
+                leak[pi] += tree[pos - origin] - level
             else:
-                # Halve until one disagreement is isolated. Only the left
-                # half's parity is asked, the right is implied.
-                # where[lo:hi] are the disagreements inside [start, end).
-                hi = len(where)
-                while hi - lo > 1:
-                    mid = (start + end + 1) >> 1
-                    seen.add(mid)
-                    cut = bisect_left(where, mid, lo, hi)
-                    if (cut - lo) % 2:
-                        end, hi = mid, cut
-                    else:
-                        start, lo = mid, cut
-                # One disagreement is left: follow it down without
-                # bisecting.
-                pos = where[lo]
+                # Follow the one disagreement down, asking each half once.
                 while end - start > 1:
                     mid = (start + end + 1) >> 1
                     seen.add(mid)
@@ -236,30 +229,29 @@ def _drain(heap: list[int], n: int, sizes: list[int],
                     else:
                         start = mid
             del where[lo]
-            # Drop the corrected bit's record from every pass's map and the
-            # bit from its block in every other pass, and queue each block
-            # that turned odd.
+            # Drop the corrected bit from its block in every other pass,
+            # queue each block that turned odd, and drop its key from the
+            # first pass's map, the only one read again.
+            key = at[pos]
             code = -1
-            for pj, pos in enumerate(at[pi][pos]):
-                del at[pj][pos]
+            for pj, (full, base, last, tail, col, _, blocks, _) in enumerate(
+                    passes):
                 if pj == pi:
                     continue
-                full = sizes[pj]
+                pos = col[key]
                 bj = pos // full
-                where = blocks[pj][bj]
-                del where[bisect_left(where, pos)]
+                where = blocks[bj]
+                where.remove(pos)
                 if len(where) % 2:
-                    # _heap_entry(n, full, pj, bj), inlined
-                    entry = ((min(full, n - bj * full) * CASCADE_PASSES + pj)
-                             * span + bj)
                     if pj:
-                        heapq.heappush(heap, entry)
+                        heappush(heap, base + bj if bj != last else tail)
                     else:
-                        code = entry
+                        code = base + bj if bj != last else tail
+            del first[key]
             if code >= 0:
                 # A first-pass block that a later pass reopened is searched
                 # next unless the heap holds a smaller entry.
-                code = heapq.heappushpop(heap, code)
+                code = heappushpop(heap, code)
 
 
 def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
@@ -284,47 +276,58 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
     rng = np.random.default_rng(seed)
     q_floor = max(q_ref, 1.0 / n)
     k1 = math.ceil(BLOCK_COEFF / q_floor)
-
-    sizes = [k1 * 2 ** pi for pi in range(CASCADE_PASSES)]  # block size
-    leak = [-(-n // size) for size in sizes]    # top-level parities
+    leak = [-(-n // (k1 << pi)) for pi in range(CASCADE_PASSES)]
     searches = [0] * CASCADE_PASSES
 
     # A full first-pass block that holds one disagreement is searched in
     # closed form; the drain takes every other odd block.
-    errors = np.flatnonzero(a ^ b)
+    depths: dict[int, bytes] = {}   # block length -> its leaf depths
+    errors = (a != b).nonzero()[0]
     block = errors // k1
     alone = (np.bincount(block)[block] == 1) & (errors < n - n % k1)
     found = errors[alone]
-    leak[0] += int(_depth_table(k1)[found % k1].sum(dtype=np.int64))
     searches[0] = len(found)
+    if searches[0]:
+        depths[k1] = _leaf_depths(k1)
+        leak[0] += int(np.frombuffer(depths[k1], np.uint8)[found % k1].sum())
 
-    # One record per disagreeing key bit: its position in each built pass,
-    # starting with its key index. A dict keeps insertion order, so records
-    # stays in ascending key order, the order the drawn positions go in.
-    records = {key: [key] for key in errors[~alone].tolist()}
-    at = [records]              # per built pass: position -> record
-    blocks = [_by_block(records, k1)]   # per built pass: sorted positions
-    asked: list[set[int]] = [set()]     # per built pass: halves walked
-    for pi, size in enumerate(sizes):
-        if pi:
-            if not records:
-                break
-            drawn = _draw_positions(rng, n, len(records))
-            for record, pos in zip(records.values(), drawn):
-                record.append(pos)
-            at.append(dict(zip(drawn, records.values())))
-            blocks.append(_by_block(sorted(drawn), size))
-            asked.append(set())
-        heap = [_heap_entry(n, size, pi, bi)
-                for bi, where in blocks[pi].items() if len(where) % 2]
-        heapq.heapify(heap)
-        _drain(heap, n, sizes, blocks, at, asked, leak, searches)
-    for pi, seen in enumerate(asked):
-        leak[pi] += len(seen)
+    # The disagreeing key bits the drain takes, by key index. Each built
+    # pass maps them to their positions and back; the first pass's map,
+    # key to key, keeps only the bits not yet corrected, in ascending
+    # order, the order the drawn positions go in.
+    keys = errors[~alone].tolist()
+    first = dict(zip(keys, keys))
+    span = n + 1
+    # Per built pass: block size, the heap entries of its blocks, its maps
+    # (key -> position, position -> key, block -> sorted positions) and
+    # the set of halves its searches split.
+    passes: list[tuple] = []
+    for pi in range(CASCADE_PASSES):
+        size = k1 << pi
+        if not pi:
+            col, at, ordered = first, first, keys
+        elif first:
+            drawn = _draw_positions(rng, n, len(first))
+            col, at = dict(zip(first, drawn)), dict(zip(drawn, first))
+            ordered = sorted(drawn)
+        else:
+            break
+        # Block bi's heap entry is base + bi, or tail for the last block.
+        last = (n - 1) // size
+        base = (size * CASCADE_PASSES + pi) * span
+        tail = ((n - last * size) * CASCADE_PASSES + pi) * span + last
+        blocks = _by_block(ordered, size)
+        passes.append((size, base, last, tail, col, at, blocks, set()))
+        heap = [base + bi if bi != last else tail
+                for bi, where in blocks.items() if len(where) % 2]
+        heapify(heap)
+        _drain(heap, n, passes, depths, leak, searches)
+    for pi, p in enumerate(passes):
+        leak[pi] += len(p[-1])
 
     n_exp = sum(leak)
     return ReconcileResult(n_exp=n_exp,
                            f_realized=n_exp / (n * binary_entropy(q_floor)),
-                           verified=not records,
+                           verified=not first,
                            leak_per_pass=tuple(leak),
                            searches_per_pass=tuple(searches))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from typing import Optional
 
 import pytest
@@ -546,6 +547,26 @@ class TestSweepCommand:
         run_cli(capsys, *args, "--out", str(a))
         run_cli(capsys, *args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_point_memory_does_not_grow_with_runs(self, capsys,
+                                                         tmp_path):
+        # A point keeps only the numbers its row reads from each run, not
+        # the run's key (m >= 1e5 bits here, a byte each), so ten runs
+        # peak about where one does. The first sweep only warms up: it
+        # holds what the first call in a process allocates once.
+        peaks = []
+        for iterations in ("1", "1", "10"):
+            tracemalloc.start()
+            try:
+                code, _ = run_cli(capsys, "sweep", "--distances", "30",
+                                  "--mf", "100000", "--strategies", "count",
+                                  "--iterations", iterations, "--seed", "5",
+                                  "--out", str(tmp_path / "point.csv"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        assert peaks[2] - peaks[1] <= 300_000, peaks
 
     def test_sweep_byte_identical_across_processes(self, tmp_path):
         # As criterion 10 for run: separate interpreters, here also with

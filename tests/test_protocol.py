@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from test_acceptance import BASE_SEED
+from test_forecast_gate import RUNS as GATE_RUNS
+from test_forecast_gate import SEED_BASES as GATE_SEED_BASES
 from test_planned_reconciliation import RUNS, SEED_BASE
 from vlbb84 import protocol
 from vlbb84.link_model import (ChannelDerived, LinkParams, SecurityParams,
@@ -128,11 +130,14 @@ class TestSeedDerivation:
     def test_acceptance_criteria_streams_are_disjoint(self, monkeypatch):
         # Criterion 4: 14 distances x 50 runs; criterion 5: 2 targets x 3
         # strategies x 6 distances x 20 runs; the reconciliation evidence
-        # on criterion 5's grid, on a seed base of its own.
+        # on criterion 5's grid, on a seed base of its own; the forecast
+        # gate, on one seed base per point.
         c04 = [derive_seed(BASE_SEED + 1, i) for i in range(14 * 50)]
         c05 = [derive_seed(BASE_SEED + 2, i) for i in range(2 * 3 * 6 * 20)]
         evidence = [derive_seed(SEED_BASE, i) for i in range(RUNS)]
-        starts = stage_starts(monkeypatch, c04 + c05 + evidence)
+        gate = [derive_seed(base, i) for base in GATE_SEED_BASES.values()
+                for i in range(GATE_RUNS)]
+        starts = stage_starts(monkeypatch, c04 + c05 + evidence + gate)
         assert len(set(starts)) == len(starts)
 
     def test_cli_seeds_share_no_stream(self, monkeypatch):

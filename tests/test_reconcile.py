@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from vlbb84.link_model import SecurityParams
 from vlbb84.numerics import binary_entropy
 from vlbb84.reconcile import (BLOCK_COEFF, CASCADE_PASSES, MIN_KEY_LEN,
-                              _depth_table, _draw_positions, _leaf_depth,
-                              cascade, leakage_upper_bound)
+                              _draw_positions, _leaf_depths, cascade,
+                              leakage_upper_bound)
 
 SEC = SecurityParams()
 
@@ -461,35 +461,27 @@ def rule_depths(length: int) -> np.ndarray:
     return np.repeat(k + two, 1 + two)
 
 
+def depth_bytes(length: int) -> np.ndarray:
+    """_leaf_depths(length) as a uint8 array."""
+    return np.frombuffer(_leaf_depths(length), dtype=np.uint8)
+
+
 class TestSplitTreeDepth:
     """The halves a first search of a one-disagreement block asks."""
 
-    def test_table_and_rule_match_walk_up_to_4096(self):
+    def test_depths_and_rule_match_walk_up_to_4096(self):
         for lengths in np.array_split(np.arange(1, 4097), 32):
             _, depth = walked_depths(lengths)
-            table = np.concatenate([_depth_table(int(n)) for n in lengths])
-            assert table.dtype == np.uint8
-            assert np.array_equal(table, depth)
+            assert np.array_equal(
+                np.concatenate([depth_bytes(int(n)) for n in lengths]), depth)
             assert np.array_equal(
                 np.concatenate([rule_depths(int(n)) for n in lengths]), depth)
 
     @pytest.mark.parametrize("length", [2**20 - 1, 2**20, 2**20 + 1])
-    def test_table_and_rule_match_walk_near_2_20(self, length):
+    def test_depths_and_rule_match_walk_near_2_20(self, length):
         _, depth = walked_depths([length])
-        assert np.array_equal(_depth_table(length), depth)
+        assert np.array_equal(depth_bytes(length), depth)
         assert np.array_equal(rule_depths(length), depth)
-
-    def test_leaf_depth_matches_walk(self):
-        lengths = np.arange(1, 601)
-        length, depth = walked_depths(lengths)
-        offset = np.concatenate([np.arange(n) for n in lengths])
-        assert [_leaf_depth(x, n) for x, n in zip(
-            offset.tolist(), length.tolist())] == depth.tolist()
-        rng = np.random.default_rng(2100)
-        for n in (4095, 4096, 4097, 2**20 - 1, 2**20, 2**20 + 1):
-            _, depth = walked_depths([n])
-            picks = [0, n - 1, *rng.integers(0, n, 500).tolist()]
-            assert [_leaf_depth(x, n) for x in picks] == depth[picks].tolist()
 
 
 def array_draw_positions(rng, n, r):
@@ -737,6 +729,11 @@ class TestCascadeStatistics:
         assert sum(res.searches_per_pass) == 123
 
 
+# Bound on the traced peak per key bit of a call at l = 5e5, q = 0.056:
+# 13.3 B measured, rounded up.
+PEAK_BYTES_AT_HIGH_ERROR_RATE = 14
+
+
 class TestCascadeMemory:
     def test_peak_per_key_bit(self):
         # A planned m_F = 1e6 run at 30 km reconciles l ~ 1.25M bits.
@@ -766,6 +763,23 @@ class TestCascadeMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 7 * l
+
+    def test_peak_per_key_bit_at_high_error_rate(self):
+        # The regime of a 65 km run: q ~ 0.056 gives k1 = 14, and about
+        # half of the disagreements reach the drain, which holds Python
+        # maps and lists per disagreeing bit and a set entry per half it
+        # splits.
+        l, q = 500_000, 0.056
+        assert math.ceil(BLOCK_COEFF / q) == 14
+        a, b = keys_with_exact_errors(l, round(l * q), seed=1220)
+        tracemalloc.start()
+        try:
+            res = cascade(a, b, q, seed=1221)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.verified
+        assert peak <= PEAK_BYTES_AT_HIGH_ERROR_RATE * l
 
 
 class TestLeakageUpperBound:
