@@ -129,16 +129,19 @@ def _leaf_depths(length: int) -> bytes:
     k = floor(log2(length)) each range holds one bit, a leaf at depth k,
     or two, leaves at depth k + 1. Going up a level, each of the two
     range sizes puts its halves side by side: a range of 2s bits is two
-    of s, one of 2s + 1 is s + 1 then s.
+    of s, one of 2s + 1 is s + 1 then s. The root is the one range of
+    the top level, so only its string is built there.
     """
     k = length.bit_length() - 1
     small, large = bytes((k,)), bytes((k + 1, k + 1))
-    for shift in range(k - 1, -1, -1):
+    for shift in range(k - 1, 0, -1):
         if (length >> shift) & 1:
             small, large = large + small, large + large
         else:
             small, large = small + small, large + small
-    return small
+    if not k:
+        return small
+    return large + small if length & 1 else small + small
 
 
 def _draw_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:

@@ -13,8 +13,8 @@ cascade_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cascade_ab)
 
 RECONCILE = ROOT / "src" / "vlbb84" / "reconcile.py"
-TINY = ["--group", "30:1000:count", "--group", "5:1000:sqrt", "--runs", "2",
-        "--rounds", "2"]
+TINY = ["--group", "30:1000:count", "--group", "5:1000:sqrt", "--run-seeds",
+        "1-2", "--rounds", "2"]
 
 
 def test_same_reconcile_is_identical_on_every_call(capsys):
@@ -49,11 +49,20 @@ def test_run_seeds_give_one_call_each(capsys):
     assert doc["groups"]["30:1000:fraction"]["calls"] == 3
 
 
+def test_default_groups_are_the_bench_workloads():
+    # The bench's request lists, read from bench/run.py itself.
+    assert cascade_ab._group("short_keys") == (
+        "short_keys", [(d, 1000, k) for d in (5.0, 30.0, 65.0)
+                       for k in ("fraction", "count", "sqrt")], 20)
+    assert cascade_ab._group("long_keys") == (
+        "long_keys", [(5.0, 100_000, "count"), (30.0, 100_000, "count")], 10)
+
+
 def test_captured_call_replays_the_run():
     # A captured call, run on the checkout's Cascade, gives the run's own
     # Cascade fields.
     link, sec = LinkParams(), SecurityParams()
-    [call] = cascade_ab.capture_calls([(30.0, 1000, "count")], 1, 0, [7])
+    [call] = cascade_ab.capture_calls([(30.0, 1000, "count")], 1, [7])
     _, fields = cascade_ab.run_call(reconcile.cascade, call)
     record = run_from_plan(plan(30.0, 1000, "count", link, sec), link, sec, 7)
     assert fields[:3] == (record.n_exp, record.f_realized, record.verified)

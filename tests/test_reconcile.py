@@ -764,6 +764,30 @@ class TestCascadeMemory:
             tracemalloc.stop()
         assert peak <= 7 * l
 
+    def test_depths_of_the_longest_searched_blocks(self):
+        # A search builds its block length's depths, one byte per bit,
+        # from two strings of half that length: ~2 bytes per block bit at
+        # the peak. At q_ref = 0 the first-pass block is 0.73 l bits; here
+        # three disagreements send it to the drain. No later pass searches
+        # there, since its one block holds an even number of them. A later
+        # pass searches a full block only if it has two, so with
+        # k1 = 300,000 pass 1's searched blocks are 0.48 l bits.
+        l = 1_250_000
+        a, b = keys_with_exact_errors(l, 0, seed=1230)
+        k1 = math.ceil(BLOCK_COEFF * l)
+        b[[1, k1 // 2, k1 - 1]] ^= 1
+        cases = [(a, b, 0.0, 0), (*keys_with_exact_errors(l, 8, seed=1234),
+                                  BLOCK_COEFF / 300_000, 1)]
+        for a, b, q_ref, searched in cases:
+            tracemalloc.start()
+            try:
+                res = cascade(a, b, q_ref, seed=1231)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.searches_per_pass[searched] > 0
+            assert peak <= 2 * l
+
     def test_peak_per_key_bit_at_high_error_rate(self):
         # The regime of a 65 km run: q ~ 0.056 gives k1 = 14, and about
         # half of the disagreements reach the drain, which holds Python

@@ -13,16 +13,16 @@ provides, and runs every captured call on both:
   alternating from call to call, and sums each version's time per group.
 
     PYTHONPATH=src python tools/cascade_ab.py --baseline OLD/reconcile.py
-        [--group short_keys] [--group 65:1000000:count] [--runs N]
-        [--run-seeds 1-5] [--seed 0] [--rounds 10]
+        [--group short_keys] [--group 65:1000000:count]
+        [--run-seeds 1-5] [--rounds 10]
 
-A group is `short_keys` (the 9 requests 5/30/65 km x fraction/count/sqrt
-at m_F = 1000, 20 calls each), `long_keys` (count at 5 and 30 km,
-m_F = 1e5, 10 calls each) or one request `D:MF:KIND` (5 calls); the
-default is the first two, the requests of `bench/run.py`. `--runs`
-sets the calls per request. Run seeds are drawn from `--seed`, and a run
-that aborts before Cascade is skipped, unless `--run-seeds A-B` gives the
-seeds of a request's runs (one call per seed that reaches Cascade).
+A group is a workload of `bench/run.py`, whose requests it takes from
+that file's WORKLOADS: `short_keys` (20 calls per request) or
+`long_keys` (10 calls per request); or one request `D:MF:KIND`
+(5 calls). The default is the two workloads. Run seeds are drawn from a
+generator seeded with 0, and a run that aborts before Cascade is
+skipped, unless `--run-seeds A-B` gives the seeds of a request's runs
+(one call per seed that reaches Cascade).
 
 Prints one JSON object: per group its calls, whether every call was
 identical, and, over the rounds, the median summed seconds of each
@@ -47,13 +47,10 @@ import numpy as np
 from vlbb84 import LinkParams, SecurityParams, protocol, reconcile
 from vlbb84.planner import plan
 
-KINDS = ("fraction", "count", "sqrt")
-GROUPS = {
-    "short_keys": ([(d, 1000, k) for d in (5.0, 30.0, 65.0) for k in KINDS],
-                   20),
-    "long_keys": ([(d, 100_000, "count") for d in (5.0, 30.0)], 10),
-}
+BENCH = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+GROUP_RUNS = {"short_keys": 20, "long_keys": 10}   # calls per request
 REQUEST_RUNS = 5
+SEED = 0            # draws the run seeds
 FIELDS = ("n_exp", "f_realized", "verified", "leak_per_pass",
           "searches_per_pass")
 
@@ -80,13 +77,13 @@ def _capture(the_plan, link, sec, run_seed: int) -> tuple | None:
     return None
 
 
-def capture_calls(requests: list, runs: int, seed: int,
+def capture_calls(requests: list, runs: int,
                   run_seeds: list[int] | None) -> list[tuple]:
     """The Cascade calls of planned runs of each (d, m_F, kind) request:
-    `runs` calls per request from run seeds drawn from `seed`, or the
+    `runs` calls per request from run seeds drawn from SEED, or the
     calls of the runs with the given run seeds."""
     link, sec = LinkParams(), SecurityParams()
-    seeds = np.random.default_rng(seed)
+    seeds = np.random.default_rng(SEED)
     calls: list[tuple] = []
     real = protocol.cascade
     protocol.cascade = _raise_captured
@@ -108,10 +105,10 @@ def capture_calls(requests: list, runs: int, seed: int,
     return calls
 
 
-def load_baseline(path: Path):
-    """`path` as a module of the vlbb84 package, so that its relative
-    imports resolve to the checkout's modules."""
-    name = "vlbb84._baseline_reconcile"
+def load_module(name: str, path: Path):
+    """The source file `path`, imported as module `name`. A baseline
+    `reconcile.py` is named inside the vlbb84 package, so that its
+    relative imports resolve to the checkout's modules."""
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -157,8 +154,15 @@ def compare(calls: list[tuple], baseline, change, rounds: int) -> dict:
 
 
 def _group(text: str) -> tuple[str, list, int]:
-    if text in GROUPS:
-        return (text, *GROUPS[text])
+    if text in GROUP_RUNS:
+        # bench/run.py imports spans.py from its own directory.
+        sys.path.insert(0, str(BENCH.parent))
+        try:
+            workload = load_module("bench_run", BENCH).WORKLOADS[text]
+        finally:
+            sys.path.remove(str(BENCH.parent))
+        requests = [(r.d, r.m_f, r.kind) for r in workload.requests]
+        return text, requests, GROUP_RUNS[text]
     d, m_f, kind = text.split(":")
     return text, [(float(d), int(float(m_f)), kind)], REQUEST_RUNS
 
@@ -174,24 +178,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="the reconcile.py to compare against")
     parser.add_argument("--group", action="append", type=_group,
                         help="short_keys, long_keys or D:MF:KIND")
-    parser.add_argument("--runs", type=int, default=None,
-                        help="calls per request")
     parser.add_argument("--run-seeds", type=_seed_range, default=None,
                         help="run seeds A-B, used for every request")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="draws the run seeds")
     parser.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
-    groups = args.group or [_group(name) for name in GROUPS]
-    baseline = load_baseline(args.baseline).cascade
+    groups = args.group or [_group(name) for name in GROUP_RUNS]
+    baseline = load_module("vlbb84._baseline_reconcile",
+                           args.baseline).cascade
 
     affinity = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(affinity)})
     try:
         report = {}
         for name, requests, runs in groups:
-            calls = capture_calls(requests, args.runs or runs, args.seed,
-                                  args.run_seeds)
+            calls = capture_calls(requests, runs, args.run_seeds)
             report[name] = compare(calls, baseline, reconcile.cascade,
                                    args.rounds)
     finally:
