@@ -505,6 +505,7 @@ def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
 
     The fraction rule needs only g; count and sqrt resolve their constant
     from the accuracy floor A_0 at the effective flip, evaluated at this N.
+    A link that sifts nothing (p = 0) is infeasible under every rule.
     """
     check_p_extra(p_extra)
     if n_pulses < 1:
@@ -519,16 +520,16 @@ def fixed_n_strategy(channel: ChannelDerived, kind: str, n_pulses: int,
         raise InfeasibleError(
             "fixed_n_strategy",
             f"N = {Decimal(n_pulses):.3e} pulses overflow a float") from None
+    if n_sifted == 0.0:
+        raise InfeasibleError(
+            "fixed_n_strategy", "a run of N pulses needs sifted bits, and "
+            "the link delivers none (p = 0)")
     # The fraction rule has no A_0 to compute, and none exists at a zero
     # effective flip (d = 0 without noise).
     a0_bits = (0.0 if kind == FRACTION
                else a0(effective_flip(channel.P_flip, p_extra), sec))
     if a0_bits == math.inf:
         raise InfeasibleError("a0", "accuracy floor A_0 overflows a float")
-    if kind == SQRT and n_sifted == 0.0:
-        raise InfeasibleError(
-            "fixed_n_strategy", "the sqrt rule B = A_0 / sqrt(N*p) needs "
-            "sifted bits, and the link delivers none (p = 0)")
     return _resolve_strategy(kind, a0_bits, n_sifted, g)
 
 

@@ -33,10 +33,18 @@ The extractor reads Alice's key, so Bob's corrected copy is never built.
   block length. Every other odd block, the short last block included,
   goes to the drain.
 - A later pass that starts with r disagreeing bits draws only their r
-  pass positions (`_draw_positions`) and gives them to the disagreeing
-  key indices in ascending order. A uniform permutation of the n bits,
-  restricted to those r, is exactly such a uniform ordered sample, so the
-  pass behaves as a full reshuffle would. It builds nothing of length n.
+  pass positions and gives them to the disagreeing key indices in
+  ascending order. A uniform permutation of the n bits, restricted to
+  those r, is exactly such a uniform ordered sample, so the pass behaves
+  as a full reshuffle would. numpy's `Generator.choice(n, r,
+  replace=False, shuffle=False)` picks the set by Floyd's algorithm
+  (Bentley and Floyd, CACM 30(9), 1987), in O(r) time and memory, and
+  `Generator.shuffle` then orders it uniformly. `shuffle=True` is not
+  used: numpy then leaves Floyd above r = n / 50 and shuffles an int64
+  array of all n positions. numpy takes Floyd up to n = 10,000 and,
+  above that, up to r = n // 20; past that line (its tail branch) it
+  draws by a partial Fisher-Yates shuffle of all n positions, an equally
+  uniform ordered sample from a different stream.
 - The drain works on the disagreeing bits that pass 0 does not close,
   named by key index. Every built pass maps each key to its pass
   position and back (pass 0's map is key to key) and keeps, for each
@@ -142,26 +150,6 @@ def _leaf_depths(length: int) -> bytes:
     if not k:
         return small
     return large + small if length & 1 else small + small
-
-
-def _draw_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:
-    """r distinct positions in [0, n), as a uniformly random ordered sample.
-
-    Floyd's algorithm picks the set: for j = n - r, ..., n - 1 it draws t
-    uniform in [0, j] and takes t, or j when t is already taken. By
-    induction on j every subset of r positions is equally likely
-    (Bentley and Floyd, "A sample of brilliance", CACM 30(9), 1987). A
-    uniform shuffle of that set then makes each of its r! orders equally
-    likely, so every ordered sample has probability (n - r)! / n!. Time
-    and memory are O(r), whatever r / n.
-    """
-    taken: dict[int, None] = {}     # an insertion-ordered set
-    highs = np.arange(n - r + 1, n + 1)
-    for j, t in zip(range(n - r, n), rng.integers(0, highs).tolist()):
-        taken[j if t in taken else t] = None
-    positions = list(taken)
-    rng.shuffle(positions)
-    return positions
 
 
 def _by_block(positions, size: int) -> dict[int, list[int]]:
@@ -310,7 +298,9 @@ def cascade(key_a: np.ndarray, key_b: np.ndarray, q_ref: float,
         if not pi:
             col, at, ordered = first, first, keys
         elif first:
-            drawn = _draw_positions(rng, n, len(first))
+            drawn = rng.choice(n, len(first), replace=False, shuffle=False)
+            rng.shuffle(drawn)
+            drawn = drawn.tolist()
             col, at = dict(zip(first, drawn)), dict(zip(drawn, first))
             ordered = sorted(drawn)
         else:

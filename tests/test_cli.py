@@ -32,6 +32,9 @@ FLIP_PAST_HALF_CONFIG = {"link": {
     "R": 954.3586852463228, "R_DCR": 10.078891797145275,
     "R_depolar": 2.50009974393263e-259, "GD_A": 5e-324, "GD_B": 1000000.0}}
 
+# The detector registers nothing, so the link sifts nothing (p = 0).
+NO_SIGNAL_CONFIG = {"link": {"eta_d": 0, "R_DCR": 0}}
+
 
 def read_rows(path):
     return list(csv.DictReader(path.read_text().splitlines()))
@@ -320,21 +323,22 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert json.loads(out)["abort_cause"] == "no-signal"
 
-    def test_fixed_n_sqrt_without_signal_is_infeasible(self, capsys,
-                                                        tmp_path):
+    def test_fixed_n_without_signal_is_infeasible(self, capsys, tmp_path):
+        # A link with p = 0 sifts nothing: every strategy, at every noise
+        # level, gets the same answer.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"link": {"eta_d": 0, "R_DCR": 0}}))
-        request = ("run", "--n", "100000", "--distance", "30", "--p-extra",
-                   "0.01", "--config", str(cfg))
-        code, out = run_cli(capsys, *request, "--strategy", "sqrt")
-        assert code == EXIT_INFEASIBLE
-        doc = json.loads(out)
-        assert (doc["error"], doc["stage"]) == ("infeasible",
-                                                "fixed_n_strategy")
-        for kind in ("fraction", "count"):
-            code, out = run_cli(capsys, *request, "--strategy", kind)
-            assert code == EXIT_OK
-            assert json.loads(out)["abort_cause"] == "no-signal"
+        cfg.write_text(json.dumps(NO_SIGNAL_CONFIG))
+        for kind in ("fraction", "count", "sqrt"):
+            for noise in ((), ("--p-extra", "0"), ("--p-extra", "0.01")):
+                code, out = run_cli(capsys, "run", "--n", "100000",
+                                    "--distance", "30", "--strategy", kind,
+                                    *noise, "--config", str(cfg))
+                assert code == EXIT_INFEASIBLE
+                assert json.loads(out) == {
+                    "error": "infeasible", "stage": "fixed_n_strategy",
+                    "message": "fixed_n_strategy: a run of N pulses needs "
+                               "sifted bits, and the link delivers none "
+                               "(p = 0)"}
 
     def test_no_wall_clock_option(self, capsys):
         # A run reports no wall time, so there is no flag to ask for it.
@@ -644,6 +648,21 @@ class TestSweepCommand:
                           "--n", str(10 ** 400), "--strategies",
                           "fraction,count,sqrt", "--iterations", "1",
                           "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = read_rows(out_csv)
+        assert [r["status"] for r in rows] == [
+            "infeasible:fixed_n_strategy"] * 3
+
+    @pytest.mark.parametrize("noise", [(), ("--p-extra", "0.01")])
+    def test_fixed_n_without_signal_is_an_infeasible_row(self, capsys,
+                                                         tmp_path, noise):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(NO_SIGNAL_CONFIG))
+        out_csv = tmp_path / "p0.csv"
+        code, _ = run_cli(capsys, "sweep", "--distances", "30",
+                          "--n", "100000", "--strategies",
+                          "fraction,count,sqrt", "--iterations", "1",
+                          *noise, "--config", str(cfg), "--out", str(out_csv))
         assert code == EXIT_OK
         rows = read_rows(out_csv)
         assert [r["status"] for r in rows] == [

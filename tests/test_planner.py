@@ -906,21 +906,20 @@ class TestPlan:
         assert str(exc.value) == ("fixed_n_strategy: N = 1.000e+400 pulses "
                                   "overflow a float")
 
-    def test_fixed_n_sqrt_without_signal_names_its_stage(self):
-        # sqrt tunes B = A_0 / sqrt(N*p); a link with p = 0 sifts nothing.
+    def test_fixed_n_without_signal_names_its_stage(self):
+        # A link with p = 0 sifts nothing. Every rule is refused before its
+        # A_0 is computed, so p_extra = 0 (where A_0 diverges) is refused
+        # at the same stage.
         ch = channel_at(LinkParams(eta_d=0.0, R_DCR=0.0), 30.0)
         assert ch.p == 0.0
-        with pytest.raises(InfeasibleError) as exc:
-            fixed_n_strategy(ch, SQRT, 100_000, 0.01, SEC)
-        assert exc.value.stage == "fixed_n_strategy"
-        assert str(exc.value) == (
-            "fixed_n_strategy: the sqrt rule B = A_0 / sqrt(N*p) needs "
-            "sifted bits, and the link delivers none (p = 0)")
-        # fraction and count resolve as before; their runs abort no-signal.
-        assert fixed_n_strategy(ch, FRACTION, 100_000, 0.01, SEC) == Strategy(
-            FRACTION, DEFAULT_FRACTION)
-        assert fixed_n_strategy(ch, COUNT, 100_000, 0.01, SEC) == Strategy(
-            COUNT, a0(0.01, SEC))
+        for kind in (FRACTION, COUNT, SQRT):
+            for p_extra in (0.0, 0.01):
+                with pytest.raises(InfeasibleError) as exc:
+                    fixed_n_strategy(ch, kind, 100_000, p_extra, SEC)
+                assert exc.value.stage == "fixed_n_strategy"
+                assert str(exc.value) == (
+                    "fixed_n_strategy: a run of N pulses needs sifted bits, "
+                    "and the link delivers none (p = 0)")
 
     def test_derives_the_channel_once(self, monkeypatch):
         distances = []

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from vlbb84.link_model import SecurityParams
 from vlbb84.numerics import binary_entropy
 from vlbb84.reconcile import (BLOCK_COEFF, CASCADE_PASSES, MIN_KEY_LEN,
-                              _draw_positions, _leaf_depths, cascade,
-                              leakage_upper_bound)
+                              _leaf_depths, cascade, leakage_upper_bound)
 
 SEC = SecurityParams()
 
@@ -27,6 +26,13 @@ class ReferenceResult:
     searches_per_pass: tuple[int, ...]  # binary searches run per pass
 
 
+def drawn_positions(rng: np.random.Generator, n: int, r: int) -> list[int]:
+    """A later pass's r disagreeing positions, drawn as cascade draws them."""
+    drawn = rng.choice(n, r, replace=False, shuffle=False)
+    rng.shuffle(drawn)
+    return drawn.tolist()
+
+
 def drawn_order(rng: np.random.Generator, disagree: np.ndarray, n: int,
                 fill: np.random.Generator | None = None) -> np.ndarray:
     """A later pass's full order, built from cascade's position draw.
@@ -36,7 +42,7 @@ def drawn_order(rng: np.random.Generator, disagree: np.ndarray, n: int,
     random order from `fill`, a generator unrelated to the pass draws.
     """
     order = np.empty(n, dtype=np.int64)
-    drawn = _draw_positions(rng, n, len(disagree))
+    drawn = drawn_positions(rng, n, len(disagree))
     order[drawn] = disagree
     free = np.ones(n, dtype=bool)
     free[drawn] = False
@@ -342,8 +348,8 @@ class TestMatchesReference:
         b = a.copy()
         b[[1, 5, 17, 20]] ^= 1
         rng = np.random.default_rng(seed)
-        assert min(_draw_positions(rng, l, 4)) >= 48
-        third = _draw_positions(rng, l, 4)
+        assert min(drawn_positions(rng, l, 4)) >= 48
+        third = drawn_positions(rng, l, 4)
         assert [pos >= 32 for pos in third] == [True, False, False, False]
         res = assert_matches_reference(a, b, q, seed)
         # The second pass holds errors only in its last block, so each of
@@ -484,15 +490,21 @@ class TestSplitTreeDepth:
         assert np.array_equal(rule_depths(length), depth)
 
 
-def array_draw_positions(rng, n, r):
-    """_draw_positions as it was when it shuffled an int64 array."""
-    taken = {}
+def floyd_draw_positions(rng, n, r):
+    """r distinct positions in [0, n) by Floyd's algorithm, then shuffled.
+
+    For j = n - r, ..., n - 1 it draws t uniform in [0, j] and takes t, or
+    j when t is already taken, which makes every subset of r positions
+    equally likely (Bentley and Floyd, "A sample of brilliance", CACM
+    30(9), 1987); the shuffle makes each order of it equally likely.
+    """
+    taken = {}     # an insertion-ordered set
     highs = np.arange(n - r + 1, n + 1)
     for j, t in zip(range(n - r, n), rng.integers(0, highs).tolist()):
         taken[j if t in taken else t] = None
-    positions = np.fromiter(taken, dtype=np.int64, count=r)
+    positions = list(taken)
     rng.shuffle(positions)
-    return positions.tolist()
+    return positions
 
 
 class TestPassOrder:
@@ -504,28 +516,45 @@ class TestPassOrder:
         rng = np.random.default_rng(1600)
         counts = {}
         for _ in range(12_000):
-            pair = tuple(_draw_positions(rng, 4, 2))
+            pair = tuple(drawn_positions(rng, 4, 2))
             counts[pair] = counts.get(pair, 0) + 1
         assert len(counts) == 12
         assert all(abs(c - 1000) <= 5 * 29 for c in counts.values())
 
     @pytest.mark.parametrize("n, r", [(1, 0), (1, 1), (16, 16), (1000, 0),
-                                      (1000, 999), (100_000, 3000)])
+                                      (1000, 999), (100_000, 3000),
+                                      (10_001, 2000)])
     def test_draw_is_distinct_and_in_range(self, n, r):
-        drawn = _draw_positions(np.random.default_rng(1601), n, r)
+        drawn = drawn_positions(np.random.default_rng(1601), n, r)
         assert len(drawn) == len(set(drawn)) == r
         assert all(0 <= pos < n for pos in drawn)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 20_000])
-    def test_list_shuffle_draws_as_array_shuffle(self, n):
-        # Generator.shuffle draws the same random_interval sequence for a
-        # list as for an int64 array: same positions, same stream after.
-        for r in sorted({0, 1, min(2, n), n // 3, n - 1, n}):
-            for seed in range(20):
-                rng, ref = (np.random.default_rng(seed) for _ in range(2))
-                assert _draw_positions(rng, n, r) == array_draw_positions(
-                    ref, n, r)
-                assert rng.bit_generator.state == ref.bit_generator.state
+    @pytest.mark.parametrize("n, r", [
+        (16, 1), (16, 16), (2260, 40), (10_000, 10_000), (10_001, 500),
+        (125_000, 1500), (125_000, 6250), (3_050_000, 70_000),
+        (3_050_000, 152_500), (2**32 + 5, 10), (2**40, 1000)])
+    def test_draw_is_floyd_sample(self, n, r):
+        # Where numpy takes Floyd's algorithm (n <= 10,000 or r <= n // 20)
+        # the draw gives the same positions as the hand-written sample and
+        # leaves the generator in the same state.
+        assert n <= 10_000 or r <= n // 20
+        for seed in range(5):
+            rng, ref = (np.random.default_rng(seed) for _ in range(2))
+            assert drawn_positions(rng, n, r) == floyd_draw_positions(
+                ref, n, r)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_tail_branch_first_position_is_uniform(self):
+        # Past Floyd's line numpy shuffles all n positions instead (the
+        # draw's range is checked above): the first drawn position falls
+        # into each tenth of [0, n) 50 times in expectation over 500
+        # seeds, with sd ~6.7.
+        n, r, runs = 10_001, 2000, 500
+        buckets = np.zeros(10, dtype=int)
+        for seed in range(runs):
+            drawn = drawn_positions(np.random.default_rng(1602 + seed), n, r)
+            buckets[drawn[0] * 10 // n] += 1
+        assert np.all(np.abs(buckets - runs / 10) <= 5 * 6.7)
 
     def test_agreeing_fill_is_irrelevant(self):
         # The oracle gathers every bit of every pass, so it sees the
@@ -583,7 +612,8 @@ class TestStopAtAgreement:
     @pytest.fixture
     def draws(self, monkeypatch):
         """Records every call on the generators cascade makes, as
-        (method, args); a pass's position draw starts with `integers`."""
+        (method, args, kwargs); a pass's position draw starts with
+        `choice`."""
         calls = []
         real = np.random.default_rng
 
@@ -595,7 +625,7 @@ class TestStopAtAgreement:
                 method = getattr(self.rng, name)
 
                 def record(*args, **kwargs):
-                    calls.append((name, args))
+                    calls.append((name, args, kwargs))
                     return method(*args, **kwargs)
                 return record
 
@@ -623,15 +653,24 @@ class TestStopAtAgreement:
         cases = [(1000, 2, 0.02), (1000, 20, 0.02), (3000, 90, 0.03),
                  (2000, 600, 0.3), (300, 3, 0.0), (4096, 60, 0.01),
                  (126_000, 1890, 0.015)]
+        drawing = 0
         for i, (l, errors, q) in enumerate(cases):
             a, b = keys_with_exact_errors(l, errors, seed=1400 + i)
             before = len(draws)
             res = cascade(a, b, q, seed=1500 + i)
-            # Each draw bounds its j-th value by l - r + j, up to l.
-            highs = [args[1] for name, args in draws[before:]
-                     if name == "integers"]
-            assert all(len(high) and high[-1] == l for high in highs)
-            assert len(highs) <= passes_starting_with_disagreement(res)
+            # Each draw asks for the r disagreements left, r >= 1, among
+            # the l positions; r never grows from one pass to the next.
+            choices = [(args, kwargs) for name, args, kwargs
+                       in draws[before:] if name == "choice"]
+            assert all(args[0] == l and args[1] >= 1 and kwargs == {
+                "replace": False, "shuffle": False} for args, kwargs in choices)
+            sizes = [args[1] for args, _ in choices]
+            assert sizes == sorted(sizes, reverse=True)
+            assert len(sizes) == passes_starting_with_disagreement(res)
+            drawing += bool(sizes)
+        # Every case but the first, whose two errors pass 0 corrects,
+        # starts a later pass disagreeing, so the checks above read draws.
+        assert drawing == len(cases) - 1
 
 
 class TestInputValidation:
