@@ -14,16 +14,19 @@ then a search over the artificial noise to minimize N_F: one numpy
 screen of the whole noise grid, an exact scalar re-check of the grid
 points the screen puts near the minimum, and a golden-section refinement
 that evaluates one new noise level per step. The scalar budget is one
-path: _request_budget sets up a request once (its g check and extraction
-floor) and returns its budget as a function of the noise level, which
-the search, photon_budget and a plan at a given noise all call. The
-scalar budget and the screen share the strategies' N_F formulas, one
-solver of the sqrt strategy's sample-limit cubic (its closed-form
-largest root) and one rule, that an N_F which is not a finite float is
-infeasible. The scalar path runs them on Python floats with libm and
-builtins, the screen on arrays with numpy and as few numpy calls as it
-can, so the two differ only by rounding: the screen's exp(x * ln 10) for
-10**x, and libm-vs-numpy log2, pow and (for sqrt) arccos and cos.
+path: _request_budget sets up a request once (its g and m_F checks and
+extraction floor, and the refusal of a link with p = 0, which no noise
+level can make feasible) and returns its budget as a function of the
+noise level, which the search, photon_budget and a plan at a given noise
+all call. The scalar budget and the screen share the strategies' N_F
+formulas, one solver of the sqrt strategy's sample-limit cubic (its
+closed-form largest root) and one rule, that an N_F which is not a
+finite float is infeasible. The formulas take their elementwise
+functions under numpy's names: the scalar path passes _Libm (libm and
+builtins on Python floats), the screen passes numpy itself and runs on
+arrays with as few numpy calls as it can, so the two differ only by
+rounding: the screen's exp(x * ln 10) for 10**x, and libm-vs-numpy
+log2, pow and (for sqrt) arccos and cos.
 
 plan() is the only entry that takes a distance and a LinkParams: it
 derives the channel once, and every function below it (budget, noise
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -220,36 +223,29 @@ def strategy_stats(n_pulses: float, p: float, p_hat: float,
                           std_Qhat=std_qhat)
 
 
-class _Ops(NamedTuple):
-    """The elementwise functions the budget formulas and the sqrt solver
-    call: on floats (_FLOAT_OPS) or on arrays (_ARRAY_OPS)."""
+class _Libm:
+    """libm and builtins under numpy's names: the elementwise calls of the
+    budget formulas and the sqrt solver on Python floats. The scalar
+    budget passes this class where the screen passes numpy itself. The
+    solver passes the value first to max and min, so a nan propagates as
+    through np.maximum and np.minimum."""
 
-    sqrt: Callable
-    arccos: Callable
-    cos: Callable
-    maximum: Callable
-    minimum: Callable
-    where: Callable
+    sqrt, arccos, cos = math.sqrt, math.acos, math.cos
+    maximum, minimum = max, min
 
-
-# libm and builtins: a float call stays on Python floats. The solver passes
-# the value first to max and min, so a nan propagates as through
-# np.maximum and np.minimum.
-_FLOAT_OPS = _Ops(math.sqrt, math.acos, math.cos, max, min,
-                  lambda cond, a, b: a if cond else b)
-_ARRAY_OPS = _Ops(np.sqrt, np.arccos, np.cos, np.maximum, np.minimum,
-                  np.where)
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
 
 
-def _sqrt_sample_limit(l_f_bits, a0_bits, p: float, c_f: float,
-                       ops: _Ops = _FLOAT_OPS):
+def _sqrt_sample_limit(l_f_bits, a0_bits, p: float, c_f: float, xp=_Libm):
     """Largest root x of the sqrt-strategy feasibility equation
 
         x**1.5 - C_F*sqrt(1-p)*x - (l_F + A_0)*sqrt(x)
             + (A_0*C_F/2)*sqrt(1-p) = 0,
 
-    elementwise over float requirements (with _FLOAT_OPS, a Python float)
-    or array ones (with _ARRAY_OPS); inf where it has no positive root.
+    elementwise over float requirements (with xp = _Libm, a Python float)
+    or array ones (with xp = numpy); inf where it has no positive root.
 
     In u = sqrt(x) it is the cubic u**3 + ca*u**2 + cb*u + cc with
     cb <= 0 <= cc, so its stationary points lie on either side of u = 0.
@@ -264,29 +260,29 @@ def _sqrt_sample_limit(l_f_bits, a0_bits, p: float, c_f: float,
     ca = -c_f * math.sqrt(1.0 - p)
     cb = -(l_f_bits + a0_bits)
     cc = a0_bits * c_f / 2.0 * math.sqrt(1.0 - p)
-    u_stat = (-ca + ops.sqrt(ca * ca - 3.0 * cb)) / 3.0
+    u_stat = (-ca + xp.sqrt(ca * ca - 3.0 * cb)) / 3.0
     no_root = ((u_stat + ca) * u_stat + cb) * u_stat + cc > 0.0
     shift = ca / 3.0
     p3 = (cb - ca * shift) / 3.0
     q2 = (cc + shift * (2.0 * shift * shift - cb)) / 2.0
-    r = ops.sqrt(-p3)
-    cos_3theta = ops.minimum(ops.maximum(-q2 / (r * r * r), -1.0), 1.0)
-    u = 2.0 * r * ops.cos(ops.arccos(cos_3theta) / 3.0) - shift
-    return ops.where(no_root, math.inf, u * u)
+    r = xp.sqrt(-p3)
+    cos_3theta = xp.minimum(xp.maximum(-q2 / (r * r * r), -1.0), 1.0)
+    u = 2.0 * r * xp.cos(xp.arccos(cos_3theta) / 3.0) - shift
+    return xp.where(no_root, math.inf, u * u)
 
 
 def _budget_from_requirements(kind: str, p: float, a0_bits, l_f_bits,
                               sec: SecurityParams, g: float = DEFAULT_FRACTION,
-                              ops: _Ops = _FLOAT_OPS):
+                              xp=_Libm):
     """Real-valued N_F from the two requirements (sample floor, key floor).
 
     Returns (N_F, n_lim); n_lim is None except for 'sqrt'. The scalar
-    budget calls it on floats with _FLOAT_OPS (libm and builtins), the
-    noise screen on arrays with _ARRAY_OPS (numpy). On the same
+    budget calls it on floats with xp = _Libm (libm and builtins), the
+    noise screen on arrays with xp = numpy. On the same
     requirements the two differ only by libm-vs-numpy rounding of pow and,
     for sqrt, of arccos and cos.
     """
-    sqrt, maximum = ops.sqrt, ops.maximum
+    sqrt, maximum = xp.sqrt, xp.maximum
     cf2 = sec.C_F ** 2
     one_p = 1.0 - p
     if kind == FRACTION:
@@ -302,7 +298,7 @@ def _budget_from_requirements(kind: str, p: float, a0_bits, l_f_bits,
             + sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2
         return maximum(n_acc, n_len), None
     if kind == SQRT:
-        n_lim = _sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F, ops)
+        n_lim = _sqrt_sample_limit(l_f_bits, a0_bits, p, sec.C_F, xp)
         return maximum(4.0 * a0_bits ** 2 / n_lim, n_lim) / p, n_lim
     raise ValueError(f"unknown strategy kind {kind!r}")
 
@@ -311,9 +307,10 @@ def _request_budget(channel: ChannelDerived, m_f: int, kind: str,
                     sec: SecurityParams, g: float = DEFAULT_FRACTION):
     """The scalar budget of one request, as a function of the noise level.
 
-    The set-up checks g and takes the extraction floor once; the returned
-    budget(p_extra) gives (N_F, n_lim, A_0, l_F), the real-valued N_F
-    before integer rounding. An N_F that is not a finite float is
+    The set-up checks g and m_F, takes the extraction floor once, and
+    refuses a link with p = 0, where no noise level is feasible; the
+    returned budget(p_extra) gives (N_F, n_lim, A_0, l_F), the real-valued
+    N_F before integer rounding. An N_F that is not a finite float is
     infeasible: that covers a sqrt sample limit with no positive root,
     and requirements so large (a subnormal flip or g) that the budget
     overflows or divides by an underflowed g*p.
@@ -322,11 +319,11 @@ def _request_budget(channel: ChannelDerived, m_f: int, kind: str,
         _check_fraction(g)
     p, p_flip, q_t = channel.p, channel.P_flip, sec.Q_t
     floor, one_f = _extraction_floor(m_f, sec), 1.0 + sec.f_max
+    if p <= 0.0:
+        raise InfeasibleError("photon_budget",
+                              "link delivers no signal (p = 0)")
 
     def budget(p_extra: float) -> tuple:
-        if p <= 0.0:
-            raise InfeasibleError("photon_budget",
-                                  "link delivers no signal (p = 0)")
         p_hat = effective_flip(p_flip, p_extra)
         if p_hat <= 0.0:
             raise InfeasibleError("photon_budget", "effective flip is 0; "
@@ -352,7 +349,8 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
                    p_extra: np.ndarray, sec: SecurityParams,
                    g: float) -> np.ndarray:
     """The N_F of _request_budget's budget at every noise level of the
-    array p_extra, inf where the budget raises InfeasibleError.
+    array p_extra, inf where the budget raises InfeasibleError. It screens
+    only a request whose set-up passed, so p > 0.
 
     Its array prelude computes the scalar's A_0 and l_F with as few numpy
     calls as it can: gamma's 10**x as exp(x * ln 10), 1 - p_hat once, and
@@ -360,17 +358,14 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
     writes NaN into l_F where the scalar raises before its N_F formulas
     (p_hat at or above Q_t, or a denominator that is not positive, p_hat
     = 0 among them). The N_F formulas and the sqrt solver are
-    _budget_from_requirements' own, run with _ARRAY_OPS under this
+    _budget_from_requirements' own, run with numpy under this
     function's np.errstate, and they carry a NaN through, so one isfinite
     marks every infeasible level. The screen differs from the scalar N_F
     only by rounding: exp(x * ln 10) for 10**x, and numpy's log2, pow and
     (for sqrt) arccos and cos for libm's, ~1e-14 relative: enough to rank
     noise levels, not to replace the scalar.
     """
-    p = channel.p
-    if p <= 0.0:
-        return np.full(p_extra.shape, math.inf)
-    p_flip = channel.P_flip
+    p, p_flip = channel.p, channel.P_flip
     p_hat = p_flip + p_extra - 2.0 * p_flip * p_extra
     q_hat = 1.0 - p_hat
     # p_hat = 0 divides by zero and takes log2(0), and extreme inputs
@@ -385,7 +380,7 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
         l_f_bits = np.where((p_hat < sec.Q_t) & (den > 0.0),
                             _extraction_floor(m_f, sec) / den, math.nan)
         n_f, _ = _budget_from_requirements(kind, p, a0_bits, l_f_bits, sec, g,
-                                           _ARRAY_OPS)
+                                           np)
     return np.where(np.isfinite(n_f), n_f, math.inf)
 
 
@@ -549,13 +544,7 @@ def success_probability(channel: ChannelDerived, n_pulses: int,
     """
     check_p_extra(p_extra)
     p_hat = effective_flip(channel.P_flip, p_extra)
-    return _survival(channel, strategy_stats(n_pulses, channel.p, p_hat,
-                                             strategy), p_extra, sec)
-
-
-def _survival(channel: ChannelDerived, stats: EstimatorStats,
-              p_extra: float, sec: SecurityParams) -> float:
-    """success_probability from the strategy's moments at p_extra."""
+    stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
     sigma_q = stats.std_Qhat / (1.0 - 2.0 * p_extra)
     if sigma_q == 0.0:
         return 1.0 if channel.P_flip < sec.Q_t else 0.0
@@ -567,13 +556,7 @@ def expected_output(channel: ChannelDerived, n_pulses: int,
                     sec: SecurityParams) -> tuple[int, float]:
     """Mean and standard deviation of the final key length at fixed N."""
     p_hat = effective_flip(channel.P_flip, p_extra)
-    return _output_moments(strategy_stats(n_pulses, channel.p, p_hat,
-                                          strategy), p_hat, sec)
-
-
-def _output_moments(stats: EstimatorStats, p_hat: float,
-                    sec: SecurityParams) -> tuple[int, float]:
-    """expected_output from the strategy's moments at p_hat."""
+    stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
     rate = 1.0 - (1.0 + sec.f_max) * binary_entropy(p_hat)
     if rate <= 0.0:
         return 0, 0.0
@@ -606,16 +589,14 @@ def forecast(channel: ChannelDerived, n_pulses: int, strategy: Strategy,
     key length whose square overflows a float: like an overflowing
     budget, that is infeasible.
 
-    It takes the effective flip and the strategy's moments once for
-    expected_output's and success_probability's results, and checks its
-    inputs in their order: expected_output's, then p_extra < 1/2.
+    It is expected_output, success_probability and kbr_stats, called in
+    that order, so it checks its inputs in theirs.
     """
     try:
-        p_hat = effective_flip(channel.P_flip, p_extra)
-        stats = strategy_stats(n_pulses, channel.p, p_hat, strategy)
-        mean_m, std_m = _output_moments(stats, p_hat, sec)
-        check_p_extra(p_extra)
-        p_succ = _survival(channel, stats, p_extra, sec)
+        mean_m, std_m = expected_output(channel, n_pulses, strategy, p_extra,
+                                        sec)
+        p_succ = success_probability(channel, n_pulses, strategy, p_extra,
+                                     sec)
         kbr_mean, kbr_std = kbr_stats(n_pulses, p_succ, mean_m, std_m)
     except OverflowError:
         from decimal import Decimal     # see fixed_n_strategy

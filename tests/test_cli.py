@@ -240,6 +240,30 @@ class TestPlanCommand:
         assert doc["error"] == "infeasible"
         assert doc["stage"] == stage
 
+    @pytest.mark.parametrize("noise", [(), ("--p-extra", "0.01")],
+                             ids=["noise-search", "given-noise"])
+    def test_planned_without_signal_is_infeasible(self, capsys, tmp_path,
+                                                  noise):
+        # A link with p = 0 sifts nothing: a planned request is refused
+        # at photon_budget, with the noise optimized or given.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(NO_SIGNAL_CONFIG))
+        for cmd in ("plan", "run"):
+            code, out = run_cli(capsys, cmd, "--distance", "30", "--mf",
+                                "1000", *noise, "--config", str(cfg))
+            assert code == EXIT_INFEASIBLE
+            assert json.loads(out) == {
+                "error": "infeasible", "stage": "photon_budget",
+                "message": "photon_budget: link delivers no signal (p = 0)"}
+        out_csv = tmp_path / "p0.csv"
+        code, _ = run_cli(capsys, "sweep", "--distances", "30", "--mf", "1000",
+                          "--strategies", "fraction,count,sqrt",
+                          "--iterations", "1", *noise, "--config", str(cfg),
+                          "--out", str(out_csv))
+        assert code == EXIT_OK
+        assert [r["status"] for r in read_rows(out_csv)] == [
+            "infeasible:photon_budget"] * 3
+
 
 class TestRunCommand:
     def test_byte_identical_repeats(self, capsys):
@@ -458,6 +482,20 @@ def test_run_beyond_an_address_space_limit_is_infeasible():
         "error": "infeasible", "stage": "quantum_phase",
         "message": "quantum_phase: the run of N = 10000000000 pulses does "
                    "not fit in memory"}
+
+
+@pytest.mark.parametrize("distance, code", [("30", EXIT_OK),
+                                            ("80", EXIT_INFEASIBLE)])
+def test_module_entry_point_exits_with_mains_code(capsys, distance, code):
+    # `python -m vlbb84.cli` runs the module's `sys.exit(main())`: the
+    # child prints what main() prints and exits with its return code.
+    argv = ["plan", "--distance", distance, "--mf", "1000"]
+    out = subprocess.run([sys.executable, "-m", "vlbb84.cli", *argv],
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout) == run_cli(capsys, *argv), out.stderr
+    assert json.loads(out.stdout).get("error") == (
+        None if code == EXIT_OK else "infeasible")
+    assert out.returncode == code
 
 
 class TestSweepCommand:

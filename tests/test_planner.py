@@ -11,7 +11,7 @@ from vlbb84 import planner
 from vlbb84.link_model import (ChannelDerived, LinkParams, SecurityParams,
                                channel_at, effective_flip, limit_distance)
 from vlbb84.numerics import binary_entropy, output_length_fixed_point
-from vlbb84.planner import (_ARRAY_OPS, _NOISE_GRID_STEP, _NOISE_TOL, COUNT,
+from vlbb84.planner import (_NOISE_GRID_STEP, _NOISE_TOL, COUNT,
                             DEFAULT_FRACTION, FRACTION, SQRT, STRATEGY_KINDS,
                             InfeasibleError, Strategy,
                             _budget_from_requirements, _request_budget,
@@ -266,8 +266,7 @@ class TestPhotonBudget:
         finite = 0
         for p in np.geomspace(1e-6, 0.5, 9).tolist():
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                ref = _sqrt_sample_limit(lf_bits, a0_bits, p, SEC.C_F,
-                                         _ARRAY_OPS)
+                ref = _sqrt_sample_limit(lf_bits, a0_bits, p, SEC.C_F, np)
             for lf_v, a0_v, want in zip(lf_bits.tolist(), a0_bits.tolist(),
                                         ref.tolist()):
                 got = _sqrt_sample_limit(lf_v, a0_v, p, SEC.C_F)
@@ -522,12 +521,19 @@ class TestMatchesReferenceScan:
         assert len(noises) == 14
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
-    def test_infeasible_screen_rechecks_nothing(self, monkeypatch, kind):
-        # On a dark link no screened N_F is finite: no scalar evaluation.
+    def test_dark_link_is_refused_at_setup(self, monkeypatch, kind):
+        # On a dark link the set-up refuses the request: no noise level is
+        # screened or evaluated.
         setups, noises = count_budget_calls(monkeypatch)
-        with pytest.raises(InfeasibleError, match="no feasible noise level"):
+        screens = []
+        screen_budget = planner._screen_budget
+        monkeypatch.setattr(planner, "_screen_budget",
+                            lambda *args: screens.append(args)
+                            or screen_budget(*args))
+        with pytest.raises(InfeasibleError) as exc:
             plan(0.0, 1000, kind, LinkParams(eta_e=0.0), SEC)
-        assert (len(setups), noises) == (1, [])
+        assert exc.value.stage == "photon_budget"
+        assert (len(setups), noises, screens) == (1, [], [])
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     def test_given_noise_evaluated_once(self, monkeypatch, kind):
@@ -649,7 +655,8 @@ class TestBudgetMatchesReference:
                          f"p_extra must be in [0, 1/2], got {p_extra}")))
 
     def test_dark_link(self):
-        # p = 0: the budget is infeasible at every noise level.
+        # p = 0: the set-up refuses the request with the error that the
+        # reference raises at every noise level.
         ch = channel_at(LinkParams(eta_e=0.0), 0.0)
         for e in (0.0, 0.01):
             assert (budget_outcome(
@@ -857,18 +864,19 @@ class TestPlan:
             plan(d, 1000, kind, LINK, SEC, p_extra=0.0)
         assert exc.value.stage == stage
 
-    @pytest.mark.parametrize("p_extra, stage, message", [
-        (0.01, "photon_budget", "link delivers no signal (p = 0)"),
-        (None, "optimal_extra_noise", "no feasible noise level"),
-    ], ids=["given-noise", "noise-search"])
+    @pytest.mark.parametrize("p_extra", [0.01, None],
+                             ids=["given-noise", "noise-search"])
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
-    def test_dark_link_is_infeasible(self, kind, p_extra, stage, message):
-        # No photon leaves the source, so even at d = 0 nothing is sifted.
+    def test_dark_link_is_infeasible(self, kind, p_extra):
+        # No photon leaves the source, so even at d = 0 nothing is sifted:
+        # the budget's set-up refuses the request, with or without the
+        # noise search.
         dark = LinkParams(eta_e=0.0)
         with pytest.raises(InfeasibleError) as exc:
             plan(0.0, 1000, kind, dark, SEC, p_extra=p_extra)
-        assert exc.value.stage == stage
-        assert str(exc.value) == f"{stage}: {message}"
+        assert exc.value.stage == "photon_budget"
+        assert str(exc.value) == ("photon_budget: link delivers no signal "
+                                  "(p = 0)")
 
     def test_unknown_kind_rejected(self):
         # A malformed request, with or without the noise search.
@@ -976,6 +984,25 @@ class TestForecast:
             result.expected_KBR, result.KBR_std)
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_goes_through_its_public_parts(self, monkeypatch, kind):
+        # forecast() calls the module's expected_output, success_probability
+        # and kbr_stats, so a wrapper on any of them sees every forecast.
+        calls = []
+        for name in ("expected_output", "success_probability", "kbr_stats"):
+            def spy(*args, _name=name, _fn=getattr(planner, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(planner, name, spy)
+        result = plan(30.0, 1000, kind, LINK, SEC)
+        assert calls == ["expected_output", "success_probability",
+                         "kbr_stats"]
+        calls.clear()
+        forecast(channel_at(LINK, 30.0), result.N_F, result.strategy,
+                 result.P_extra_opt, SEC)
+        assert calls == ["expected_output", "success_probability",
+                         "kbr_stats"]
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     def test_overflow_is_infeasible(self, kind):
         # The expected key length at this N squares beyond float range.
         ch = channel_at(LINK, 30.0)
@@ -990,8 +1017,8 @@ class TestForecast:
     @pytest.mark.parametrize("strategy", [
         Strategy(FRACTION, 1 / 3), Strategy(COUNT, 50.0), Strategy(SQRT, 2.0)])
     def test_matches_composition(self, d, strategy):
-        # forecast() takes the flip and the moments once; its results and
-        # errors must be those of the three public forecasts composed.
+        # forecast() composes the three public forecasts; its results and
+        # errors must be those of the reference composition.
         ch = channel_at(LINK, d)
         for n in (0, 1, 100, 10 ** 5, 10 ** 160, 10 ** 400):
             for p_extra in (-0.1, 0.0, 0.02, 0.5, 0.6):
