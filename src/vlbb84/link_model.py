@@ -216,9 +216,10 @@ def effective_flip(p_flip: float, p_extra: float) -> float:
     XOR composition of two independent flip channels:
     P_flip + P_extra - 2 * P_flip * P_extra.
     """
-    for name, v in (("p_flip", p_flip), ("p_extra", p_extra)):
-        if not 0.0 <= v <= 0.5:
-            raise ValueError(f"{name} must be in [0, 1/2], got {v}")
+    if not 0.0 <= p_flip <= 0.5:
+        raise ValueError(f"p_flip must be in [0, 1/2], got {p_flip}")
+    if not 0.0 <= p_extra <= 0.5:
+        raise ValueError(f"p_extra must be in [0, 1/2], got {p_extra}")
     return p_flip + p_extra - 2.0 * p_flip * p_extra
 
 

@@ -58,13 +58,28 @@ def output_length_fixed_point(k: float, eps_max: float) -> int:
 
     This is the saturation point of the extraction budget. The budget
     minus m strictly decreases in m, so the admissible m form a prefix of
-    [1, floor(k)] and bisection finds its end.
+    [1, floor(k)], and bisection finds its end. That end is the floor of
+    the real root r of m + 4*log2(m / eps_max) = k - 6, up to rounding:
+    one Newton step from x0 = c - 4*log2(c / eps_max), c = k - 6 (or from
+    1, if x0 is smaller), puts floor(x) on it for nearly every k above
+    100. So the bisection probes floor(x) and floor(x) + 1 first, and two
+    tests close it there; at any other k it goes on as a plain bisection.
+    Any probe inside the bracket keeps the bisection exact, so the result
+    never depends on the estimate.
     """
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
     lo, hi = 0, max(math.floor(k), 0)
+    # log2(c) - log2(eps_max), not log2(c / eps_max), which can overflow.
+    c, log_eps = k - 6.0, math.log2(eps_max)
+    x = max(c - 4.0 * (math.log2(max(c, 1.0)) - log_eps), 1.0)
+    x -= (x - c + 4.0 * (math.log2(x) - log_eps)) / (
+        1.0 + 4.0 / (x * math.log(2.0)))
+    probes = [math.floor(x) + 1, math.floor(x)]
     while lo < hi:
-        mid = (lo + hi + 1) // 2
+        mid = probes.pop() if probes else (lo + hi + 1) // 2
+        if not lo < mid <= hi:
+            continue
         if mid <= k - 6.0 - 4.0 * math.log2(mid / eps_max):
             lo = mid
         else:

@@ -23,10 +23,13 @@ formulas, one solver of the sqrt strategy's sample-limit cubic (its
 closed-form largest root) and one rule, that an N_F which is not a
 finite float is infeasible. The formulas take their elementwise
 functions under numpy's names: the scalar path passes _Libm (libm and
-builtins on Python floats), the screen passes numpy itself and runs on
-arrays with as few numpy calls as it can, so the two differ only by
-rounding: the screen's exp(x * ln 10) for 10**x, and libm-vs-numpy
-log2, pow and (for sqrt) arccos and cos.
+builtins on Python floats), the screen passes numpy itself. The
+screen's prelude, the requirements A_0 and l_F at every grid point,
+runs in few numpy calls and in place, and marks the levels the scalar
+refuses by a NaN in l_F's denominator. So the two paths differ only by
+rounding: the prelude's (exp(x * ln 10) for 10**x, A_0 as
+(1 - p_hat) / (gamma^2 p_hat)), and libm-vs-numpy log2, pow and (for
+sqrt) arccos and cos.
 
 plan() is the only entry that takes a distance and a LinkParams: it
 derives the channel once, and every function below it (budget, noise
@@ -59,9 +62,9 @@ _NOISE_GRID_STEP = 1e-4
 _NOISE_TOL = 1e-6
 # Grid points whose screened N_F lies within this relative distance of the
 # screened minimum are re-evaluated by the scalar objective. The screen
-# differs from it only by rounding (its exp(x * ln 10) for 10**x, and
-# numpy-vs-libm log2, pow and, for sqrt, arccos and cos), ~1e-14
-# relative, so the scalar minimum is always among them.
+# differs from it only by rounding (its prelude's, and numpy-vs-libm log2,
+# exp, pow and, for sqrt, arccos and cos), ~1e-14 relative, so the scalar
+# minimum is always among them.
 _SCREEN_MARGIN = 1e-9
 
 
@@ -257,9 +260,10 @@ def _sqrt_sample_limit(l_f_bits, a0_bits, p: float, c_f: float, xp=_Libm):
     caller treats as an infeasible N_F: on floats r*r*r is inf and inf/inf
     nan, and an array call runs under the screen's np.errstate.
     """
-    ca = -c_f * math.sqrt(1.0 - p)
+    root_1p = math.sqrt(1.0 - p)
+    ca = -c_f * root_1p
     cb = -(l_f_bits + a0_bits)
-    cc = a0_bits * c_f / 2.0 * math.sqrt(1.0 - p)
+    cc = a0_bits * c_f / 2.0 * root_1p
     u_stat = (-ca + xp.sqrt(ca * ca - 3.0 * cb)) / 3.0
     no_root = ((u_stat + ca) * u_stat + cb) * u_stat + cc > 0.0
     shift = ca / 3.0
@@ -288,13 +292,13 @@ def _budget_from_requirements(kind: str, p: float, a0_bits, l_f_bits,
     if kind == FRACTION:
         n_acc = a0_bits / (g * p)
         n_len = cf2 / (4.0 * p) * (
-            sqrt(one_p)
+            math.sqrt(one_p)
             + sqrt(one_p + 4.0 * l_f_bits / (cf2 * (1.0 - g)))) ** 2
         return maximum(n_acc, n_len), None
     if kind == COUNT:
         n_acc = 2.0 * a0_bits / p
         n_len = cf2 / (4.0 * p) * (
-            sqrt(one_p)
+            math.sqrt(one_p)
             + sqrt(one_p + 4.0 * (a0_bits + l_f_bits) / cf2)) ** 2
         return maximum(n_acc, n_len), None
     if kind == SQRT:
@@ -349,39 +353,53 @@ def _screen_budget(channel: ChannelDerived, m_f: int, kind: str,
                    p_extra: np.ndarray, sec: SecurityParams,
                    g: float) -> np.ndarray:
     """The N_F of _request_budget's budget at every noise level of the
-    array p_extra, inf where the budget raises InfeasibleError. It screens
-    only a request whose set-up passed, so p > 0.
+    float array p_extra, inf where the budget raises InfeasibleError.
 
-    Its array prelude computes the scalar's A_0 and l_F with as few numpy
-    calls as it can: gamma's 10**x as exp(x * ln 10), 1 - p_hat once, and
-    the entropy's sign folded into l_F's denominator, which is exact. It
-    writes NaN into l_F where the scalar raises before its N_F formulas
-    (p_hat at or above Q_t, or a denominator that is not positive, p_hat
-    = 0 among them). The N_F formulas and the sqrt solver are
-    _budget_from_requirements' own, run with numpy under this
-    function's np.errstate, and they carry a NaN through, so one isfinite
-    marks every infeasible level. The screen differs from the scalar N_F
-    only by rounding: exp(x * ln 10) for 10**x, and numpy's log2, pow and
+    Precondition: the request's set-up passed, so g and m_F are valid and
+    p > 0. optimal_extra_noise sets up _request_budget before it screens,
+    and that set-up refuses p = 0 (test_dark_link_is_refused_at_setup);
+    called directly on a p = 0 channel, the screen raises
+    ZeroDivisionError for fraction and count.
+
+    Its array prelude computes the scalar's A_0 and l_F in few numpy
+    calls, in place where it can: p_hat with effective_flip's rounding (so
+    the Q_t test agrees with the scalar's), gamma's 10**x as
+    exp(x * ln 10), A_0 as (1 - p_hat) / (gamma^2 p_hat), and the
+    entropy's sign folded into l_F's denominator, which is exact. It
+    writes NaN into that denominator where the scalar raises before its
+    N_F formulas (p_hat at or above Q_t, or a denominator that is not
+    positive, p_hat = 0 among them). The N_F formulas and the sqrt solver
+    are _budget_from_requirements' own, run with numpy under this
+    function's np.errstate, and they carry a NaN through, so one fmin
+    marks every infeasible level inf. The screen differs from the scalar
+    N_F only by rounding: the prelude's, and numpy's log2, exp, pow and
     (for sqrt) arccos and cos for libm's, ~1e-14 relative: enough to rank
     noise levels, not to replace the scalar.
     """
     p, p_flip = channel.p, channel.P_flip
-    p_hat = p_flip + p_extra - 2.0 * p_flip * p_extra
-    q_hat = 1.0 - p_hat
     # p_hat = 0 divides by zero and takes log2(0), and extreme inputs
     # overflow, the sqrt solver's r*r*r among them; the non-finite N_F they
     # give is infeasible.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p_hat = p_flip + p_extra                # effective_flip's rounding
+        p_hat -= (2.0 * p_flip) * p_extra
+        q_hat = 1.0 - p_hat
         gam = sec.eps * (1.0 + sec.alpha * np.exp(
             (-sec.beta * math.log(10.0)) * p_hat))
-        a0_bits = (1.0 / (gam * gam)) * (1.0 / p_hat - 1.0)
-        den = 1.0 + (1.0 + sec.f_max) * (p_hat * np.log2(p_hat)
-                                         + q_hat * np.log2(q_hat))
-        l_f_bits = np.where((p_hat < sec.Q_t) & (den > 0.0),
-                            _extraction_floor(m_f, sec) / den, math.nan)
+        a0_bits = q_hat / (gam * gam * p_hat)
+        den = np.log2(p_hat)
+        den *= p_hat
+        q_hat *= np.log2(q_hat)
+        den += q_hat
+        den *= 1.0 + sec.f_max
+        den += 1.0                              # 1 - (1 + f_max) * h(p_hat)
+        den[(den <= 0.0) | (p_hat >= sec.Q_t)] = math.nan
+        l_f_bits = np.divide(_extraction_floor(m_f, sec), den, out=den)
         n_f, _ = _budget_from_requirements(kind, p, a0_bits, l_f_bits, sec, g,
                                            np)
-    return np.where(np.isfinite(n_f), n_f, math.inf)
+    # N_F is never negative, so its non-finite values are inf and NaN; fmin
+    # maps NaN to inf.
+    return np.fmin(n_f, math.inf, out=n_f)
 
 
 def _resolve_strategy(kind: str, a0_bits: float, n: Optional[float],
@@ -457,12 +475,13 @@ def optimal_extra_noise(channel: ChannelDerived, m_f: int, kind: str,
 
     e_max = max(_max_extra_noise(channel.P_flip, sec) - 1e-9, 0.0)
     n_grid = int(e_max / _NOISE_GRID_STEP) + 1
-    grid = np.minimum(np.arange(n_grid + 1) * _NOISE_GRID_STEP, e_max)
+    # A float stop makes a float grid: no int-to-float cast in the product.
+    grid = np.minimum(np.arange(n_grid + 1.0) * _NOISE_GRID_STEP, e_max)
     screen = _screen_budget(channel, m_f, kind, grid, sec, g)
     cut = screen.min() * (1.0 + _SCREEN_MARGIN)
     best_i, best_v = 0, math.inf
     rechecked = {}          # grid index -> objective there
-    for i in np.flatnonzero(screen <= cut).tolist() if cut < math.inf else ():
+    for i in (screen <= cut).nonzero()[0].tolist() if cut < math.inf else ():
         rechecked[i] = objective(float(grid[i]))
         if rechecked[i][0] < best_v:
             best_i, best_v = i, rechecked[i][0]

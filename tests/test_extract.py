@@ -1,3 +1,4 @@
+import json
 import os
 import platform
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import vlbb84
+from vlbb84.cli import EXIT_ERROR, main
 from vlbb84.extract import (_fft_length, extract_key, secure_length,
                             toeplitz_extract)
 from vlbb84.link_model import SecurityParams
@@ -323,6 +325,53 @@ class TestToeplitzExtract:
             toeplitz_extract(x, np.ones(10, dtype=np.uint8), 4)
         with pytest.raises(ValueError):
             toeplitz_extract(x, np.ones(40, dtype=np.uint8), 17)
+
+
+def shift_lags(monkeypatch, by: float, lag=None):
+    """Wrap np.fft.irfft, the inverse transform of _packed_product, so that
+    it moves lag `lag` of its output, or every lag, by `by`."""
+    irfft = np.fft.irfft
+
+    def shifted(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[slice(None) if lag is None else lag] += by
+        return out
+    monkeypatch.setattr(np.fft, "irfft", shifted)
+
+
+class TestPrecisionGuard:
+    # _packed_product rounds each lag it reads to an integer and refuses
+    # the product if any lag lay more than 0.25 away. Honestly only an
+    # all-ones chunk past 2^23 bits gets there, so the inverse transform
+    # is wrapped to move lags instead.
+    L, M = 200, 120
+
+    def bits(self):
+        rng = np.random.default_rng(3)
+        return (rng.integers(0, 2, self.L, dtype=np.uint8),
+                rng.integers(0, 2, self.L + self.M - 1, dtype=np.uint8))
+
+    def test_shift_past_a_quarter_raises(self, monkeypatch):
+        # Lag l - 1 is the first one read.
+        x, seed = self.bits()
+        shift_lags(monkeypatch, 0.3, lag=self.L - 1)
+        with pytest.raises(ArithmeticError,
+                           match="FFT convolution lost integer precision"):
+            toeplitz_extract(x, seed, self.M)
+
+    def test_shift_below_a_quarter_rounds_away(self, monkeypatch):
+        x, seed = self.bits()
+        want = dense_toeplitz(x, seed, self.M)
+        shift_lags(monkeypatch, 0.2, lag=self.L - 1)
+        assert np.array_equal(toeplitz_extract(x, seed, self.M), want)
+
+    def test_run_answers_invalid(self, capsys, monkeypatch):
+        # A run's l is known only once it has sifted, so every lag moves.
+        shift_lags(monkeypatch, 0.3)
+        assert main(["run", "--distance", "5", "--mf", "1000"]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "invalid",
+            "message": "FFT convolution lost integer precision"}
 
 
 class TestToeplitzMemory:

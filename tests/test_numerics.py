@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,22 @@ def scan_fixed_point(k: float, eps_max: float = 0.01) -> int:
         if m <= k - 6.0 - 4.0 * math.log2(m / eps_max):
             best = m
     return best
+
+
+def bisect_fixed_point(k: float, eps_max: float) -> int:
+    """The bisection output_length_fixed_point ran before its direct
+    solve, kept as its oracle: the end of the prefix of [1, floor(k)]
+    inside the extraction budget."""
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    lo, hi = 0, max(math.floor(k), 0)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid <= k - 6.0 - 4.0 * math.log2(mid / eps_max):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def scan_floor_equation(k: float, eps_max: float = 0.01) -> int:
@@ -150,3 +168,58 @@ class TestOutputLengthFixedPoint:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             output_length_fixed_point(math.inf, 0.01)
+
+
+EPS_EDGES = (1e-12, 0.01, 0.5, 0.99)
+
+
+class TestOutputLengthMatchesBisection:
+    # The direct solve must return the bisection's m exactly.
+    def test_seeded_random_set(self):
+        rng = np.random.default_rng(20261021)
+        n = 20_000
+        eps = 10.0 ** rng.uniform(-12.0, math.log10(0.99), n)
+        # Half log-uniform on [1, 1e12], half uniform on [0, 1e12], so
+        # every scale is reached, as is the top of the range.
+        k = np.concatenate([10.0 ** rng.uniform(0.0, 12.0, n // 2),
+                            rng.uniform(0.0, 1e12, n - n // 2)])
+        for k_v, e_v in zip(k.tolist(), eps.tolist()):
+            assert output_length_fixed_point(k_v, e_v) == \
+                bisect_fixed_point(k_v, e_v), (k_v, e_v)
+
+    @pytest.mark.parametrize("eps_max", EPS_EDGES)
+    def test_k_below_seven(self, eps_max):
+        for k in (-1e308, -10.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 5.999, 6.0,
+                  6.5, math.nextafter(7.0, 0.0), 7.0):
+            assert output_length_fixed_point(k, eps_max) == \
+                bisect_fixed_point(k, eps_max), k
+
+    @pytest.mark.parametrize("eps_max", EPS_EDGES)
+    def test_integer_crossings(self, eps_max):
+        # k at which the test admits m for the first time, and the floats
+        # on either side of it: the end of the prefix moves there.
+        for m in [1, 2, 3, 7, 10, 99, 100, 101, 1000, 12345, 10**6,
+                  10**9 + 7, 10**12]:
+            crossing = m + 6.0 + 4.0 * math.log2(m / eps_max)
+            for k in (math.nextafter(crossing, 0.0), crossing,
+                      math.nextafter(crossing, math.inf)):
+                assert output_length_fixed_point(k, eps_max) == \
+                    bisect_fixed_point(k, eps_max), (m, k)
+
+    @pytest.mark.parametrize("eps_max", EPS_EDGES)
+    def test_k_near_float_max(self, eps_max):
+        # m / eps_max overflows to inf near the top, where the test fails:
+        # the end lies below that overflow, far from the real root.
+        top = sys.float_info.max
+        for k in (top, math.nextafter(top, 0.0), 0.999 * top, top / 2,
+                  2.0 ** 1000, 1e300):
+            assert output_length_fixed_point(k, eps_max) == \
+                bisect_fixed_point(k, eps_max), k
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    def test_non_finite_k_raises_the_same_error(self, k):
+        with pytest.raises(ValueError) as want:
+            bisect_fixed_point(k, 0.01)
+        with pytest.raises(ValueError) as got:
+            output_length_fixed_point(k, 0.01)
+        assert str(got.value) == str(want.value) == f"k must be finite, got {k}"

@@ -420,17 +420,20 @@ def reference_optimal_extra_noise(channel: ChannelDerived, m_f: int,
     return e_opt
 
 
-def noise_outcome(optimize, channel, m_f, kind, g):
+def noise_outcome(optimize, channel, m_f, kind, g, sec=SEC):
     try:
-        return optimize(channel, m_f, kind, SEC, g)
+        return optimize(channel, m_f, kind, sec, g)
     except InfeasibleError as exc:
         return "infeasible", exc.stage
 
 
 D_LIM = limit_distance(LINK, SEC)
-# The default security parameters and four that move gamma's relaxation.
+# The default security parameters, four that move gamma's relaxation, and
+# one whose entropy denominator 1 - (1 + f_max) h(p_hat) turns non-positive
+# well below Q_t, where the screen writes NaN into it.
 SCREEN_SECS = (SEC, SecurityParams(beta=200.0), SecurityParams(beta=-100.0),
-               SecurityParams(eps=1e-3), SecurityParams(alpha=50.0, beta=5.0))
+               SecurityParams(eps=1e-3), SecurityParams(alpha=50.0, beta=5.0),
+               SecurityParams(f_max=6.0))
 # g only enters the fraction strategy.
 KIND_G = [(FRACTION, g) for g in (DEFAULT_FRACTION, 0.05, 0.5)] + [
     (COUNT, DEFAULT_FRACTION), (SQRT, DEFAULT_FRACTION)]
@@ -473,13 +476,30 @@ class TestMatchesReferenceScan:
         self.check_screen_tracks_scalar(kind, d, SEC)
 
     @pytest.mark.parametrize("sec", SCREEN_SECS[1:], ids=[
-        "beta=200", "beta=-100", "eps=1e-3", "alpha=50,beta=5"])
+        "beta=200", "beta=-100", "eps=1e-3", "alpha=50,beta=5", "f_max=6"])
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     @pytest.mark.parametrize("d", [0.0, 1e-308, 30.0, 65.0])
     def test_screen_tracks_scalar_objective_other_sec(self, kind, d, sec):
         # The screen takes gamma's 10**(-beta * p_hat) as an exp: here it
         # decays steeply, grows, meets a tight eps, and dominates gamma.
         self.check_screen_tracks_scalar(kind, d, sec)
+
+    @pytest.mark.parametrize("kind, g", KIND_G)
+    @pytest.mark.parametrize("d", [0.0, 5.0, 30.0, 65.0])
+    def test_non_positive_entropy_denominator(self, kind, g, d):
+        # With f_max = 6 the key rate 1 - (1 + f_max) h(p_hat) reaches 0 at
+        # p_hat ~ 0.0203, so most of the noise range is infeasible below
+        # Q_t: 23 to 44 of 200 levels stay finite at 0 to 30 km, none at
+        # 65 km. The screen's NaN mask must leave the reference's optimum.
+        sec = SCREEN_SECS[-1]
+        ch = channel_at(LINK, d)
+        grid = np.linspace(0.0, _max_extra_noise(ch.P_flip, sec), 200)
+        finite = np.isfinite(_screen_budget(ch, 1000, kind, grid, sec, g))
+        assert finite.sum() == {0.0: 44, 5.0: 42, 30.0: 23, 65.0: 0}[d]
+        expect = noise_outcome(reference_optimal_extra_noise, ch, 1000, kind,
+                               g, sec)
+        assert noise_outcome(optimal_extra_noise, ch, 1000, kind, g,
+                             sec) == expect
 
     @staticmethod
     def check_screen_tracks_scalar(kind, d, sec):
