@@ -217,3 +217,19 @@ def test_an_unplannable_cascade_request_is_an_error():
     error = json.loads(proc.stdout)["error"]
     assert error.startswith("request (80.0, 1000, 'count', None, {}): ")
     assert "optimal_extra_noise" in error
+
+
+@pytest.mark.parametrize("target", ["plan", "cascade"])
+@pytest.mark.parametrize("args, message", [
+    (["--rounds", "0"], "--rounds must be at least 1"),
+    (["--rounds", "-3"], "--rounds must be at least 1"),
+    (["--baseline", "/nonexistent/src"],
+     "--baseline /nonexistent/src has no vlbb84/__init__.py"),
+], ids=["rounds-0", "rounds-negative", "missing-baseline"])
+def test_a_bad_option_is_a_parse_error(capsys, target, args, message):
+    argv = [target, "--baseline", str(SRC), "--group", "30:1000:count", *args]
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.rstrip().endswith(f"error: {message}")

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 _spec = importlib.util.spec_from_file_location("code_lines", TOOL)
 code_lines = importlib.util.module_from_spec(_spec)
@@ -47,3 +49,12 @@ def test_main_prints_per_file_and_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["8", "1", "9"]
     assert lines[-1].split() == ["9", "total"]
+
+
+def test_a_missing_path_is_an_error(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SOURCE)
+    missing = tmp_path / "no" / "such" / "path"
+    with pytest.raises(SystemExit) as exit_:
+        code_lines.main([str(tmp_path), str(missing)])
+    assert exit_.value.code == f"{missing}: no such file or directory"
+    assert capsys.readouterr().out == ""

@@ -41,7 +41,8 @@ median summed seconds of each tree, the median microseconds per item,
 the change's relative difference and the rounds it was faster in.
 Exits with status 1 when any result differs. A group with no item, or a
 `cascade` request that cannot be planned, prints one JSON error line
-instead and exits with status 1.
+instead and exits with status 1. A `--rounds` below 1, or a `--baseline`
+without `vlbb84/__init__.py`, is a usage error (status 2).
 """
 
 from __future__ import annotations
@@ -287,6 +288,10 @@ def main(argv: list[str] | None = None) -> int:
             sub.add_argument("--run-seeds", type=_seed_range, default=None,
                              help="run seeds A-B, used for every request")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    if not (args.baseline / "vlbb84" / "__init__.py").is_file():
+        parser.error(f"--baseline {args.baseline} has no vlbb84/__init__.py")
     named, _, items = TARGETS[args.target]
     try:
         requests = {name: named[name]() if name in named else _request(name)

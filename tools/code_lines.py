@@ -7,7 +7,8 @@ long as it is not part of a docstring.
 
     python tools/code_lines.py [PATH ...]    (default: src/vlbb84)
 
-Prints one "count path" line per file and a total.
+Prints one "count path" line per file and a total; a PATH that does not
+exist is an error (status 1).
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     roots = [Path(p) for p in argv] or [Path("src/vlbb84")]
+    for root in roots:
+        if not root.exists():
+            sys.exit(f"{root}: no such file or directory")
     files = sorted(f for root in roots
                    for f in ([root] if root.is_file() else root.rglob("*.py")))
     total = 0

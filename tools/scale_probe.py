@@ -1,87 +1,80 @@
-"""Run one planned request in a child process and report its cost.
+"""Run one `vlbb84` command in a child process and report its cost.
 
-The child plans a count-strategy request for m_F key bits at distance d,
-runs it with the given run seed and reports the run's wall time (plan and
-run, interpreter start and imports excluded), its peak RSS (ru_maxrss),
-Cascade's n_exp, f_realized and verified, and the SHA-256 of the final
-key packed MSB first. The key is extracted from Alice's bits, which
-Cascade never changes, so a change to Cascade shows only in its three
-fields. With --max-as-mb the child, and only the child, limits its own
-address space with setrlimit(RLIMIT_AS) before planning, so an oversize
-request ends in an answer instead of exhausting the host's memory.
+    PYTHONPATH=src python tools/scale_probe.py [--max-as-mb N] COMMAND ...
 
-    PYTHONPATH=src python tools/scale_probe.py --mf 10000000 [--distance 30]
-        [--seed 1] [--max-as-mb 1500]
+COMMAND and everything after it are a `vlbb84` command line: `run`,
+`sweep`, `plan` or `link-info` with that command's own options. A child
+interpreter runs it through `vlbb84.cli.main`, importing vlbb84 from
+PYTHONPATH, so the same probe measures any checkout. With --max-as-mb
+the child, and only the child, limits its own address space with
+setrlimit(RLIMIT_AS) once vlbb84 is imported, so an oversize request
+ends in an answer instead of exhausting the host's memory.
 
-Prints one JSON line: d, m_F, seed, wall_s, maxrss_mb, m, n_exp,
-f_realized, verified and key_sha256, or, for a request that does not
-run, d, m_F, seed and the error, stage and message of the infeasible or
-invalid answer. The child imports vlbb84 from PYTHONPATH, so the same
-probe measures any checkout.
+Prints one JSON line: argv (the command line); exit_code, the child's
+exit status; wall_s, from spawn to exit, interpreter start and imports
+included; maxrss_mb, the child's own peak RSS (its ru_maxrss, read by
+wait4); and answer, the command's JSON output, with any final_key
+replaced by key_sha256, the SHA-256 of the key's bytes (null when the
+answer holds no key). Exits with status 0 whatever the command answered.
+A child that leaves no JSON answer, such as one killed by a signal or
+one whose limit is too small for the imports its command makes, gives
+instead argv, exit_code, wall_s, maxrss_mb, an error and the last line
+of the child's stderr, and the probe exits with status 1.
+
+Linux counts the peak RSS of the process that spawns the child in the
+child's ru_maxrss, so the probe itself imports nothing large.
 """
-
-from __future__ import annotations
 
 import argparse
+import hashlib
 import json
-import subprocess
+import os
 import sys
+import tempfile
+import time
 
 CHILD = """
-import hashlib, json, resource, sys, time
-import numpy as np
-from vlbb84 import LinkParams, SecurityParams
-from vlbb84.planner import InfeasibleError, plan
-from vlbb84.protocol import run_from_plan
-
-d, m_f, seed, max_as_mb = json.loads(sys.argv[1])
-if max_as_mb is not None:
-    limit = max_as_mb * 2 ** 20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-link, sec = LinkParams(), SecurityParams()
-start = time.perf_counter()
-try:
-    record = run_from_plan(plan(d, m_f, "count", link, sec), link, sec, seed)
-except InfeasibleError as exc:
-    doc = {"error": "infeasible", "stage": exc.stage, "message": str(exc)}
-except (ValueError, ArithmeticError, MemoryError) as exc:
-    doc = {"error": "invalid", "message": str(exc)}
-else:
-    key = record.final_key if record.final_key is not None else []
-    doc = {"wall_s": time.perf_counter() - start,
-           "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-           / 1024,
-           "m": record.m, "n_exp": record.n_exp,
-           "f_realized": record.f_realized, "verified": record.verified,
-           "key_sha256": hashlib.sha256(np.packbits(
-               np.asarray(key, dtype=np.uint8)).tobytes()).hexdigest()}
-print(json.dumps(doc))
+import resource, sys
+from vlbb84.cli import main
+if sys.argv[1]:    # the limit in bytes, or "" for none
+    resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
+sys.exit(main(sys.argv[2:]))
 """
-
-
-def probe(d: float, m_f: int, seed: int,
-          max_as_mb: int | None = None) -> dict:
-    """Run the request in a child process; returns the JSON line's fields."""
-    params = json.dumps([d, m_f, seed, max_as_mb])
-    out = subprocess.run([sys.executable, "-c", CHILD, params],
-                         capture_output=True, text=True)
-    if out.returncode != 0 or not out.stdout.strip():
-        raise RuntimeError(f"the child exited with {out.returncode}: "
-                           f"{out.stderr.strip()}")
-    return {"d": d, "m_F": m_f, "seed": seed, **json.loads(out.stdout)}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--mf", type=int, required=True,
-                        help="target key bits m_F")
-    parser.add_argument("--distance", type=float, default=30.0, help="km")
-    parser.add_argument("--seed", type=int, default=1, help="run seed")
     parser.add_argument("--max-as-mb", type=int, default=None,
                         help="address-space limit of the child, in MiB")
+    parser.add_argument("command", nargs=argparse.REMAINDER,
+                        help="a vlbb84 command line")
     args = parser.parse_args(argv)
-    print(json.dumps(probe(args.distance, args.mf, args.seed,
-                           args.max_as_mb)))
+    limit = "" if args.max_as_mb is None else str(args.max_as_mb * 2 ** 20)
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        pid = os.posix_spawn(sys.executable, [
+            sys.executable, "-c", CHILD, limit, *args.command], os.environ,
+            file_actions=[(os.POSIX_SPAWN_DUP2, out.fileno(), 1),
+                          (os.POSIX_SPAWN_DUP2, err.fileno(), 2)])
+        _, status, usage = os.wait4(pid, 0)
+        doc = {"argv": args.command,
+               "exit_code": os.waitstatus_to_exitcode(status),
+               "wall_s": time.perf_counter() - start,
+               "maxrss_mb": usage.ru_maxrss / 1024}
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read().decode(errors="replace")
+    try:
+        answer = json.loads(stdout)
+    except ValueError:
+        print(json.dumps({**doc, "error": "the child left no JSON answer",
+                          "stderr": stderr.strip().rpartition("\n")[2]}))
+        return 1
+    if "final_key" in answer:
+        key = answer.pop("final_key")
+        answer["key_sha256"] = (None if key is None else
+                                hashlib.sha256(bytes.fromhex(key)).hexdigest())
+    print(json.dumps({**doc, "answer": answer}))
     return 0
 
 
